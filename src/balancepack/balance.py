@@ -106,7 +106,8 @@ def sample_balanced(
 
     Without replacement the draw is sequential weighted selection with
     renormalization, realized through exponential-race keys; with
-    replacement it is n independent categorical draws. Output is
+    replacement it is n independent categorical draws. Without replacement,
+    n may not exceed the number of positive weights. Output is
     byte-identical for identical (weights, n, seed, replacement).
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -119,8 +120,16 @@ def sample_balanced(
     if n < 0:
         raise ValueError("n must be >= 0")
     size = w.size
-    if not replacement and n > size:
-        raise ValueError(f"cannot draw n={n} without replacement from {size} samples")
+    if not replacement:
+        if n > size:
+            raise ValueError(f"cannot draw n={n} without replacement from {size} samples")
+        positive = int(np.count_nonzero(w))
+        if n > positive:
+            # Zero-weight samples would get +inf keys and be taken in index order.
+            raise ValueError(
+                f"cannot draw n={n} without replacement: only {positive} of {size} "
+                f"samples have positive weight"
+            )
 
     rng = philox(seed, STREAM_SAMPLING)
     if replacement:

@@ -280,8 +280,14 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     assignments = concepts.load_assignments(args.input)
     if args.subset:
-        keep = set(int(i) for i in balance.load_sampled_indices(args.subset))
-        assignments = [a for a in assignments if a.sample_index in keep]
+        # Positional, with multiplicity, as pipeline reports its balanced subset.
+        subset = balance.load_sampled_indices(args.subset).tolist()
+        for i in subset:
+            if not 0 <= i < len(assignments):
+                raise ValueError(
+                    f"{args.subset}: sampled index {i} out of range [0, {len(assignments)})"
+                )
+        assignments = [assignments[i] for i in subset]
     report = balance.balance_report(assignments, args.vocab_size)
     _json_dump(
         out / "report.json",

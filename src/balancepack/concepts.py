@@ -4,8 +4,15 @@ Embeddings are plain float32 numpy matrices, one vector per row. They are
 ingested precomputed; no encoder runs here. Similarity is the dot product
 of L2-normalized rows, computed with float64 accumulation over the float32
 values, which matches common embedding dumps while bounding accumulation
-error. The top-k scan is exact (full stable sort per row, ties resolved to
-the lower concept index); there is no approximate index.
+error. The top-k scan is exact: every concept is scored, the k largest are
+selected by partition and ordered by (-similarity, concept index), and a
+row whose k-th value is tied beyond the selection falls back to a full
+stable sort, so ties always resolve to the lower concept index. There is
+no approximate index.
+
+Memory: finiteness checks, normalization and scoring run over blocks of
+at most ``_ROW_BLOCK`` rows, so the float64 temporaries stay at one block
+per worker, whatever the number of images.
 
 Binary embedding format: magic ``EMB1``, uint32-LE rows, uint32-LE dim,
 then rows*dim float32-LE values, row-major.
@@ -14,11 +21,12 @@ then rows*dim float32-LE values, row-major.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +41,34 @@ CAPTION_SEPARATOR = ", "
 # Image rows per worker task in topk_concepts. Fixed so results do not
 # depend on the thread count.
 _TOPK_CHUNK = 8192
+
+# Most rows per block for finiteness checks, normalization and scoring.
+# Bounds every float64 temporary to _ROW_BLOCK rows.
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(start: int, stop: int) -> Iterator[slice]:
+    """Split rows [start, stop) into the fewest near-equal blocks of <= _ROW_BLOCK rows.
+
+    A range longer than one block never leaves a short tail block: every
+    block then holds more than _ROW_BLOCK / 2 rows. BLAS scores a 1-row
+    product as a matrix-vector product, which rounds differently from the
+    matrix-matrix product the same row gets inside a larger block, so a
+    tail sliver would change the last bit of some similarities.
+    """
+    total = stop - start
+    count = -(-total // _ROW_BLOCK)
+    for i in range(count):
+        yield slice(start + total * i // count, start + total * (i + 1) // count)
+
+
+def _first_non_finite(m: np.ndarray) -> int | None:
+    """Flat index of the first non-finite element of a 2-D matrix, or None."""
+    for rows in _row_blocks(0, m.shape[0]):
+        bad = np.flatnonzero(~np.isfinite(m[rows]))
+        if bad.size:
+            return rows.start * m.shape[1] + int(bad[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -93,32 +129,42 @@ def validate_embeddings(m: np.ndarray) -> None:
     rows, dim = m.shape
     if rows < 1 or dim < 1:
         raise ValueError(f"embedding matrix must be at least 1x1, got {rows}x{dim}")
-    if not np.all(np.isfinite(m)):
+    if _first_non_finite(m) is not None:
         raise ValueError("embedding matrix contains non-finite values")
 
 
 def load_embeddings(path: str | Path) -> np.ndarray:
     """Read an EMB1 file into a float32 (rows, dim) matrix.
 
-    Malformed input raises ValueError naming the offending byte offset.
+    The payload is read once, straight into the returned array. Malformed
+    input raises ValueError naming the offending byte offset.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header at byte {len(data)}, need {_HEADER.size}")
-    magic, rows, dim = _HEADER.unpack_from(data)
-    if magic != EMB_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r} at byte 0, expected {EMB_MAGIC!r}")
-    if rows < 1 or dim < 1:
-        raise ValueError(f"{path}: invalid header rows={rows} dim={dim} at byte 4")
-    expected = _HEADER.size + rows * dim * 4
-    if len(data) != expected:
-        raise ValueError(
-            f"{path}: truncated payload at byte {len(data)}, expected {expected} bytes"
-        )
-    m = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(rows, dim).copy()
-    finite = np.isfinite(m.ravel())
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(
+                f"{path}: truncated header at byte {len(header)}, need {_HEADER.size}"
+            )
+        magic, rows, dim = _HEADER.unpack(header)
+        if magic != EMB_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r} at byte 0, expected {EMB_MAGIC!r}")
+        if rows < 1 or dim < 1:
+            raise ValueError(f"{path}: invalid header rows={rows} dim={dim} at byte 4")
+        expected = _HEADER.size + rows * dim * 4
+        if size != expected:
+            raise ValueError(
+                f"{path}: truncated payload at byte {size}, expected {expected} bytes"
+            )
+        m = np.empty((rows, dim), dtype="<f4")
+        got = f.readinto(m.reshape(-1).view(np.uint8))
+        if got != expected - _HEADER.size:
+            raise ValueError(
+                f"{path}: truncated payload at byte {_HEADER.size + got}, "
+                f"expected {expected} bytes"
+            )
+    bad = _first_non_finite(m)
+    if bad is not None:
         raise ValueError(
             f"{path}: non-finite value at byte {_HEADER.size + bad * 4} (element {bad})"
         )
@@ -171,24 +217,36 @@ def save_vocabulary(
     save_embeddings(embeddings_path, vocab.embeddings)
 
 
+def _row_norms(m32: np.ndarray) -> np.ndarray:
+    """Float64 L2 norm of every row, computed one row block at a time."""
+    norms = np.empty(m32.shape[0], dtype=np.float64)
+    for rows in _row_blocks(0, m32.shape[0]):
+        norms[rows] = np.linalg.norm(m32[rows].astype(np.float64), axis=1)
+    return norms
+
+
 def l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm; output stays float32.
 
-    Rows with norm below NORM_EPS are rejected with the row index.
+    Each row is divided by its norm in float64 and rounded once to
+    float32. Rows with norm below NORM_EPS are rejected with the row index.
     """
     validate_embeddings(m)
     m32 = np.ascontiguousarray(m, dtype=np.float32)
-    norms = np.linalg.norm(m32.astype(np.float64), axis=1)
+    norms = _row_norms(m32)
     bad = np.flatnonzero(norms < NORM_EPS)
     if bad.size:
         raise ValueError(f"row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}")
-    return (m32.astype(np.float64) / norms[:, None]).astype(np.float32)
+    out = np.empty(m32.shape, dtype=np.float32)
+    for rows in _row_blocks(0, m32.shape[0]):
+        out[rows] = m32[rows].astype(np.float64) / norms[rows, None]
+    return out
 
 
 def _ensure_normalized(m: np.ndarray) -> np.ndarray:
+    """Return ``m`` as float32, renormalizing every row if any row is off unit norm."""
     m32 = np.ascontiguousarray(m, dtype=np.float32)
-    norms = np.linalg.norm(m32.astype(np.float64), axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if np.any(np.abs(_row_norms(m32) - 1.0) > 1e-6):
         return l2_normalize(m32)
     return m32
 
@@ -199,7 +257,29 @@ def cosine_similarities(images: np.ndarray, concepts: np.ndarray) -> np.ndarray:
     Inputs are assumed L2-normalized; the result is a float64
     (n_images, n_concepts) similarity matrix.
     """
-    return images.astype(np.float64) @ concepts.astype(np.float64).T
+    return images.astype(np.float64) @ concepts.astype(np.float64, copy=False).T
+
+
+def _topk_block(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of each row's k largest similarities.
+
+    Ranked by (-similarity, concept index), exactly as the first k columns
+    of a stable argsort of ``-sims``. The k largest are found by partition;
+    a row holding more than k values >= its k-th largest has a tie across
+    the selection boundary and is ranked by a stable sort instead.
+    """
+    m = sims.shape[1]
+    top = np.argpartition(sims, m - k, axis=1)[:, m - k :]
+    top.sort(axis=1)  # ascending index, so the stable sort breaks ties low
+    vals = np.take_along_axis(sims, top, axis=1)
+    rank = np.argsort(-vals, axis=1, kind="stable")
+    order = np.take_along_axis(top, rank, axis=1)
+    picked = np.take_along_axis(vals, rank, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sims >= picked[:, -1:], axis=1) > k)
+    if tied.size:
+        order[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :k]
+        picked[tied] = np.take_along_axis(sims[tied], order[tied], axis=1)
+    return order, picked
 
 
 def topk_concepts(
@@ -210,10 +290,15 @@ def topk_concepts(
 ) -> list[ConceptAssignment]:
     """Assign each image row its k most cosine-similar concepts.
 
-    The scan is exhaustive and exact: per image, all concepts are scored
-    and sorted descending, with equal similarities resolved to the lower
-    concept index. Rows may be processed by parallel workers; output order
-    and content are independent of ``threads``.
+    The scan is exhaustive and exact: per image, all concepts are scored,
+    the k largest are selected by partition and ranked descending, with
+    equal similarities resolved to the lower concept index. A row whose
+    k-th similarity is tied with a concept outside the selection is ranked
+    by a full stable sort, so the result always equals a stable descending
+    sort of every row. Rows are scored at most ``_ROW_BLOCK`` at a time, so
+    each worker's temporaries are a few ``_ROW_BLOCK`` x ``vocab.size``
+    arrays. Tasks of ``_TOPK_CHUNK`` rows may run on parallel workers;
+    output order and content are independent of ``threads``.
     """
     validate_embeddings(images)
     if images.shape[1] != vocab.embeddings.shape[1]:
@@ -228,20 +313,12 @@ def topk_concepts(
     con = _ensure_normalized(vocab.embeddings)
 
     def score_chunk(start: int) -> list[ConceptAssignment]:
-        chunk = img[start : start + _TOPK_CHUNK]
-        sims = cosine_similarities(chunk, con)
-        # Stable sort on -sims: descending similarity, ties keep lower index.
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        picked = np.take_along_axis(sims, order, axis=1)
-        return [
-            ConceptAssignment(
-                sample_index=start + r,
-                concepts=tuple(
-                    (int(order[r, j]), float(picked[r, j])) for j in range(k)
-                ),
-            )
-            for r in range(chunk.shape[0])
-        ]
+        out: list[ConceptAssignment] = []
+        for rows in _row_blocks(start, min(start + _TOPK_CHUNK, img.shape[0])):
+            order, picked = _topk_block(cosine_similarities(img[rows], con), k)
+            for r, (idx, sim) in enumerate(zip(order.tolist(), picked.tolist()), rows.start):
+                out.append(ConceptAssignment(sample_index=r, concepts=tuple(zip(idx, sim))))
+        return out
 
     starts = range(0, img.shape[0], _TOPK_CHUNK)
     if threads > 1:

@@ -161,6 +161,16 @@ def test_sample_validates_inputs():
         sample_balanced(np.full(10, 0.2), 5, seed=0)
 
 
+def test_sample_without_replacement_rejects_n_above_positive_weights():
+    w = np.array([0.0, 0.5, 0.0, 0.25, 0.25, 0.0])
+    idx = sample_balanced(w, 3, seed=4)
+    assert sorted(idx.tolist()) == [1, 3, 4]
+    with pytest.raises(ValueError, match="n=4.*only 3 of 6 samples have positive weight"):
+        sample_balanced(w, 4, seed=4)
+    # With replacement zero-weight samples are simply never drawn.
+    assert set(sample_balanced(w, 50, seed=4, replacement=True).tolist()) <= {1, 3, 4}
+
+
 # -------------------------------------------------------------------- reports
 
 

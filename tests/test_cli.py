@@ -126,6 +126,43 @@ def test_weigh_sample_coverage_chain(tmp_path, capsys, synth_dir):
     assert len(csv_lines) == 51
 
 
+def test_coverage_subset_with_replacement_matches_pipeline_report(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    code, _, _ = run_cli(
+        ["pipeline", "--output", str(pipe), "--n", "300", "--vocab-size", "40", "--k", "3",
+         "--seed", "11", "--sample-n", "250", "--replacement"],
+        capsys,
+    )
+    assert code == 0
+    sampled = [int(x) for x in (pipe / "sampled.txt").read_text().splitlines()[1:]]
+    assert len(set(sampled)) < len(sampled)  # the draw repeats indices
+
+    cov = tmp_path / "cov"
+    code, _, _ = run_cli(
+        ["coverage", "--output", str(cov), "--input", str(pipe / "assignments.jsonl"),
+         "--vocab-size", "40", "--subset", str(pipe / "sampled.txt")],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads((cov / "report.json").read_text())
+    balanced = json.loads((pipe / "report.json").read_text())["balanced"]
+    assert report["num_samples"] == 250
+    assert {key: report[key] for key in balanced} == balanced
+
+
+@pytest.mark.parametrize("bad", ["-1", "400"])
+def test_coverage_subset_rejects_out_of_range_index(tmp_path, capsys, synth_dir, bad):
+    subset = tmp_path / "subset.txt"
+    subset.write_text(f"# seed=0 n=2 replacement=false\n3\n{bad}\n")
+    code, _, err = run_cli(
+        ["coverage", "--output", str(tmp_path / "cov"), "--input",
+         str(synth_dir / "assignments.jsonl"), "--vocab-size", "50", "--subset", str(subset)],
+        capsys,
+    )
+    assert code == 1
+    assert f"sampled index {bad} out of range [0, 400)" in err
+
+
 def test_sample_n_too_large_names_bound(tmp_path, capsys, synth_dir):
     weigh_dir = tmp_path / "weigh"
     run_cli(

@@ -95,6 +95,26 @@ def test_load_rejects_non_finite_with_offset(tmp_path):
         load_embeddings(path)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.emb"
+    save_embeddings(path, np.ones((2, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="at byte 40, expected 36 bytes"):
+        load_embeddings(path)
+
+
+def test_load_names_first_non_finite_value_past_the_first_row_block(tmp_path):
+    path = tmp_path / "late-nan.emb"
+    save_embeddings(path, np.ones((3000, 4), dtype=np.float32))
+    data = bytearray(path.read_bytes())
+    first, later = 2500 * 4 + 2, 2900 * 4
+    data[12 + first * 4 : 12 + first * 4 + 4] = np.float32(np.inf).tobytes()
+    data[12 + later * 4 : 12 + later * 4 + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=rf"byte {12 + first * 4} \(element {first}\)"):
+        load_embeddings(path)
+
+
 def test_save_rejects_non_finite():
     m = np.array([[1.0, np.inf]], dtype=np.float32)
     with pytest.raises(ValueError, match="non-finite"):

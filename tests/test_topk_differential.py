@@ -1,0 +1,240 @@
+"""Differential tests of the blocked top-k kernel against the full-sort kernel.
+
+``oracle_topk_concepts`` is the earlier implementation of
+``concepts.topk_concepts``, kept verbatim with the full-matrix
+normalization it relied on: every row of a chunk is stable-sorted on
+``-sims``. The production kernel must return exactly the same
+``ConceptAssignment`` list, bit for bit, on any input.
+"""
+
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from balancepack.concepts import (
+    _ROW_BLOCK,
+    _TOPK_CHUNK,
+    NORM_EPS,
+    ConceptAssignment,
+    ConceptVocabulary,
+    l2_normalize,
+    topk_concepts,
+    validate_embeddings,
+)
+
+# ------------------------------------------------------------------ oracle
+
+
+def oracle_l2_normalize(m):
+    validate_embeddings(m)
+    m32 = np.ascontiguousarray(m, dtype=np.float32)
+    norms = np.linalg.norm(m32.astype(np.float64), axis=1)
+    bad = np.flatnonzero(norms < NORM_EPS)
+    if bad.size:
+        raise ValueError(f"row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}")
+    return (m32.astype(np.float64) / norms[:, None]).astype(np.float32)
+
+
+def oracle_ensure_normalized(m):
+    m32 = np.ascontiguousarray(m, dtype=np.float32)
+    norms = np.linalg.norm(m32.astype(np.float64), axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        return oracle_l2_normalize(m32)
+    return m32
+
+
+def oracle_cosine_similarities(images, concepts):
+    return images.astype(np.float64) @ concepts.astype(np.float64).T
+
+
+def oracle_topk_concepts(images, vocab, k, threads=1):
+    validate_embeddings(images)
+    if images.shape[1] != vocab.embeddings.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: images have dim {images.shape[1]}, "
+            f"vocabulary has dim {vocab.embeddings.shape[1]}"
+        )
+    if not 1 <= k <= vocab.size:
+        raise ValueError(f"k={k} out of range [1, {vocab.size}]")
+
+    img = oracle_ensure_normalized(images)
+    con = oracle_ensure_normalized(vocab.embeddings)
+
+    def score_chunk(start):
+        chunk = img[start : start + _TOPK_CHUNK]
+        sims = oracle_cosine_similarities(chunk, con)
+        # Stable sort on -sims: descending similarity, ties keep lower index.
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        picked = np.take_along_axis(sims, order, axis=1)
+        return [
+            ConceptAssignment(
+                sample_index=start + r,
+                concepts=tuple(
+                    (int(order[r, j]), float(picked[r, j])) for j in range(k)
+                ),
+            )
+            for r in range(chunk.shape[0])
+        ]
+
+    starts = range(0, img.shape[0], _TOPK_CHUNK)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(score_chunk, starts))
+    else:
+        parts = [score_chunk(s) for s in starts]
+    return [a for part in parts for a in part]
+
+
+# ----------------------------------------------------------------- inputs
+
+
+def make_vocab(embeddings):
+    return ConceptVocabulary(
+        names=[f"c{i}" for i in range(embeddings.shape[0])], embeddings=embeddings
+    )
+
+
+def gaussian(rng, rows, dim):
+    return rng.standard_normal((rows, dim)).astype(np.float32)
+
+
+def small_ints(rng, rows, dim):
+    """Vectors with entries in -2..2 and no zero row: many exactly equal dot products."""
+    m = rng.integers(-2, 3, size=(rows, dim))
+    zero = ~m.any(axis=1)
+    m[zero, rng.integers(0, dim, size=int(zero.sum()))] = 1
+    return m.astype(np.float32)
+
+
+def tie_heavy_vocab(rng, m, dim):
+    """Small-integer concepts where about half the rows duplicate another row."""
+    base = small_ints(rng, max(1, (m + 1) // 2), dim)
+    return make_vocab(base[rng.integers(0, base.shape[0], size=m)])
+
+
+def boundary_tie_rows(images, vocab, k):
+    """Rows whose k-th and (k+1)-th largest similarities are equal."""
+    if k == vocab.size:
+        return 0
+    sims = oracle_cosine_similarities(
+        oracle_ensure_normalized(images), oracle_ensure_normalized(vocab.embeddings)
+    )
+    ranked = -np.sort(-sims, axis=1)
+    return int(np.count_nonzero(ranked[:, k - 1] == ranked[:, k]))
+
+
+def sims_bytes(assignments):
+    return np.array([s for a in assignments for _, s in a.concepts]).tobytes()
+
+
+def assert_same_as_oracle(images, vocab, k, threads=1):
+    want = oracle_topk_concepts(images, vocab, k)
+    got = topk_concepts(images, vocab, k, threads=threads)
+    assert got == want
+    assert sims_bytes(got) == sims_bytes(want)  # == alone equates -0.0 and 0.0
+
+
+# ------------------------------------------------------------------ tests
+
+
+def test_tie_heavy_inputs_hit_the_selection_boundary():
+    rng = np.random.default_rng(2001)
+    images = small_ints(rng, 300, 3)
+    vocab = tie_heavy_vocab(rng, 20, 3)
+    for k in (1, 2, 5, 10, 19):
+        assert boundary_tie_rows(images, vocab, k) > 0
+        assert_same_as_oracle(images, vocab, k)
+
+
+@pytest.mark.parametrize(
+    "n, m, d, k",
+    [
+        (50, 12, 4, 12),  # k == m
+        (50, 12, 4, 1),  # k == 1
+        (50, 1, 4, 1),  # m == 1
+        (1, 1, 1, 1),
+        (3, 7, 1, 3),  # d == 1: every similarity is +-1
+    ],
+)
+def test_edge_shapes_match_oracle(n, m, d, k):
+    rng = np.random.default_rng(2002 + n + m + d + k)
+    assert_same_as_oracle(gaussian(rng, n, d), make_vocab(gaussian(rng, m, d)), k)
+    assert_same_as_oracle(small_ints(rng, n, d), tie_heavy_vocab(rng, m, d), k)
+
+
+def test_rows_across_block_and_chunk_boundaries_match_oracle():
+    rng = np.random.default_rng(2003)
+    n = _TOPK_CHUNK + _ROW_BLOCK + 1
+    images = small_ints(rng, n, 4)
+    vocab = tie_heavy_vocab(rng, 24, 4)
+    assert boundary_tie_rows(images, vocab, 5) > 0
+    want = oracle_topk_concepts(images, vocab, 5)
+    for threads in (1, 2):
+        assert topk_concepts(images, vocab, 5, threads=threads) == want
+    for m, d, k in ((64, 16, 7), (2, 16, 1), (1, 3, 1)):
+        images = gaussian(rng, n, d)
+        vocab = make_vocab(gaussian(rng, m, d))
+        assert_same_as_oracle(images, vocab, k, threads=1)
+        assert_same_as_oracle(images, vocab, k, threads=2)
+
+
+def test_last_chunk_of_one_row_matches_oracle():
+    # The final chunk holds one row; every other chunk splits into blocks.
+    rng = np.random.default_rng(2007)
+    images = gaussian(rng, 2 * _TOPK_CHUNK + 1, 16)
+    assert_same_as_oracle(images, make_vocab(gaussian(rng, 40, 16)), 3, threads=2)
+
+
+def test_pre_normalized_inputs_match_oracle():
+    # Unit-norm rows skip renormalization; both kernels must agree on that too.
+    rng = np.random.default_rng(2004)
+    images = l2_normalize(gaussian(rng, 2 * _ROW_BLOCK + 3, 8))
+    vocab = make_vocab(l2_normalize(small_ints(rng, 30, 8)))
+    assert_same_as_oracle(images, vocab, 4)
+
+
+def test_seeded_random_instances_match_oracle():
+    rng = np.random.default_rng(2005)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(1, 48))
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(1, m + 1))
+        if rng.random() < 0.5:
+            images, vocab = small_ints(rng, n, d), tie_heavy_vocab(rng, m, d)
+        else:
+            images, vocab = gaussian(rng, n, d), make_vocab(gaussian(rng, m, d))
+        assert_same_as_oracle(images, vocab, k, threads=int(rng.integers(1, 3)))
+
+
+def test_l2_normalize_matches_full_matrix_oracle():
+    rng = np.random.default_rng(2008)
+    m = gaussian(rng, 3 * _ROW_BLOCK + 5, 24) * 7
+    assert l2_normalize(m).tobytes() == oracle_l2_normalize(m).tobytes()
+    m[2 * _ROW_BLOCK + 1] = 0.0
+    with pytest.raises(ValueError, match=f"row {2 * _ROW_BLOCK + 1} "):
+        l2_normalize(m)
+
+
+def test_topk_temporaries_stay_well_below_one_chunk_matrix():
+    # Peak traced allocation of this process, minus what the result keeps:
+    # scoring a whole _TOPK_CHUNK at once needs at least one chunk x m
+    # float64 matrix plus its argsort, so a return to chunk-sized
+    # temporaries fails by a wide margin.
+    rng = np.random.default_rng(2006)
+    images = gaussian(rng, 20_000, 64)
+    vocab = make_vocab(gaussian(rng, 1000, 64))
+    chunk_matrix_bytes = _TOPK_CHUNK * vocab.size * 8
+    tracemalloc.start()
+    try:
+        result = topk_concepts(images, vocab, k=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == images.shape[0]
+    assert peak - held < chunk_matrix_bytes / 2, (
+        f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; one chunk matrix "
+        f"is {chunk_matrix_bytes / 1e6:.1f} MB"
+    )
