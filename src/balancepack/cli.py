@@ -253,9 +253,8 @@ def cmd_pack(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     items = manifest.load_pack_items(args.input)
     config = _packing_config(args)
-    plan = packing.pack(items, config, threads=args.threads)
-    packing.emit_plan(plan, out / "plan.jsonl", config)
-    stats = packing.packing_stats(plan, config)
+    plan = packing.pack(items, config)
+    stats = packing.emit_plan(plan, out / "plan.jsonl", config)
     _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
     _write_echo(out, "pack", {"input": args.input, **_packing_params(args)})
     print(
@@ -352,9 +351,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     try:
         chosen = [records[i] for i in balanced_idx]
-        plan = packing.pack(manifest.records_to_pack_items(chosen), pack_config, threads=args.threads)
-        packing.emit_plan(plan, out / "plan.jsonl", pack_config)
-        stats = packing.packing_stats(plan, pack_config)
+        plan = packing.pack(manifest.records_to_pack_items(chosen), pack_config)
+        stats = packing.emit_plan(plan, out / "plan.jsonl", pack_config)
         _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": pack_config.to_dict()})
         print(f"[pipeline/pack] {stats.num_packs} packs")
     except ValueError as e:
@@ -421,7 +419,7 @@ def _add_pack_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-utilization", type=float, default=0.9)
     p.add_argument("--max-samples-per-pack", type=int, default=None)
     p.add_argument("--max-sources-per-pack", type=int, default=None)
-    p.add_argument("--shards", type=int, default=1, help="hash shards for parallel packing")
+    p.add_argument("--shards", type=int, default=1, help="hash shards, each packed independently")
 
 
 def _build_parser() -> argparse.ArgumentParser:

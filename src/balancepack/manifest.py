@@ -19,13 +19,14 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .concepts import ConceptAssignment
-from .packing import PackItem
+from .packing import PackItem, json_field
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
 DEFAULT_PATCH = 14
@@ -245,9 +246,26 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def ingest_manifest(path: str | Path) -> list[SampleRecord]:
-    """Parse and validate a manifest; rejects duplicate ids."""
-    records: list[SampleRecord] = []
+def _record_from_json(obj) -> SampleRecord:
+    """A manifest record from one parsed line, with strict JSON types."""
+    sample_id = json_field(obj, "id", str)
+    image = json_field(obj, "image", dict, None)
+    if image is not None:
+        image = (json_field(image, "w", int), json_field(image, "h", int))
+    return SampleRecord(
+        id=sample_id,
+        source=json_field(obj, "source", str, ""),
+        text_tokens=json_field(obj, "text_tokens", int, 0),
+        image=image,
+        patch=json_field(obj, "patch", int, DEFAULT_PATCH),
+        merge=json_field(obj, "merge", int, DEFAULT_MERGE),
+    )
+
+
+def _parse_lines(path: str | Path, parse, id_of) -> list:
+    """Apply ``parse`` to each non-blank JSON line; errors and duplicate
+    ids (``id_of`` a parsed value) name the line."""
+    out = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -258,24 +276,32 @@ def ingest_manifest(path: str | Path) -> list[SampleRecord]:
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
             try:
-                image = None
-                if obj.get("image") is not None:
-                    image = (int(obj["image"]["w"]), int(obj["image"]["h"]))
-                rec = SampleRecord(
-                    id=str(obj["id"]),
-                    source=str(obj.get("source", "")),
-                    text_tokens=int(obj.get("text_tokens", 0)),
-                    image=image,
-                    patch=int(obj.get("patch", DEFAULT_PATCH)),
-                    merge=int(obj.get("merge", DEFAULT_MERGE)),
-                )
-            except (KeyError, TypeError, ValueError) as e:
+                value = parse(obj)
+            except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
-            if rec.id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
-    return records
+            sample_id = id_of(value)
+            if sample_id in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
+            seen.add(sample_id)
+            out.append(value)
+    return out
+
+
+def ingest_manifest(path: str | Path) -> list[SampleRecord]:
+    """Parse and validate a manifest; rejects duplicate ids and any field
+    whose JSON type differs from what emit_manifest writes."""
+    return _parse_lines(path, _record_from_json, attrgetter("id"))
+
+
+def _pack_item_from_json(obj) -> PackItem:
+    if type(obj) is dict and "length" in obj:
+        return PackItem(
+            sample_id=json_field(obj, "id", str),
+            length=json_field(obj, "length", int),
+            source=json_field(obj, "source", str, ""),
+        )
+    rec = _record_from_json(obj)
+    return PackItem(sample_id=rec.id, length=estimate_tokens(rec), source=rec.source)
 
 
 def load_pack_items(path: str | Path) -> list[PackItem]:
@@ -283,42 +309,10 @@ def load_pack_items(path: str | Path) -> list[PackItem]:
 
     Accepts the plain form {"id", "source", "length"} or the richer
     manifest records, whose lengths are computed via estimate_tokens.
+    Types are strict: ids and sources are JSON strings, lengths and token
+    counts JSON integers.
     """
-    items: list[PackItem] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            try:
-                sample_id = str(obj["id"])
-                source = str(obj.get("source", ""))
-                if "length" in obj:
-                    length = int(obj["length"])
-                else:
-                    image = None
-                    if obj.get("image") is not None:
-                        image = (int(obj["image"]["w"]), int(obj["image"]["h"]))
-                    rec = SampleRecord(
-                        id=sample_id,
-                        source=source,
-                        text_tokens=int(obj.get("text_tokens", 0)),
-                        image=image,
-                        patch=int(obj.get("patch", DEFAULT_PATCH)),
-                        merge=int(obj.get("merge", DEFAULT_MERGE)),
-                    )
-                    length = estimate_tokens(rec)
-                items.append(PackItem(sample_id=sample_id, length=length, source=source))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            if sample_id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-            seen.add(sample_id)
-    return items
+    return _parse_lines(path, _pack_item_from_json, attrgetter("sample_id"))
 
 
 def records_to_pack_items(records: Sequence[SampleRecord]) -> list[PackItem]:

@@ -1,6 +1,6 @@
 """Offline consolidation of variable-length samples into fixed-capacity packs.
 
-Two strategies share one first-fit-decreasing core:
+Two strategies share one first-fit-decreasing core, ``_FirstFitBins``:
 
 * ``pack_ffd`` is the baseline: sort by length descending (ties by
   sample_id ascending), place each item in the first pack with room.
@@ -8,19 +8,24 @@ Two strategies share one first-fit-decreasing core:
   each shard's items into geometric length buckets, FFD-packs every
   bucket under the per-pack sample/source caps, then runs one refill
   pass that jointly re-packs a shard's underfilled packs (kept only when
-  it reduces the pack count). Shard outputs concatenate in shard order,
-  so plans are byte-identical regardless of worker count.
+  it reduces the pack count). Shard outputs concatenate in shard order.
+
+First fit is indexed under every cap: a max-tree over the remaining
+capacity of the packs that can take any source, and, under a source cap,
+one sparse max-tree per source over the packs whose source slots are all
+used and that hold it. The leftmost hit of the two is the pack a
+left-to-right scan would pick, at O(log P) per item.
 
 Items longer than the capacity are never truncated; they divert to an
 overflow list. Every emitted pack represents exactly ``capacity`` tokens
-after padding.
+after padding. ``load_plan`` accepts only what ``emit_plan`` writes.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -139,17 +144,57 @@ class PackingStats:
 
 
 def _packing_order(items: Iterable[PackItem]) -> list[PackItem]:
-    return sorted(items, key=lambda it: (-it.length, it.sample_id))
+    # Length descending, ties by sample_id ascending: two stable passes
+    # avoid building a key tuple per item.
+    ordered = sorted(items, key=attrgetter("sample_id"))
+    ordered.sort(key=attrgetter("length"), reverse=True)
+    return ordered
+
+
+def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:
+    """Set heap position ``pos`` of a dict-backed max-tree and its ancestors.
+
+    Absent nodes read as -1, so the tree holds only the root paths of the
+    leaves ever set.
+    """
+    tree[pos] = value
+    get = tree.get
+    while pos > 1:
+        sibling = get(pos ^ 1, -1)
+        if sibling > value:
+            value = sibling
+        pos >>= 1
+        tree[pos] = value
+
+
+def _sparse_find(tree: dict[int, int], size: int, need: int) -> int:
+    """Leftmost leaf of a dict-backed max-tree with value >= need, or -1."""
+    get = tree.get
+    if get(1, -1) < need:
+        return -1
+    pos = 1
+    while pos < size:
+        pos *= 2
+        if get(pos, -1) < need:
+            pos += 1
+    return pos - size
 
 
 class _FirstFitBins:
-    """First-fit placement over an ordered pack list.
+    """First-fit placement over an ordered pack list, O(log P) per item.
 
-    Without a source cap, a segment tree over per-pack remaining capacity
-    answers "leftmost pack with room" in O(log P); packs that reach the
-    sample cap are closed by zeroing their tree slot. The source cap makes
-    fit depend on which tags a pack holds, so that path falls back to a
-    linear scan (only used at test scale here).
+    A max-tree over per-pack remaining capacity answers "leftmost pack
+    with room"; a pack that reaches the sample cap is closed by setting
+    its leaf to -1.
+
+    Under a source cap, a pack takes an item of source ``s`` when it has a
+    free source slot or already holds ``s``. Packs with a free slot stay in
+    the any-source tree ``_tree``. A pack that fills its last slot leaves
+    it and enters, for each source it holds, that source's tree in
+    ``_full``. The first fit is the leftmost hit of the any-source tree and
+    the item's source tree, which is the pack a left-to-right scan picks.
+    Source trees are dicts holding only their members' root paths, so
+    memory is O(P * max_sources * log P) however many sources there are.
     """
 
     def __init__(
@@ -166,56 +211,54 @@ class _FirstFitBins:
         self._sources: list[set[str]] = []
         self._size = 1
         self._tree = [-1, -1]
+        self._full: dict[str, dict[int, int]] = {}
 
     def _grow(self) -> None:
-        self._size *= 2
-        tree = [-1] * (2 * self._size)
-        for i, rem in enumerate(self._remaining):
-            tree[self._size + i] = rem if self._open(i) else -1
-        for i in range(self._size - 1, 0, -1):
+        old = self._size
+        size = self._size = 2 * old
+        tree = [-1] * (2 * size)
+        tree[size : size + old] = self._tree[old:]
+        for i in range(size - 1, 0, -1):
             tree[i] = max(tree[2 * i], tree[2 * i + 1])
         self._tree = tree
-
-    def _open(self, idx: int) -> bool:
-        return self.max_samples is None or len(self.packs[idx]) < self.max_samples
+        for src, sparse in self._full.items():
+            rebuilt: dict[int, int] = {}
+            for pos, value in sparse.items():
+                if pos >= old:
+                    _sparse_set(rebuilt, pos - old + size, value)
+            self._full[src] = rebuilt
 
     def _tree_set(self, idx: int, value: int) -> None:
+        tree = self._tree
         pos = self._size + idx
-        self._tree[pos] = value
+        tree[pos] = value
         pos //= 2
         while pos:
-            self._tree[pos] = max(self._tree[2 * pos], self._tree[2 * pos + 1])
+            tree[pos] = max(tree[2 * pos], tree[2 * pos + 1])
             pos //= 2
 
     def _tree_find(self, need: int) -> int:
-        if self._tree[1] < need:
+        tree = self._tree
+        if tree[1] < need:
             return -1
         pos = 1
-        while pos < self._size:
+        size = self._size
+        while pos < size:
             pos *= 2
-            if self._tree[pos] < need:
+            if tree[pos] < need:
                 pos += 1
-        return pos - self._size
-
-    def _find_linear(self, item: PackItem) -> int:
-        for i, rem in enumerate(self._remaining):
-            if rem < item.length or not self._open(i):
-                continue
-            src = self._sources[i]
-            if (
-                self.max_sources is not None
-                and item.source not in src
-                and len(src) >= self.max_sources
-            ):
-                continue
-            return i
-        return -1
+        return pos - size
 
     def place(self, item: PackItem) -> None:
-        if self.max_sources is None:
-            idx = self._tree_find(item.length)
-        else:
-            idx = self._find_linear(item)
+        need = item.length
+        max_sources = self.max_sources
+        idx = self._tree_find(need)
+        if max_sources is not None:
+            sparse = self._full.get(item.source)
+            if sparse is not None:
+                hit = _sparse_find(sparse, self._size, need)
+                if hit != -1 and (idx == -1 or hit < idx):
+                    idx = hit
         if idx == -1:
             idx = len(self.packs)
             if idx >= self._size:
@@ -223,10 +266,27 @@ class _FirstFitBins:
             self.packs.append([])
             self._remaining.append(self.capacity)
             self._sources.append(set())
-        self.packs[idx].append(item)
-        self._remaining[idx] -= item.length
-        self._sources[idx].add(item.source)
-        self._tree_set(idx, self._remaining[idx] if self._open(idx) else -1)
+        pack = self.packs[idx]
+        pack.append(item)
+        self._remaining[idx] -= need
+        value = self._remaining[idx]
+        if self.max_samples is not None and len(pack) >= self.max_samples:
+            value = -1
+        sources = self._sources[idx]
+        was_full = len(sources) == max_sources
+        sources.add(item.source)
+        if max_sources is None or len(sources) < max_sources:
+            self._tree_set(idx, value)
+            return
+        if not was_full:
+            self._tree_set(idx, -1)
+        pos = self._size + idx
+        full = self._full
+        for src in sources:
+            sparse = full.get(src)
+            if sparse is None:
+                sparse = full[src] = {}
+            _sparse_set(sparse, pos, value)
 
 
 def _ffd(
@@ -316,8 +376,10 @@ def pack_bucketed(
 
     Shards are independent: each is bucketed, FFD-packed under the
     configured caps, and refilled; outputs concatenate in shard-index
-    order. The plan is a pure function of (items, config); worker count
-    only affects wall time.
+    order. The plan is a pure function of (items, config). Shards run one
+    after another: packing is pure Python and holds the interpreter lock,
+    so worker threads gave no speedup. ``threads`` is accepted for
+    interface compatibility and has no effect.
     """
     shard_lists: list[list[PackItem]] = [[] for _ in range(config.shards)]
     if config.shards == 1:
@@ -326,21 +388,16 @@ def pack_bucketed(
         for it in items:
             shard_lists[shard_of(it.sample_id, config.seed, config.shards)].append(it)
 
-    if threads > 1 and config.shards > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _pack_shard(s, config), shard_lists))
-    else:
-        results = [_pack_shard(s, config) for s in shard_lists]
-
     plan = PackPlan(capacity=config.capacity)
-    for packs, overflow in results:
+    for shard_items in shard_lists:
+        packs, overflow = _pack_shard(shard_items, config)
         plan.packs.extend(packs)
         plan.overflow.extend(overflow)
     return plan
 
 
 def pack(items: Iterable[PackItem], config: PackingConfig, threads: int = 1) -> PackPlan:
-    """Dispatch on config.strategy."""
+    """Dispatch on config.strategy. ``threads`` has no effect (see pack_bucketed)."""
     if config.strategy == "ffd":
         return pack_ffd(
             items,
@@ -408,11 +465,14 @@ def pack_optimal_oracle(items: Sequence[PackItem], capacity: int) -> int:
     return packs_used[full - 1]
 
 
-def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
-    """Compression, utilization, and success-rate accounting for a plan."""
-    num_packs = len(plan.packs)
-    packed = sum(len(p) for p in plan.packs)
-    overflow = len(plan.overflow)
+def _stats(
+    num_packs: int,
+    packed: int,
+    overflow: int,
+    tokens: int,
+    capacity: int,
+    successes: int | None,
+) -> PackingStats:
     num_samples = packed + overflow
     if num_packs == 0:
         return PackingStats(
@@ -425,9 +485,6 @@ def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
             utilization=None,
             success_rate=None,
         )
-    token_total = sum(it.length for p in plan.packs for it in p)
-    threshold = config.min_utilization * plan.capacity
-    successes = sum(1 for p in plan.packs if sum(it.length for it in p) >= threshold)
     return PackingStats(
         num_samples=num_samples,
         num_packs=num_packs,
@@ -435,17 +492,34 @@ def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
         empty=False,
         compression_ratio=num_samples / num_packs,
         compression_ratio_packed=packed / num_packs,
-        utilization=token_total / (num_packs * plan.capacity),
-        success_rate=successes / num_packs,
+        utilization=tokens / (num_packs * capacity),
+        success_rate=None if successes is None else successes / num_packs,
     )
 
 
-def emit_plan(plan: PackPlan, path: str | Path, config: PackingConfig | None = None) -> None:
+def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
+    """Compression, utilization, and success-rate accounting for a plan."""
+    fills = [sum(it.length for it in p) for p in plan.packs]
+    threshold = config.min_utilization * plan.capacity
+    return _stats(
+        num_packs=len(plan.packs),
+        packed=sum(len(p) for p in plan.packs),
+        overflow=len(plan.overflow),
+        tokens=sum(fills),
+        capacity=plan.capacity,
+        successes=sum(1 for fill in fills if fill >= threshold),
+    )
+
+
+def emit_plan(
+    plan: PackPlan, path: str | Path, config: PackingConfig | None = None
+) -> PackingStats:
     """Write a plan as JSON Lines: one record per pack, then a trailer.
 
     Pack records carry per-item offsets (prefix sums of lengths) and the
     padding count so downstream loaders can build attention-segment
-    boundaries. The trailer holds overflow items and summary stats.
+    boundaries. The trailer holds overflow items and summary stats, which
+    are also returned.
     """
     cfg = config if config is not None else PackingConfig(capacity=plan.capacity)
     stats = packing_stats(plan, cfg)
@@ -472,14 +546,53 @@ def emit_plan(plan: PackPlan, path: str | Path, config: PackingConfig | None = N
             "stats": stats.to_dict(),
         }
         f.write(json.dumps(trailer, separators=(",", ":")) + "\n")
+    return stats
+
+
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {int: "integer", str: "string", list: "array", dict: "object"}
+
+
+def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]``, required to be exactly JSON type ``kind``.
+
+    ``obj`` must be a JSON object. Nothing is coerced: a float, a bool or a
+    numeric string is not an integer, and a number is not a string. An
+    absent key gives ``default`` or, without one, a ValueError.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _plan_item(rec: dict) -> PackItem:
+    return PackItem(
+        sample_id=json_field(rec, "id", str),
+        length=json_field(rec, "len", int),
+        source=json_field(rec, "src", str, ""),
+    )
 
 
 def load_plan(path: str | Path) -> PackPlan:
-    """Read a plan file back, validating structure and the partition."""
+    """Read a plan file back, validating structure, the partition and the trailer.
+
+    Every field must have the JSON type emit_plan writes. Overflow items
+    must exceed the capacity, and the trailer's capacity and stats must
+    agree with the packs read before it; ``success_rate`` is not checked,
+    since it depends on a min_utilization the file does not record.
+    """
     packs: list[list[PackItem]] = []
     overflow: list[PackItem] = []
     capacity: int | None = None
     saw_trailer = False
+    packed = tokens = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -490,52 +603,63 @@ def load_plan(path: str | Path) -> PackPlan:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            if "pack" in rec:
-                try:
-                    cap = int(rec["capacity"])
-                    raw_items = rec["items"]
-                    pad = int(rec["pad"])
-                    pack_idx = int(rec["pack"])
-                except (KeyError, TypeError, ValueError) as e:
-                    raise ValueError(f"{path}: line {lineno}: malformed pack record: {e}") from None
-                if pack_idx != len(packs):
-                    raise ValueError(
-                        f"{path}: line {lineno}: pack index {pack_idx}, expected {len(packs)}"
-                    )
-                if capacity is None:
-                    capacity = cap
-                elif cap != capacity:
-                    raise ValueError(f"{path}: line {lineno}: capacity {cap} != {capacity}")
-                items = []
-                off = 0
-                for r in raw_items:
-                    it = PackItem(
-                        sample_id=str(r["id"]), length=int(r["len"]), source=str(r.get("src", ""))
-                    )
-                    if int(r["off"]) != off:
-                        raise ValueError(
-                            f"{path}: line {lineno}: offset {r['off']} for {it.sample_id!r}, "
-                            f"expected {off}"
-                        )
-                    off += it.length
-                    items.append(it)
-                if pad != cap - off:
-                    raise ValueError(
-                        f"{path}: line {lineno}: padding {pad}, expected {cap - off}"
-                    )
-                packs.append(items)
-            elif "stats" in rec:
-                saw_trailer = True
-                if capacity is None:
-                    capacity = int(rec["capacity"])
-                overflow = [
-                    PackItem(
-                        sample_id=str(r["id"]), length=int(r["len"]), source=str(r.get("src", ""))
-                    )
-                    for r in rec.get("overflow", [])
-                ]
-            else:
-                raise ValueError(f"{path}: line {lineno}: unrecognized record")
+            try:
+                if type(rec) is not dict:
+                    raise ValueError("unrecognized record")
+                if "pack" in rec:
+                    pack_idx = json_field(rec, "pack", int)
+                    cap = json_field(rec, "capacity", int)
+                    raw_items = json_field(rec, "items", list)
+                    pad = json_field(rec, "pad", int)
+                    if pack_idx != len(packs):
+                        raise ValueError(f"pack index {pack_idx}, expected {len(packs)}")
+                    if capacity is None:
+                        capacity = cap
+                    elif cap != capacity:
+                        raise ValueError(f"capacity {cap} != {capacity}")
+                    items = []
+                    off = 0
+                    for r in raw_items:
+                        it = _plan_item(r)
+                        item_off = json_field(r, "off", int)
+                        if item_off != off:
+                            raise ValueError(
+                                f"offset {item_off} for {it.sample_id!r}, expected {off}"
+                            )
+                        off += it.length
+                        items.append(it)
+                    if pad != cap - off:
+                        raise ValueError(f"padding {pad}, expected {cap - off}")
+                    packs.append(items)
+                    packed += len(items)
+                    tokens += off
+                elif "stats" in rec:
+                    saw_trailer = True
+                    cap = json_field(rec, "capacity", int)
+                    if capacity is None:
+                        capacity = cap
+                    elif cap != capacity:
+                        raise ValueError(f"trailer capacity {cap} != pack capacity {capacity}")
+                    for r in json_field(rec, "overflow", list):
+                        it = _plan_item(r)
+                        if it.length <= capacity:
+                            raise ValueError(
+                                f"overflow item {it.sample_id!r} of length {it.length} "
+                                f"fits the capacity {capacity}"
+                            )
+                        overflow.append(it)
+                    stats = json_field(rec, "stats", dict)
+                    want = _stats(len(packs), packed, len(overflow), tokens, capacity, None)
+                    for key, value in want.to_dict().items():
+                        got = stats.get(key, _REQUIRED)
+                        if key != "success_rate" and (type(got) is not type(value) or got != value):
+                            raise ValueError(
+                                f"trailer stats {key} is {got!r}, the plan gives {value!r}"
+                            )
+                else:
+                    raise ValueError("unrecognized record")
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None

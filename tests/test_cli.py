@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balancepack
 from balancepack import cli
 from balancepack.concepts import ConceptVocabulary, save_embeddings, save_vocabulary
 from balancepack.packing import load_plan
@@ -273,11 +276,16 @@ def test_missing_input_is_structured_error(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "script"
+    # The child imports the same balancepack sources as this test, also
+    # when pytest put them on sys.path itself rather than via PYTHONPATH.
+    src = str(Path(balancepack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "balancepack.cli", "synth", "--output", str(out),
          "--n", "50", "--vocab-size", "10", "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.jsonl").exists()

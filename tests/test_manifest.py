@@ -230,3 +230,63 @@ def test_records_to_pack_items():
     recs = [record(text=9, rid="x"), record(text=0, image=(336, 336), rid="y")]
     items = records_to_pack_items(recs)
     assert [(it.sample_id, it.length) for it in items] == [("x", 9), ("y", 144)]
+
+
+# ------------------------------------------------------------- strict types
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ('{"id":"a","length":3.9}', "length"),
+        ('{"id":"a","length":true}', "length"),
+        ('{"id":"a","length":"12"}', "length"),
+        ('{"id":"a","text_tokens":3.9}', "text_tokens"),
+        ('{"id":"a","text_tokens":true}', "text_tokens"),
+        ('{"id":"a","text_tokens":"12"}', "text_tokens"),
+        ('{"id":"a","text_tokens":1,"image":{"w":336.0,"h":336}}', "w"),
+        ('{"id":"a","text_tokens":1,"image":{"w":336,"h":"336"}}', "h"),
+        ('{"id":"a","text_tokens":1,"image":{"w":336,"h":336},"patch":false}', "patch"),
+        ('{"id":"a","text_tokens":1,"image":{"w":336,"h":336},"merge":2.0}', "merge"),
+        ('{"id":1,"length":5}', "id"),
+        ('{"id":"a","source":3,"length":5}', "source"),
+        ('{"id":"a","source":null,"text_tokens":5}', "source"),
+    ],
+)
+def test_pack_items_and_manifest_reject_coercible_types(tmp_path, line, field):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id":"ok","source":"web","text_tokens":4}\n' + line + "\n")
+    with pytest.raises(ValueError, match=f"line 2: field '{field}' must be a JSON"):
+        load_pack_items(path)
+    if "length" not in line:
+        with pytest.raises(ValueError, match=f"line 2: field '{field}' must be a JSON"):
+            ingest_manifest(path)
+
+
+def test_numeric_and_string_ids_do_not_collide(tmp_path):
+    # Numeric ids are rejected rather than turned into strings, so 1 and
+    # "1" can no longer collide as a duplicate.
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id":"1","length":4}\n{"id":1,"length":4}\n')
+    with pytest.raises(ValueError, match="line 2: field 'id' must be a JSON string"):
+        load_pack_items(path)
+
+
+def test_loaders_reject_non_object_lines(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id":"a","text_tokens":4}\n[1, 2]\n')
+    with pytest.raises(ValueError, match="line 2: expected a JSON object"):
+        load_pack_items(path)
+    with pytest.raises(ValueError, match="line 2: expected a JSON object"):
+        ingest_manifest(path)
+    for image in ("[336,336]", "null"):
+        path.write_text('{"id":"a","text_tokens":4,"image":%s}\n' % image)
+        with pytest.raises(ValueError, match="line 1: field 'image' must be a JSON object"):
+            load_pack_items(path)
+
+
+def test_loaders_report_missing_id(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"source":"web","length":4}\n')
+    with pytest.raises(ValueError, match="line 1: missing field 'id'"):
+        load_pack_items(path)

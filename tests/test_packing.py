@@ -384,6 +384,101 @@ def test_plan_load_rejects_malformed_line(tmp_path):
         load_plan(path)
 
 
+def _tampered_plan(tmp_path, edit, line=-1):
+    """Emit a small valid plan (two packs, one overflow item), apply ``edit``
+    to the parsed record at index ``line`` and write it back."""
+    import json
+
+    plan = PackPlan(
+        capacity=10,
+        packs=[[PackItem("a", 6, "web"), PackItem("b", 4, "doc")], [PackItem("c", 7, "web")]],
+        overflow=[PackItem("d", 12, "web")],
+    )
+    path = tmp_path / "plan.jsonl"
+    emit_plan(plan, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line])
+    edit(rec)
+    lines[line] = json.dumps(rec, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_plan_load_rejects_overflow_item_that_fits(tmp_path):
+    def edit(rec):
+        rec["overflow"][0]["len"] = 10
+
+    with pytest.raises(ValueError, match="line 3: overflow item 'd' of length 10 fits"):
+        load_plan(_tampered_plan(tmp_path, edit))
+
+
+def test_plan_load_rejects_trailer_capacity_mismatch(tmp_path):
+    def edit(rec):
+        rec["capacity"] = 12
+
+    with pytest.raises(ValueError, match="line 3: trailer capacity 12 != pack capacity 10"):
+        load_plan(_tampered_plan(tmp_path, edit))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("num_samples", 5),
+        ("num_packs", 3),
+        ("overflow_count", 0),
+        ("empty", True),
+        ("utilization", 0.8),
+        ("compression_ratio", 1.5),
+        ("compression_ratio_packed", 2.0),
+        ("num_packs", 2.0),
+        ("num_packs", None),
+    ],
+)
+def test_plan_load_rejects_trailer_stats_mismatch(tmp_path, key, value):
+    def edit(rec):
+        rec["stats"][key] = value
+
+    with pytest.raises(ValueError, match=f"line 3: trailer stats {key} is"):
+        load_plan(_tampered_plan(tmp_path, edit))
+
+
+def test_plan_load_ignores_success_rate(tmp_path):
+    # success_rate depends on a min_utilization the file does not record.
+    def edit(rec):
+        rec["stats"]["success_rate"] = 0.0
+
+    assert len(load_plan(_tampered_plan(tmp_path, edit)).packs) == 2
+
+
+def test_plan_load_checks_stats_of_empty_plan(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    emit_plan(PackPlan(capacity=10, overflow=[PackItem("x", 11)]), path)
+    assert load_plan(path).overflow == [PackItem("x", 11)]
+    path.write_text(path.read_text().replace('"empty":true', '"empty":false'))
+    with pytest.raises(ValueError, match="line 1: trailer stats empty is False"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize(
+    "line, edit, field",
+    [
+        (0, lambda r: r["items"][1].update(len=4.0), "len"),
+        (0, lambda r: r["items"][1].update(len="4"), "len"),
+        (1, lambda r: r["items"][0].update(len=True), "len"),
+        (0, lambda r: r["items"][1].update(off=6.0), "off"),
+        (0, lambda r: r["items"][0].update(id=1), "id"),
+        (0, lambda r: r["items"][0].update(src=None), "src"),
+        (2, lambda r: r["overflow"][0].update(len=12.0), "len"),
+        (2, lambda r: r["overflow"][0].update(id=4), "id"),
+        (0, lambda r: r.update(capacity=10.0), "capacity"),
+        (1, lambda r: r.update(pad="3"), "pad"),
+    ],
+)
+def test_plan_load_rejects_coercible_types(tmp_path, line, edit, field):
+    with pytest.raises(ValueError, match=f"line {line + 1}: field '{field}' must be a JSON"):
+        load_plan(_tampered_plan(tmp_path, edit, line))
+
+
 def test_plan_validate_rejects_overfull_pack():
     plan = PackPlan(capacity=5, packs=[[PackItem("a", 3), PackItem("b", 3)]])
     with pytest.raises(ValueError, match="capacity"):
