@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import ConceptAssignment, assignment_indices
+from .packing import json_field
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -180,22 +182,23 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
 
 
 def load_weights(path: str | Path) -> np.ndarray:
-    rows: list[tuple[int, float]] = []
+    """Read what save_weights writes: record i is {"i": i, "w": float}."""
+    weights: list[float] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                rows.append((int(rec["i"]), float(rec["w"])))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+                index = json_field(rec, "i", int)
+                if index != len(weights):
+                    raise ValueError(f"record index {index}, expected {len(weights)}")
+                weights.append(json_field(rec, "w", float))
+            except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
-    if not rows:
+    if not weights:
         raise ValueError(f"{path}: empty weights file")
-    rows.sort()
-    if [i for i, _ in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: weight indices must cover 0..{len(rows) - 1}")
-    return np.array([w for _, w in rows], dtype=np.float64)
+    return np.array(weights, dtype=np.float64)
 
 
 def save_sampled_indices(
@@ -208,14 +211,33 @@ def save_sampled_indices(
             f.write(f"{int(i)}\n")
 
 
+_SAMPLED_HEADER = re.compile(
+    r"# seed=(?:0|-?[1-9][0-9]*) n=(0|[1-9][0-9]*) replacement=(?:true|false)\n"
+)
+
+
 def load_sampled_indices(path: str | Path) -> np.ndarray:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(int(line))
+    """Read what save_sampled_indices writes: its header, then exactly n indices.
+
+    Each index line must read as ``str(int)`` writes it. The range is left
+    to the caller, which knows the corpus size.
+    """
+    out: list[int] = []
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        header = _SAMPLED_HEADER.fullmatch(f.readline())
+        if header is None:
+            raise ValueError(f"{path}: line 1: expected the header '# seed=S n=N replacement=B'")
+        for lineno, line in enumerate(f, start=2):
+            try:
+                value = int(line)
+                if line != f"{value}\n":
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {line!r} is not an index line") from None
+            out.append(value)
+    n = int(header[1])
+    if len(out) != n:
+        raise ValueError(f"{path}: {len(out)} index lines, the header says n={n}")
     return np.array(out, dtype=np.int64)
 
 

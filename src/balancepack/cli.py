@@ -1,11 +1,11 @@
 """Command-line entry point: generate/ingest -> assign -> weigh -> sample -> pack -> report.
 
 Every subcommand writes its data files plus a ``config.json`` echo into
-the output directory. The echo records exactly the parameters that
-determine output content (inputs, seed, algorithm knobs) and omits
---output and --threads, so rerunning a subcommand from its echo
-reproduces every file byte for byte. All randomness hangs off --seed;
---threads changes wall time only, never bytes.
+the output directory. The echo holds every parsed flag except --output
+and --threads, which do not determine output content, so rerunning a
+subcommand from its echo reproduces every file byte for byte. All
+randomness hangs off --seed; --threads changes wall time only, never
+bytes.
 
 stdout carries human-readable progress; errors go to stderr as a single
 JSON object and a nonzero exit code.
@@ -101,9 +101,15 @@ def _outdir(path: str) -> Path:
     return out
 
 
-def _write_echo(outdir: Path, command: str, params: dict) -> None:
+def _write_echo(outdir: Path, args: argparse.Namespace) -> None:
+    """Write config.json: every parsed flag except --output and --threads, by flag name."""
+    params = {
+        key.replace("_", "-"): value
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "output", "threads")
+    }
     with open(outdir / "config.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"command": command, "params": params}, f, indent=2, sort_keys=True)
+        json.dump({"command": args.command, "params": params}, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -155,21 +161,6 @@ def _synth_config(args: argparse.Namespace) -> manifest.SynthConfig:
     )
 
 
-def _synth_params(args: argparse.Namespace) -> dict:
-    return {
-        "n": args.n,
-        "vocab-size": args.vocab_size,
-        "k": args.k,
-        "zipf": args.zipf,
-        "length-mu": args.length_mu,
-        "length-sigma": args.length_sigma,
-        "length-min": args.length_min,
-        "length-max": args.length_max,
-        "sources": args.sources,
-        "seed": args.seed,
-    }
-
-
 def _packing_config(args: argparse.Namespace) -> packing.PackingConfig:
     return packing.PackingConfig(
         capacity=args.capacity,
@@ -183,26 +174,13 @@ def _packing_config(args: argparse.Namespace) -> packing.PackingConfig:
     )
 
 
-def _packing_params(args: argparse.Namespace) -> dict:
-    return {
-        "capacity": args.capacity,
-        "strategy": args.strategy,
-        "buckets": args.buckets,
-        "min-utilization": args.min_utilization,
-        "max-samples-per-pack": args.max_samples_per_pack,
-        "max-sources-per-pack": args.max_sources_per_pack,
-        "shards": args.shards,
-        "seed": args.seed,
-    }
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     cfg = _synth_config(args)
     records, assignments = manifest.synth_corpus(cfg, threads=args.threads)
     manifest.emit_manifest(out / "manifest.jsonl", records)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
-    _write_echo(out, "synth", _synth_params(args))
+    _write_echo(out, args)
     print(f"[synth] {len(records)} records -> {out / 'manifest.jsonl'}")
     return 0
 
@@ -213,11 +191,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     vocab = concepts.load_vocabulary(args.vocab_names, args.vocab_emb)
     assignments = concepts.topk_concepts(images, vocab, args.k, threads=args.threads)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
-    _write_echo(
-        out,
-        "assign",
-        {"input": args.input, "vocab-names": args.vocab_names, "vocab-emb": args.vocab_emb, "k": args.k},
-    )
+    _write_echo(out, args)
     print(f"[assign] {len(assignments)} assignments -> {out / 'assignments.jsonl'}")
     return 0
 
@@ -228,9 +202,7 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     freqs = balance.concept_frequencies(assignments, args.vocab_size)
     weights = balance.image_weights(assignments, freqs, mode=args.mode)
     balance.save_weights(out / "weights.jsonl", weights)
-    _write_echo(
-        out, "weigh", {"input": args.input, "vocab-size": args.vocab_size, "mode": args.mode}
-    )
+    _write_echo(out, args)
     print(f"[weigh] {weights.size} weights -> {out / 'weights.jsonl'}")
     return 0
 
@@ -240,11 +212,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     weights = balance.load_weights(args.input)
     indices = balance.sample_balanced(weights, args.n, args.seed, replacement=args.replacement)
     balance.save_sampled_indices(out / "sampled.txt", indices, args.seed, args.n, args.replacement)
-    _write_echo(
-        out,
-        "sample",
-        {"input": args.input, "n": args.n, "seed": args.seed, "replacement": args.replacement},
-    )
+    _write_echo(out, args)
     print(f"[sample] {indices.size} indices -> {out / 'sampled.txt'}")
     return 0
 
@@ -256,7 +224,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     plan = packing.pack(items, config)
     stats = packing.emit_plan(plan, out / "plan.jsonl", config)
     _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
-    _write_echo(out, "pack", {"input": args.input, **_packing_params(args)})
+    _write_echo(out, args)
     print(
         f"[pack] {stats.num_samples} samples -> {stats.num_packs} packs "
         f"({stats.overflow_count} overflow) -> {out / 'plan.jsonl'}"
@@ -269,8 +237,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     plan = packing.load_plan(args.input)
     config = packing.PackingConfig(capacity=plan.capacity, min_utilization=args.min_utilization)
     stats = packing.packing_stats(plan, config)
-    _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
-    _write_echo(out, "stats", {"input": args.input, "min-utilization": args.min_utilization})
+    # A plan file does not record the rest of the config it was packed with.
+    known = {"capacity": plan.capacity, "min_utilization": args.min_utilization}
+    _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": known})
+    _write_echo(out, args)
     print(f"[stats] {stats.num_packs} packs -> {out / 'stats.json'}")
     return 0
 
@@ -293,11 +263,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         {"vocab_size": args.vocab_size, "num_samples": len(assignments), **report.to_dict()},
     )
     balance.save_sorted_counts_csv(out / "coverage.csv", report)
-    _write_echo(
-        out,
-        "coverage",
-        {"input": args.input, "vocab-size": args.vocab_size, "subset": args.subset},
-    )
+    _write_echo(out, args)
     print(f"[coverage] coverage={report.coverage:.4f} -> {out / 'report.json'}")
     return 0
 
@@ -306,7 +272,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     try:
         cfg = _synth_config(args)
-        sample_n = args.sample_n if args.sample_n is not None else max(1, args.n // 10)
+        if args.sample_n is None:
+            args.sample_n = max(1, args.n // 10)  # the echo records the resolved size
+        sample_n = args.sample_n
         if sample_n < 1:
             raise ValueError("sample-n must be >= 1")
         if not args.replacement and sample_n > args.n:
@@ -383,10 +351,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise StageError("report", e) from None
 
-    params = _synth_params(args)
-    params.update(_packing_params(args))
-    params.update({"sample-n": sample_n, "replacement": args.replacement})
-    _write_echo(out, "pipeline", params)
+    _write_echo(out, args)
     return 0
 
 

@@ -30,6 +30,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .packing import json_field
+
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
 
@@ -350,6 +352,7 @@ def save_assignments(path: str | Path, assignments: Iterable[ConceptAssignment])
 
 
 def load_assignments(path: str | Path) -> list[ConceptAssignment]:
+    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]}."""
     out: list[ConceptAssignment] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -357,15 +360,19 @@ def load_assignments(path: str | Path) -> list[ConceptAssignment]:
                 continue
             try:
                 rec = json.loads(line)
+                index = json_field(rec, "i", int)
+                if index != len(out):
+                    raise ValueError(f"record index {index}, expected {len(out)}")
+                cs = json_field(rec, "c", list)
+                sims = json_field(rec, "s", list)
+                if not all(type(c) is int for c in cs):
+                    raise ValueError(f"field 'c' must hold JSON integers, got {cs!r}")
+                if not all(type(s) is float for s in sims):
+                    raise ValueError(f"field 's' must hold JSON floats, got {sims!r}")
                 out.append(
-                    ConceptAssignment(
-                        sample_index=int(rec["i"]),
-                        concepts=tuple(
-                            (int(c), float(s)) for c, s in zip(rec["c"], rec["s"], strict=True)
-                        ),
-                    )
+                    ConceptAssignment(sample_index=index, concepts=tuple(zip(cs, sims, strict=True)))
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+            except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out
 

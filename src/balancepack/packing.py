@@ -1,20 +1,21 @@
 """Offline consolidation of variable-length samples into fixed-capacity packs.
 
-Two strategies share one first-fit-decreasing core, ``_FirstFitBins``:
+One engine, ``pack_bucketed``, does all packing. It shards items by a
+seeded hash of sample_id, sorts each shard by length descending (ties by
+sample_id ascending), routes the items into geometric length buckets,
+first-fit packs every bucket under the per-pack sample/source caps, then
+runs one refill pass that jointly re-packs a shard's underfilled packs
+(kept only when it reduces the pack count). Shard outputs concatenate in
+shard order. Strategy "ffd" (``pack_ffd``, the baseline) is this engine
+with one bucket and one shard, where the refill pass never applies: plain
+first-fit decreasing.
 
-* ``pack_ffd`` is the baseline: sort by length descending (ties by
-  sample_id ascending), place each item in the first pack with room.
-* ``pack_bucketed`` shards items by a seeded hash of sample_id, routes
-  each shard's items into geometric length buckets, FFD-packs every
-  bucket under the per-pack sample/source caps, then runs one refill
-  pass that jointly re-packs a shard's underfilled packs (kept only when
-  it reduces the pack count). Shard outputs concatenate in shard order.
-
-First fit is indexed under every cap: a max-tree over the remaining
-capacity of the packs that can take any source, and, under a source cap,
-one sparse max-tree per source over the packs whose source slots are all
-used and that hold it. The leftmost hit of the two is the pack a
-left-to-right scan would pick, at O(log P) per item.
+First fit is indexed under every cap by one kind of index, a dict-backed
+max-tree over remaining capacity (``_FirstFitBins``): one tree over the
+packs that can take any source, and, under a source cap, one per source
+over the packs whose source slots are all used and that hold it. The
+leftmost hit of the two is the pack a left-to-right scan would pick, at
+O(log P) per item.
 
 Items longer than the capacity are never truncated; they divert to an
 overflow list. Every emitted pack represents exactly ``capacity`` tokens
@@ -24,7 +25,7 @@ after padding. ``load_plan`` accepts only what ``emit_plan`` writes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,16 +76,7 @@ class PackingConfig:
             raise ValueError("shards must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "strategy": self.strategy,
-            "num_buckets": self.num_buckets,
-            "max_samples_per_pack": self.max_samples_per_pack,
-            "min_utilization": self.min_utilization,
-            "max_sources_per_pack": self.max_sources_per_pack,
-            "shards": self.shards,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -131,16 +123,7 @@ class PackingStats:
     success_rate: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "num_packs": self.num_packs,
-            "overflow_count": self.overflow_count,
-            "empty": self.empty,
-            "compression_ratio": self.compression_ratio,
-            "compression_ratio_packed": self.compression_ratio_packed,
-            "utilization": self.utilization,
-            "success_rate": self.success_rate,
-        }
+        return asdict(self)
 
 
 def _packing_order(items: Iterable[PackItem]) -> list[PackItem]:
@@ -183,9 +166,10 @@ def _sparse_find(tree: dict[int, int], size: int, need: int) -> int:
 class _FirstFitBins:
     """First-fit placement over an ordered pack list, O(log P) per item.
 
-    A max-tree over per-pack remaining capacity answers "leftmost pack
-    with room"; a pack that reaches the sample cap is closed by setting
-    its leaf to -1.
+    Every index is a dict-backed max-tree over per-pack remaining capacity
+    (``_sparse_set``/``_sparse_find``) that answers "leftmost pack with
+    room"; a pack that reaches the sample cap is closed by setting its
+    leaf to -1.
 
     Under a source cap, a pack takes an item of source ``s`` when it has a
     free source slot or already holds ``s``. Packs with a free slot stay in
@@ -193,8 +177,8 @@ class _FirstFitBins:
     it and enters, for each source it holds, that source's tree in
     ``_full``. The first fit is the leftmost hit of the any-source tree and
     the item's source tree, which is the pack a left-to-right scan picks.
-    Source trees are dicts holding only their members' root paths, so
-    memory is O(P * max_sources * log P) however many sources there are.
+    Trees hold only their members' root paths, so memory is
+    O(P * max_sources * log P) however many sources there are.
     """
 
     def __init__(
@@ -210,49 +194,26 @@ class _FirstFitBins:
         self._remaining: list[int] = []
         self._sources: list[set[str]] = []
         self._size = 1
-        self._tree = [-1, -1]
+        self._tree: dict[int, int] = {}
         self._full: dict[str, dict[int, int]] = {}
 
     def _grow(self) -> None:
-        old = self._size
-        size = self._size = 2 * old
-        tree = [-1] * (2 * size)
-        tree[size : size + old] = self._tree[old:]
-        for i in range(size - 1, 0, -1):
-            tree[i] = max(tree[2 * i], tree[2 * i + 1])
-        self._tree = tree
-        for src, sparse in self._full.items():
-            rebuilt: dict[int, int] = {}
-            for pos, value in sparse.items():
-                if pos >= old:
-                    _sparse_set(rebuilt, pos - old + size, value)
-            self._full[src] = rebuilt
+        # Doubling the leaf count makes each old tree the left subtree of a
+        # new root: a node at depth d moves from heap position p to p + 2^d.
+        def shifted(tree: dict[int, int]) -> dict[int, int]:
+            out = {pos + (1 << (pos.bit_length() - 1)): value for pos, value in tree.items()}
+            if out:
+                out[1] = out[2]
+            return out
 
-    def _tree_set(self, idx: int, value: int) -> None:
-        tree = self._tree
-        pos = self._size + idx
-        tree[pos] = value
-        pos //= 2
-        while pos:
-            tree[pos] = max(tree[2 * pos], tree[2 * pos + 1])
-            pos //= 2
-
-    def _tree_find(self, need: int) -> int:
-        tree = self._tree
-        if tree[1] < need:
-            return -1
-        pos = 1
-        size = self._size
-        while pos < size:
-            pos *= 2
-            if tree[pos] < need:
-                pos += 1
-        return pos - size
+        self._size *= 2
+        self._tree = shifted(self._tree)
+        self._full = {src: shifted(tree) for src, tree in self._full.items()}
 
     def place(self, item: PackItem) -> None:
         need = item.length
         max_sources = self.max_sources
-        idx = self._tree_find(need)
+        idx = _sparse_find(self._tree, self._size, need)
         if max_sources is not None:
             sparse = self._full.get(item.source)
             if sparse is not None:
@@ -275,12 +236,12 @@ class _FirstFitBins:
         sources = self._sources[idx]
         was_full = len(sources) == max_sources
         sources.add(item.source)
+        pos = self._size + idx
         if max_sources is None or len(sources) < max_sources:
-            self._tree_set(idx, value)
+            _sparse_set(self._tree, pos, value)
             return
         if not was_full:
-            self._tree_set(idx, -1)
-        pos = self._size + idx
+            _sparse_set(self._tree, pos, -1)
         full = self._full
         for src in sources:
             sparse = full.get(src)
@@ -299,28 +260,6 @@ def _ffd(
     for it in ordered:
         bins.place(it)
     return bins.packs
-
-
-def pack_ffd(
-    items: Iterable[PackItem],
-    capacity: int,
-    *,
-    max_samples_per_pack: int | None = None,
-    max_sources_per_pack: int | None = None,
-) -> PackPlan:
-    """First-fit-decreasing baseline.
-
-    Items are sorted by length descending (ties by sample_id ascending);
-    each goes to the first pack with room, or opens a new pack. Items
-    longer than the capacity land in overflow.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    ordered = _packing_order(items)
-    overflow = [it for it in ordered if it.length > capacity]
-    in_range = [it for it in ordered if it.length <= capacity]
-    packs = _ffd(in_range, capacity, max_samples_per_pack, max_sources_per_pack)
-    return PackPlan(capacity=capacity, packs=packs, overflow=overflow)
 
 
 def _bucket_index(length: int, capacity: int, num_buckets: int) -> int:
@@ -343,26 +282,18 @@ def _pack_shard(
     for it in in_range:
         buckets[_bucket_index(it.length, config.capacity, config.num_buckets)].append(it)
 
-    packs: list[list[PackItem]] = []
-    for bucket in buckets:
-        packs.extend(
-            _ffd(bucket, config.capacity, config.max_samples_per_pack, config.max_sources_per_pack)
-        )
+    caps = (config.capacity, config.max_samples_per_pack, config.max_sources_per_pack)
+    packs = [p for bucket in buckets for p in _ffd(bucket, *caps)]
 
     # One refill pass: dismantle packs below the utilization threshold and
     # re-pack their items jointly. Applied only when it actually merges
-    # residuals (fewer packs); otherwise the original packs stand, which
-    # keeps the single-bucket configuration exactly equal to pack_ffd.
+    # residuals (fewer packs); otherwise the original packs stand. With one
+    # bucket it never applies: first fit over the residual packs' items, in
+    # their original order, rebuilds exactly those packs.
     threshold = config.min_utilization * config.capacity
     residual_at = [i for i, p in enumerate(packs) if sum(it.length for it in p) < threshold]
     if len(residual_at) >= 2:
-        residual_items = _packing_order(it for i in residual_at for it in packs[i])
-        refilled = _ffd(
-            residual_items,
-            config.capacity,
-            config.max_samples_per_pack,
-            config.max_sources_per_pack,
-        )
+        refilled = _ffd(_packing_order(it for i in residual_at for it in packs[i]), *caps)
         if len(refilled) < len(residual_at):
             residual_set = set(residual_at)
             packs = [p for i, p in enumerate(packs) if i not in residual_set] + refilled
@@ -397,15 +328,36 @@ def pack_bucketed(
 
 
 def pack(items: Iterable[PackItem], config: PackingConfig, threads: int = 1) -> PackPlan:
-    """Dispatch on config.strategy. ``threads`` has no effect (see pack_bucketed)."""
+    """Pack under ``config``. ``threads`` has no effect (see pack_bucketed).
+
+    Strategy "ffd" is the bucket path with one bucket and one shard, where
+    the refill pass never applies: that is plain first-fit decreasing.
+    """
     if config.strategy == "ffd":
-        return pack_ffd(
-            items,
-            config.capacity,
-            max_samples_per_pack=config.max_samples_per_pack,
-            max_sources_per_pack=config.max_sources_per_pack,
-        )
+        config = replace(config, num_buckets=1, shards=1)
     return pack_bucketed(items, config, threads=threads)
+
+
+def pack_ffd(
+    items: Iterable[PackItem],
+    capacity: int,
+    *,
+    max_samples_per_pack: int | None = None,
+    max_sources_per_pack: int | None = None,
+) -> PackPlan:
+    """First-fit-decreasing baseline: ``pack`` with strategy "ffd".
+
+    Items are sorted by length descending (ties by sample_id ascending);
+    each goes to the first pack with room, or opens a new pack. Items
+    longer than the capacity land in overflow.
+    """
+    config = PackingConfig(
+        capacity=capacity,
+        strategy="ffd",
+        max_samples_per_pack=max_samples_per_pack,
+        max_sources_per_pack=max_sources_per_pack,
+    )
+    return pack(items, config)
 
 
 def pack_optimal_oracle(items: Sequence[PackItem], capacity: int) -> int:
@@ -550,15 +502,16 @@ def emit_plan(
 
 
 _REQUIRED = object()
-_JSON_TYPE_NAMES = {int: "integer", str: "string", list: "array", dict: "object"}
+_JSON_TYPE_NAMES = {int: "integer", float: "float", str: "string", list: "array", dict: "object"}
 
 
 def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     """``obj[key]``, required to be exactly JSON type ``kind``.
 
     ``obj`` must be a JSON object. Nothing is coerced: a float, a bool or a
-    numeric string is not an integer, and a number is not a string. An
-    absent key gives ``default`` or, without one, a ValueError.
+    numeric string is not an integer, an integer is not a float, and a
+    number is not a string. An absent key gives ``default`` or, without
+    one, a ValueError.
     """
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, got {obj!r}")

@@ -252,3 +252,58 @@ def test_sampled_indices_round_trip_with_header(tmp_path):
     save_sampled_indices(path, idx, seed=3, n=3, replacement=False)
     assert path.read_text().splitlines()[0] == "# seed=3 n=3 replacement=false"
     assert np.array_equal(load_sampled_indices(path), idx)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ('{"i":"1","w":0.5}', "field 'i' must be a JSON integer"),
+        ('{"i":1.5,"w":0.5}', "field 'i' must be a JSON integer"),
+        ('{"i":1,"w":"0.5"}', "field 'w' must be a JSON float"),
+        ('{"i":1,"w":1}', "field 'w' must be a JSON float"),
+        ('{"i":0,"w":0.5}', "record index 0, expected 1"),
+        ('{"i":2,"w":0.5}', "record index 2, expected 1"),
+        ('{"i":1}', "missing field 'w'"),
+    ],
+)
+def test_weights_load_rejects_what_save_never_writes(tmp_path, second, message):
+    path = tmp_path / "w.jsonl"
+    path.write_text('{"i":0,"w":0.5}\n' + second + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        load_weights(path)
+
+
+def test_weights_load_rejects_records_out_of_order(tmp_path):
+    path = tmp_path / "w.jsonl"
+    path.write_text('{"i":1,"w":0.5}\n{"i":0,"w":0.5}\n')
+    with pytest.raises(ValueError, match="line 1: record index 1, expected 0"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n", "line 1: expected the header"),
+        ("# seed=3 n=1\n3\n", "line 1: expected the header"),
+        ("# seed=3 n=01 replacement=false\n3\n", "line 1: expected the header"),
+        ("# seed=3 n=2 replacement=false\n3\n", "1 index lines, the header says n=2"),
+        ("# seed=3 n=1 replacement=false\n3\n4\n", "2 index lines, the header says n=1"),
+        ("# seed=3 n=2 replacement=false\n3\n7_0\n", "line 3: '7_0\\\\n' is not an index"),
+        ("# seed=3 n=2 replacement=false\n+5\n3\n", "line 2: '\\+5\\\\n' is not an index"),
+        ("# seed=3 n=2 replacement=false\n 6\n3\n", "line 2: ' 6\\\\n' is not an index"),
+        ("# seed=3 n=2 replacement=false\n06\n3\n", "line 2: '06\\\\n' is not an index"),
+        ("# seed=3 n=2 replacement=false\n3\n\n", "line 3: '\\\\n' is not an index"),
+        ("# seed=3 n=1 replacement=false\n3", "line 2: '3' is not an index"),
+    ],
+)
+def test_sampled_indices_load_rejects_what_save_never_writes(tmp_path, text, message):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_sampled_indices(path)
+
+
+def test_sampled_indices_load_keeps_range_to_the_caller(tmp_path):
+    path = tmp_path / "s.txt"
+    save_sampled_indices(path, np.array([-1, 400, 0]), seed=-2, n=3, replacement=True)
+    assert load_sampled_indices(path).tolist() == [-1, 400, 0]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,6 +206,26 @@ def test_stats_subcommand_recomputes(tmp_path, capsys):
     assert stats["utilization"] == 0.8
 
 
+def test_stats_config_holds_only_what_the_plan_records(tmp_path, capsys, synth_dir):
+    pack_dir = tmp_path / "p"
+    code, _, _ = run_cli(
+        ["pack", "--output", str(pack_dir), "--input", str(synth_dir / "manifest.jsonl"),
+         "--capacity", "2048", "--shards", "8", "--seed", "3", "--max-sources-per-pack", "2",
+         "--max-samples-per-pack", "4"],
+        capsys,
+    )
+    assert code == 0
+    stats_dir = tmp_path / "st"
+    code, _, _ = run_cli(
+        ["stats", "--output", str(stats_dir), "--input", str(pack_dir / "plan.jsonl"),
+         "--min-utilization", "0.5"],
+        capsys,
+    )
+    assert code == 0
+    stats = json.loads((stats_dir / "stats.json").read_text())
+    assert stats["config"] == {"capacity": 2048, "min_utilization": 0.5}
+
+
 def test_assign_cli_roundtrip(tmp_path, capsys):
     rng = np.random.default_rng(0)
     images = rng.standard_normal((20, 8)).astype(np.float32)
@@ -243,6 +264,78 @@ def test_pipeline_report_and_schema(tmp_path, capsys):
     for name in ("manifest.jsonl", "assignments.jsonl", "weights.jsonl", "sampled.txt",
                  "plan.jsonl", "stats.json", "report.json", "config.json"):
         assert (out / name).exists()
+
+
+def test_config_echo_params_of_every_subcommand(tmp_path, capsys):
+    # The full echo of each subcommand: every flag that shapes the output,
+    # under its flag name, and nothing else (no --output, no --threads).
+    synth_params = {
+        "n": 200, "vocab-size": 30, "k": 3, "zipf": 1.5, "length-mu": math.log(700.0),
+        "length-sigma": 0.35, "length-min": 32, "length-max": 8192,
+        "sources": "web=0.5,docs=0.3,images=0.2", "seed": 4,
+    }
+    pack_params = {
+        "capacity": 2048, "strategy": "bucket", "buckets": 6, "min-utilization": 0.9,
+        "max-samples-per-pack": None, "max-sources-per-pack": 2, "shards": 3, "seed": 7,
+    }
+    rng = np.random.default_rng(0)
+    save_embeddings(tmp_path / "img.emb", rng.standard_normal((6, 4)).astype(np.float32))
+    save_vocabulary(
+        tmp_path / "v.tsv",
+        tmp_path / "v.emb",
+        ConceptVocabulary(
+            names=[f"c{i}" for i in range(5)],
+            embeddings=rng.standard_normal((5, 4)).astype(np.float32),
+        ),
+    )
+    d = {name: tmp_path / name for name in
+         ("synth", "assign", "weigh", "sample", "pack", "stats", "coverage", "pipeline")}
+    runs = {
+        "synth": (
+            ["--n", "200", "--vocab-size", "30", "--k", "3", "--seed", "4", "--threads", "2"],
+            synth_params,
+        ),
+        "assign": (
+            ["--input", str(tmp_path / "img.emb"), "--vocab-names", str(tmp_path / "v.tsv"),
+             "--vocab-emb", str(tmp_path / "v.emb"), "--k", "2"],
+            {"input": str(tmp_path / "img.emb"), "vocab-names": str(tmp_path / "v.tsv"),
+             "vocab-emb": str(tmp_path / "v.emb"), "k": 2},
+        ),
+        "weigh": (
+            ["--input", str(d["synth"] / "assignments.jsonl"), "--vocab-size", "30",
+             "--mode", "sum"],
+            {"input": str(d["synth"] / "assignments.jsonl"), "vocab-size": 30, "mode": "sum"},
+        ),
+        "sample": (
+            ["--input", str(d["weigh"] / "weights.jsonl"), "--n", "40", "--seed", "9",
+             "--replacement"],
+            {"input": str(d["weigh"] / "weights.jsonl"), "n": 40, "seed": 9,
+             "replacement": True},
+        ),
+        "pack": (
+            ["--input", str(d["synth"] / "manifest.jsonl"), "--capacity", "2048",
+             "--max-sources-per-pack", "2", "--shards", "3", "--seed", "7"],
+            {"input": str(d["synth"] / "manifest.jsonl"), **pack_params},
+        ),
+        "stats": (
+            ["--input", str(d["pack"] / "plan.jsonl"), "--min-utilization", "0.5"],
+            {"input": str(d["pack"] / "plan.jsonl"), "min-utilization": 0.5},
+        ),
+        "coverage": (
+            ["--input", str(d["synth"] / "assignments.jsonl"), "--vocab-size", "30"],
+            {"input": str(d["synth"] / "assignments.jsonl"), "vocab-size": 30, "subset": None},
+        ),
+        "pipeline": (
+            ["--n", "200", "--vocab-size", "30", "--k", "3", "--seed", "7", "--capacity", "2048",
+             "--max-sources-per-pack", "2", "--shards", "3"],
+            # sample-n is echoed resolved: the default n // 10.
+            {**synth_params, **pack_params, "sample-n": 20, "replacement": False},
+        ),
+    }
+    for command, (flags, params) in runs.items():
+        code, _, err = run_cli([command, "--output", str(d[command]), *flags], capsys)
+        assert code == 0, err
+        assert read_echo(d[command]) == {"command": command, "params": params}, command
 
 
 def test_pipeline_rejects_n_zero_before_running(tmp_path, capsys):

@@ -319,3 +319,31 @@ def test_assignments_jsonl_round_trip(tmp_path):
     assert load_assignments(path) == assigns
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"i", "c", "s"}
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ('{"i":"1","c":[1,2],"s":[0.5,0.25]}', "field 'i' must be a JSON integer"),
+        ('{"i":1.0,"c":[1,2],"s":[0.5,0.25]}', "field 'i' must be a JSON integer"),
+        ('{"i":1,"c":[1.0,2],"s":[0.5,0.25]}', "field 'c' must hold JSON integers"),
+        ('{"i":1,"c":[1,true],"s":[0.5,0.25]}', "field 'c' must hold JSON integers"),
+        ('{"i":1,"c":[1,2],"s":["0.5",0.25]}', "field 's' must hold JSON floats"),
+        ('{"i":1,"c":[1,2],"s":[1,0.25]}', "field 's' must hold JSON floats"),
+        ('{"i":1,"c":"12","s":[0.5,0.25]}', "field 'c' must be a JSON array"),
+        ('{"i":0,"c":[1,2],"s":[0.5,0.25]}', "record index 0, expected 1"),
+        ('{"i":1,"c":[1,2]}', "missing field 's'"),
+    ],
+)
+def test_assignments_load_rejects_what_save_never_writes(tmp_path, second, message):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"i":0,"c":[3],"s":[0.5]}\n' + second + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {message}"):
+        load_assignments(path)
+
+
+def test_assignments_load_rejects_an_index_not_at_its_position(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text('{"i":3,"c":[3],"s":[0.5]}\n')
+    with pytest.raises(ValueError, match="line 1: record index 3, expected 0"):
+        load_assignments(path)

@@ -121,6 +121,12 @@ def test_ffd_max_sources_cap():
     assert plan_id_multiset(plan) == Counter(["a", "b", "c", "d"])
 
 
+@pytest.mark.parametrize("cap", ["max_samples_per_pack", "max_sources_per_pack"])
+def test_ffd_rejects_a_zero_cap(cap):
+    with pytest.raises(ValueError, match=f"{cap} must be >= 1"):
+        pack_ffd(items_from_lengths([2, 2]), capacity=10, **{cap: 0})
+
+
 # --------------------------------------------------------------------- oracle
 
 

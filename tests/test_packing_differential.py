@@ -5,16 +5,26 @@ verbatim: without a source cap it uses the segment tree, with one it
 scans every pack from the left. The production kernel must produce the
 same pack lists (``==``) on any input, placement order and cap, both
 when ``_ffd`` is called directly and through ``pack_bucketed`` (bucket
-FFD plus the refill pass).
+FFD plus the refill pass). ``pack_ffd``, which runs the bucket path with
+one bucket and one shard, must equal plain oracle FFD: there the refill
+pass may never change a pack.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from balancepack import packing
-from balancepack.packing import PackingConfig, PackItem, _ffd, _packing_order, pack_bucketed
+from balancepack.packing import (
+    PackingConfig,
+    PackItem,
+    _ffd,
+    _packing_order,
+    pack_bucketed,
+    pack_ffd,
+)
 
 # ------------------------------------------------------------------ oracle
 
@@ -213,6 +223,25 @@ def test_differential_criterion3_generator(monkeypatch):
     rng = np.random.default_rng(42)
     for items, cfg in criterion3_instances(1003, 10_000):
         assert_kernels_agree(items, cfg, monkeypatch, rng)
+
+
+def test_pack_ffd_is_oracle_ffd_under_every_cap_combination():
+    rng = np.random.default_rng(47)
+    for items, cfg in criterion3_instances(1003, 10_000):
+        ordered = _packing_order(items)
+        in_range = [it for it in ordered if it.length <= cfg.capacity]
+        overflow = [it for it in ordered if it.length > cfg.capacity]
+        samples_caps = (None, int(rng.integers(1, 8)))
+        sources_caps = (None, int(rng.integers(1, 4)))
+        for max_samples, max_sources in itertools.product(samples_caps, sources_caps):
+            plan = pack_ffd(
+                items,
+                cfg.capacity,
+                max_samples_per_pack=max_samples,
+                max_sources_per_pack=max_sources,
+            )
+            assert plan.packs == oracle_ffd(in_range, cfg.capacity, max_samples, max_sources)
+            assert plan.overflow == overflow
 
 
 @pytest.mark.parametrize("tie_heavy", [False, True])
