@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,25 +176,34 @@ def balance_report(
 
 
 def save_weights(path: str | Path, weights: np.ndarray) -> None:
-    """JSON Lines: {"i": idx, "w": weight}."""
+    """JSON Lines: {"i": idx, "w": weight}; rejects a non-finite or negative weight."""
+    values = np.asarray(weights, dtype=np.float64)
+    bad = np.flatnonzero(~(values >= 0) | np.isinf(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"weight {i} is {values[i].item()!r}, not finite and non-negative")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i, w in enumerate(weights):
-            f.write(json.dumps({"i": i, "w": float(w)}, separators=(",", ":")) + "\n")
+        # %r of a float is what json.dumps writes for it.
+        f.writelines('{"i":%d,"w":%r}\n' % iw for iw in enumerate(values.tolist()))
 
 
 def load_weights(path: str | Path) -> np.ndarray:
-    """Read what save_weights writes: record i is {"i": i, "w": float}."""
+    """Read what save_weights writes: record i is {"i": i, "w": float}, each
+    weight finite and non-negative."""
     weights: list[float] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
             try:
+                if not line.strip():
+                    raise ValueError("blank line")
                 rec = json.loads(line)
                 index = json_field(rec, "i", int)
                 if index != len(weights):
                     raise ValueError(f"record index {index}, expected {len(weights)}")
-                weights.append(json_field(rec, "w", float))
+                w = json_field(rec, "w", float)
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
+                weights.append(w)
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
     if not weights:

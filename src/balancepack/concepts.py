@@ -356,9 +356,9 @@ def load_assignments(path: str | Path) -> list[ConceptAssignment]:
     out: list[ConceptAssignment] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
             try:
+                if not line.strip():
+                    raise ValueError("blank line")
                 rec = json.loads(line)
                 index = json_field(rec, "i", int)
                 if index != len(out):

@@ -9,6 +9,10 @@ merge 2 yields a 24x24 grid -> 12x12 = 144 visual tokens.
 The synthetic generator reproduces, at desk scale, a long-tail corpus:
 concept marginals follow Zipf(s), per-sample concepts are k distinct
 draws without replacement, and lengths follow a truncated log-normal.
+The k concepts are drawn column by column: each next concept falls in
+one of the gaps between the concepts already drawn, picked by gap mass
+(a difference of suffix sums of the Zipf weights), then placed inside
+the gap by binary search, at O(k^2 + k log m) per sample.
 Generation runs in fixed-size shards with Philox substreams keyed by
 (seed, stream, shard), so output never depends on worker count.
 """
@@ -40,7 +44,6 @@ DEFAULT_LENGTH_MIN = 32
 DEFAULT_LENGTH_MAX = 8192
 
 _GEN_SHARD = 16384
-_ROW_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -150,24 +153,54 @@ def _truncated_lognormal(
 def _distinct_weighted_rows(
     rng: np.random.Generator, rows: int, weights: np.ndarray, k: int
 ) -> np.ndarray:
-    """Per row, k distinct indices via exponential-race keys over weights.
+    """Per row, k distinct indices by sequential weighted sampling without
+    replacement, drawn one column at a time for all rows at once.
 
-    Taking the k smallest -ln(u)/w keys reproduces sequential weighted
-    sampling without replacement. Rows come back index-sorted ascending
-    (= weight-descending for Zipf weights).
+    ``weights`` must be non-increasing (Zipf rank weights), with at least
+    k of them positive. A row's j picks so far, kept sorted, split [0, m)
+    into j+1 gaps; gap [a, b) has mass ``suffix[a] - suffix[b]``, where
+    ``suffix[i] = weights[i:].sum()``. Because the weights do not
+    increase, that difference is exact to about m ulp, unlike
+    ``1 - taken``, which cancels. The target ``u * R`` (R the row's mass
+    left) picks the first gap whose cumulative mass passes it, so an
+    empty gap is never picked; ``searchsorted`` on ``-suffix`` finds the
+    index inside that gap, and clipping it into [a, b-1] makes a repeated
+    index impossible. One ``rng.random((rows, k))`` feeds every column.
+
+    Cost O(k^2 + k log m) per row, with no retries, so it does not depend
+    on the exponent; memory O(rows * k). At m = 1000 and 16,384 rows it
+    is faster than an exponential race over the whole vocabulary up to
+    k of about 32. Rows come back ascending (= weight-descending for Zipf
+    weights).
     """
     m = weights.size
-    out = np.empty((rows, k), dtype=np.int64)
-    for start in range(0, rows, _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, rows)
-        u = rng.random((stop - start, m))
-        keys = -np.log(u) / weights
-        if k < m:
-            chosen = np.argpartition(keys, k - 1, axis=1)[:, :k]
-        else:
-            chosen = np.broadcast_to(np.arange(m), (stop - start, m)).copy()
-        out[start:stop] = np.sort(chosen, axis=1)
-    return out
+    if k == m:
+        return np.broadcast_to(np.arange(m, dtype=np.int64), (rows, m)).copy()
+    positive = int(np.count_nonzero(weights))
+    if positive < k:
+        raise ValueError(f"only {positive} of {m} concept weights are positive, fewer than k={k}")
+    suffix = np.zeros(m + 1)
+    suffix[:m] = np.cumsum(weights[::-1])[::-1]
+    neg_suffix = -suffix
+    u = rng.random((rows, k))
+    picked = np.empty((rows, 0), dtype=np.int64)
+    for j in range(k):
+        starts = np.concatenate([np.zeros((rows, 1), dtype=np.int64), picked + 1], axis=1)
+        ends = np.concatenate([picked, np.full((rows, 1), m, dtype=np.int64)], axis=1)
+        # cum[:, g] is the mass before gap g; cum[:, -1] the mass left.
+        cum = np.zeros((rows, j + 2))
+        np.cumsum(suffix[starts] - suffix[ends], axis=1, out=cum[:, 1:])
+        # A target below the mass left, even where u * R rounds up to R,
+        # is passed first by the cumulative mass of a gap that has mass.
+        total = cum[:, -1:]
+        target = np.minimum(u[:, j : j + 1] * total, np.nextafter(total, 0.0))
+        gap = (cum[:, 1:] <= target).sum(axis=1, keepdims=True)
+        a = np.take_along_axis(starts, gap, axis=1)
+        b = np.take_along_axis(ends, gap, axis=1)
+        inside = suffix[a] - (target - np.take_along_axis(cum, gap, axis=1))
+        pick = np.clip(np.searchsorted(neg_suffix, -inside, side="right") - 1, a, b - 1)
+        picked = np.sort(np.concatenate([picked, pick], axis=1), axis=1)
+    return picked
 
 
 def synth_corpus(

@@ -7,8 +7,8 @@ first-fit packs every bucket under the per-pack sample/source caps, then
 runs one refill pass that jointly re-packs a shard's underfilled packs
 (kept only when it reduces the pack count). Shard outputs concatenate in
 shard order. Strategy "ffd" (``pack_ffd``, the baseline) is this engine
-with one bucket and one shard, where the refill pass never applies: plain
-first-fit decreasing.
+with one bucket and one shard, which skips the refill pass (with one
+bucket it could not merge anything): plain first-fit decreasing.
 
 First fit is indexed under every cap by one kind of index, a dict-backed
 max-tree over remaining capacity (``_FirstFitBins``): one tree over the
@@ -288,8 +288,10 @@ def _pack_shard(
     # One refill pass: dismantle packs below the utilization threshold and
     # re-pack their items jointly. Applied only when it actually merges
     # residuals (fewer packs); otherwise the original packs stand. With one
-    # bucket it never applies: first fit over the residual packs' items, in
-    # their original order, rebuilds exactly those packs.
+    # bucket it is skipped, as it could never apply: first fit over the
+    # residual packs' items, in their original order, rebuilds those packs.
+    if config.num_buckets == 1:
+        return packs, overflow
     threshold = config.min_utilization * config.capacity
     residual_at = [i for i, p in enumerate(packs) if sum(it.length for it in p) < threshold]
     if len(residual_at) >= 2:
@@ -330,8 +332,8 @@ def pack_bucketed(
 def pack(items: Iterable[PackItem], config: PackingConfig, threads: int = 1) -> PackPlan:
     """Pack under ``config``. ``threads`` has no effect (see pack_bucketed).
 
-    Strategy "ffd" is the bucket path with one bucket and one shard, where
-    the refill pass never applies: that is plain first-fit decreasing.
+    Strategy "ffd" is the bucket path with one bucket and one shard, which
+    skips the refill pass: that is plain first-fit decreasing.
     """
     if config.strategy == "ffd":
         config = replace(config, num_buckets=1, shards=1)
@@ -549,7 +551,7 @@ def load_plan(path: str | Path) -> PackPlan:
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
-                continue
+                raise ValueError(f"{path}: line {lineno}: blank line")
             if saw_trailer:
                 raise ValueError(f"{path}: line {lineno}: records after the trailer")
             try:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -264,6 +265,12 @@ def test_sampled_indices_round_trip_with_header(tmp_path):
         ('{"i":0,"w":0.5}', "record index 0, expected 1"),
         ('{"i":2,"w":0.5}', "record index 2, expected 1"),
         ('{"i":1}', "missing field 'w'"),
+        ('{"i":1,"w":NaN}', "weight 1 is nan"),
+        ('{"i":1,"w":Infinity}', "weight 1 is inf"),
+        ('{"i":1,"w":1e400}', "weight 1 is inf"),
+        ('{"i":1,"w":-0.5}', "weight 1 is -0.5"),
+        ("", "blank line"),
+        ("   ", "blank line"),
     ],
 )
 def test_weights_load_rejects_what_save_never_writes(tmp_path, second, message):
@@ -271,6 +278,34 @@ def test_weights_load_rejects_what_save_never_writes(tmp_path, second, message):
     path.write_text('{"i":0,"w":0.5}\n' + second + "\n")
     with pytest.raises(ValueError, match=f"line 2: {message}"):
         load_weights(path)
+
+
+def test_weights_load_rejects_blank_line_between_records(tmp_path):
+    path = tmp_path / "w.jsonl"
+    path.write_text('{"i":0,"w":0.5}\n\n   \n{"i":1,"w":0.5}\n')
+    with pytest.raises(ValueError, match="line 2: blank line"):
+        load_weights(path)
+
+
+def test_weights_save_writes_what_json_dumps_writes(tmp_path):
+    rng = np.random.default_rng(6)
+    w = np.concatenate([rng.random(200) * 10.0 ** rng.integers(-300, 300, 200),
+                        [0.0, -0.0, 1.0, 0.1, 5e-324, 1.7976931348623157e308]])
+    path = tmp_path / "w.jsonl"
+    save_weights(path, w)
+    want = "".join(
+        json.dumps({"i": i, "w": float(x)}, separators=(",", ":")) + "\n" for i, x in enumerate(w)
+    )
+    assert path.read_text() == want
+    assert load_weights(path).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_weights_save_rejects_non_finite_or_negative(tmp_path, bad):
+    path = tmp_path / "w.jsonl"
+    with pytest.raises(ValueError, match=f"weight 2 is {bad!r}"):
+        save_weights(path, np.array([0.25, 0.25, bad, 0.5]))
+    assert not path.exists()
 
 
 def test_weights_load_rejects_records_out_of_order(tmp_path):

@@ -127,6 +127,21 @@ def test_ffd_rejects_a_zero_cap(cap):
         pack_ffd(items_from_lengths([2, 2]), capacity=10, **{cap: 0})
 
 
+def test_one_bucket_skips_the_refill_pass(monkeypatch):
+    # Every pack below is underfilled, so a refill pass would re-pack them.
+    from balancepack import packing
+
+    calls = []
+    real_ffd = packing._ffd
+    monkeypatch.setattr(packing, "_ffd", lambda *a: calls.append(1) or real_ffd(*a))
+    items = items_from_lengths([6, 6, 6, 6])
+    plan = pack(items, PackingConfig(capacity=10, strategy="ffd", min_utilization=0.9))
+    assert len(plan.packs) == 4 and len(calls) == 1
+    calls.clear()
+    pack_bucketed(items, PackingConfig(capacity=10, num_buckets=1, shards=3))
+    assert len(calls) == 3
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -387,6 +402,17 @@ def test_plan_load_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_plan_load_rejects_blank_line(tmp_path, blank):
+    plan = PackPlan(capacity=10, packs=[[PackItem("a", 6)], [PackItem("b", 7)]])
+    path = tmp_path / "plan.jsonl"
+    emit_plan(plan, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + blank + "\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="line 2: blank line"):
         load_plan(path)
 
 
