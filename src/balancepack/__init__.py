@@ -9,6 +9,7 @@ from .balance import (
     sample_balanced,
 )
 from .concepts import (
+    Assignments,
     ConceptAssignment,
     ConceptVocabulary,
     build_pseudo_caption,
@@ -41,6 +42,7 @@ from .packing import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Assignments",
     "BalanceReport",
     "ConceptAssignment",
     "ConceptFrequencyTable",

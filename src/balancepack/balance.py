@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import ConceptAssignment, assignment_indices
+from .concepts import Assignments, ConceptAssignment
 from .packing import json_field
 from .rng import STREAM_SAMPLING, philox
 
@@ -59,7 +59,7 @@ def concept_frequencies(
     """Count, per concept, how many assignments contain it."""
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    flat = assignment_indices(assignments)
+    flat = Assignments.of(assignments).concepts
     if flat.size and (flat.min() < 0 or flat.max() >= vocab_size):
         bad = flat[(flat < 0) | (flat >= vocab_size)][0]
         raise ValueError(f"concept index {int(bad)} out of range [0, {vocab_size})")
@@ -81,21 +81,18 @@ def image_weights(
         raise ValueError(f"unknown weight mode {mode!r}")
     if not assignments:
         raise ValueError("cannot weight an empty assignment list")
+    a = Assignments.of(assignments)
     counts = freqs.counts
-    flat = assignment_indices(assignments)
+    flat = a.concepts
     if np.any(counts[flat] < 1):
         bad = flat[counts[flat] < 1][0]
         raise ValueError(
             f"concept {int(bad)} has zero frequency; assignments and "
             f"frequency table are inconsistent"
         )
-    inv = 1.0 / counts[flat]
-    sizes = np.array([len(a.concepts) for a in assignments], dtype=np.int64)
-    offsets = np.zeros(len(assignments), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    raw = np.add.reduceat(inv, offsets)
+    raw = np.add.reduceat(1.0 / counts[flat], a.offsets[:-1])
     if mode == "mean":
-        raw = raw / sizes
+        raw = raw / np.diff(a.offsets)
     return raw / raw.sum()
 
 

@@ -177,7 +177,7 @@ def _packing_config(args: argparse.Namespace) -> packing.PackingConfig:
 def cmd_synth(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
     cfg = _synth_config(args)
-    records, assignments = manifest.synth_corpus(cfg, threads=args.threads)
+    records, assignments = manifest.synth_corpus(cfg)
     manifest.emit_manifest(out / "manifest.jsonl", records)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
     _write_echo(out, args)
@@ -250,13 +250,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     assignments = concepts.load_assignments(args.input)
     if args.subset:
         # Positional, with multiplicity, as pipeline reports its balanced subset.
-        subset = balance.load_sampled_indices(args.subset).tolist()
-        for i in subset:
-            if not 0 <= i < len(assignments):
-                raise ValueError(
-                    f"{args.subset}: sampled index {i} out of range [0, {len(assignments)})"
-                )
-        assignments = [assignments[i] for i in subset]
+        assignments = assignments.take(balance.load_sampled_indices(args.subset))
     report = balance.balance_report(assignments, args.vocab_size)
     _json_dump(
         out / "report.json",
@@ -284,7 +278,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise StageError("config", e) from None
 
     try:
-        records, assignments = manifest.synth_corpus(cfg, threads=args.threads)
+        records, assignments = manifest.synth_corpus(cfg)
         manifest.emit_manifest(out / "manifest.jsonl", records)
         concepts.save_assignments(out / "assignments.jsonl", assignments)
         print(f"[pipeline/synth] {len(records)} records")
@@ -327,12 +321,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise StageError("pack", e) from None
 
     try:
-        balanced_report = balance.balance_report(
-            [assignments[i] for i in balanced_idx], cfg.vocab_size
-        )
-        uniform_report = balance.balance_report(
-            [assignments[i] for i in uniform_idx], cfg.vocab_size
-        )
+        balanced_report = balance.balance_report(assignments.take(balanced_idx), cfg.vocab_size)
+        uniform_report = balance.balance_report(assignments.take(uniform_idx), cfg.vocab_size)
         report = {
             "seed": args.seed,
             "n_samples": args.n,
@@ -361,7 +351,7 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, threads: bool 
         p.add_argument("--seed", type=int, default=0, help="64-bit seed for all randomness")
     if threads:
         p.add_argument(
-            "--threads", type=int, default=1, help="worker count (never affects output bytes)"
+            "--threads", type=int, default=1, help="assign's worker count (never affects bytes)"
         )
 
 

@@ -14,6 +14,10 @@ Memory: finiteness checks, normalization and scoring run over blocks of
 at most ``_ROW_BLOCK`` rows, so the float64 temporaries stay at one block
 per worker, whatever the number of images.
 
+The assignments of n samples are one ``Assignments``: offsets, concept
+and similarity columns in CSR layout, checked once with vector operations.
+Rows may differ in length; a ``ConceptAssignment`` row is built on demand.
+
 Binary embedding format: magic ``EMB1``, uint32-LE rows, uint32-LE dim,
 then rows*dim float32-LE values, row-major.
 """
@@ -23,10 +27,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,31 +79,91 @@ def _first_non_finite(m: np.ndarray) -> int | None:
 
 @dataclass(frozen=True)
 class ConceptAssignment:
-    """Ranked top-k concepts for one sample.
-
-    ``concepts`` holds (concept_index, cosine_similarity) pairs in
-    non-increasing similarity order; indices are distinct.
-    """
+    """One row of an ``Assignments``: ranked (concept_index, similarity) pairs, unchecked."""
 
     sample_index: int
     concepts: tuple[tuple[int, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.concepts:
-            raise ValueError("assignment must contain at least one concept")
-        indices = [c for c, _ in self.concepts]
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate concept index in assignment {self.sample_index}")
-        sims = [s for _, s in self.concepts]
-        for s in sims:
-            if not -1.0 - 1e-6 <= s <= 1.0 + 1e-6:
-                raise ValueError(f"similarity {s} outside [-1, 1]")
-        if any(a < b for a, b in zip(sims, sims[1:])):
-            raise ValueError("similarities must be non-increasing in rank order")
-
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.concepts)
+
+
+class _RowError(ValueError):
+    """A row that breaks a rule of ``Assignments``; readers map ``row`` to a line."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+@dataclass(frozen=True, eq=False)
+class Assignments(Sequence[ConceptAssignment]):
+    """Ranked concepts of n samples in CSR columns: row i (sample i) holds
+    ``concepts[offsets[i]:offsets[i+1]]`` with ``sims`` alongside, and
+    ``offsets`` runs from 0 to ``len(concepts) == len(sims)``. Each row holds
+    at least one concept, distinct indices, and non-increasing similarities
+    within [-1, 1] (1e-6 slack, no NaN); the first row that breaks a rule is
+    named in the ValueError. Indexing and iteration build ``ConceptAssignment``
+    rows on demand; ``==`` compares rows with any sequence of rows."""
+
+    offsets: np.ndarray  # int64[n + 1]
+    concepts: np.ndarray  # int64[nnz]
+    sims: np.ndarray  # float64[nnz]
+
+    def __post_init__(self) -> None:
+        o, c, s = self.offsets, self.concepts, self.sims
+        if o.size < 1 or o[0] != 0 or o[-1] != c.size or c.size != s.size or np.any(o[1:] < o[:-1]):
+            raise ValueError("offsets must rise from 0 to len(concepts) == len(sims)")
+        row = np.repeat(np.arange(o.size - 1), np.diff(o))
+        same = row[1:] == row[:-1]
+        by_row = c[np.lexsort((c, row))]  # each row's concepts sorted, rows in place
+        outside = np.flatnonzero(~((s >= -1.0 - 1e-6) & (s <= 1.0 + 1e-6)))
+        rules = (
+            (np.flatnonzero(o[1:] == o[:-1]), "assignment must contain at least one concept"),
+            (row[1:][same & (by_row[1:] == by_row[:-1])], "duplicate concept index"),
+            (row[outside], f"similarity {s[outside[0]] if outside.size else 0} outside [-1, 1]"),
+            (row[1:][same & (s[1:] > s[:-1])], "similarities must be non-increasing in rank order"),
+        )
+        broken = [(int(rows[0]), reason) for rows, reason in rules if rows.size]
+        if broken:
+            raise _RowError(*min(broken, key=lambda b: b[0]))
+
+    @classmethod
+    def of(cls, rows: Sequence[ConceptAssignment]) -> Assignments:
+        """Checked columns of hand-built rows, each row's position its sample
+        index (not ``sample_index``); an ``Assignments`` is returned as is."""
+        if isinstance(rows, Assignments):
+            return rows
+        offsets = np.concatenate(([0], np.cumsum([len(r.concepts) for r in rows], dtype=np.int64)))
+        pairs = [p for r in rows for p in r.concepts]
+        concepts = np.array([c for c, _ in pairs], dtype=np.int64)
+        return cls(offsets, concepts, np.array([s for _, s in pairs], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> ConceptAssignment:
+        i = range(len(self))[i]  # a negative i counts from the end, as for lists
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        pairs = zip(self.concepts[lo:hi].tolist(), self.sims[lo:hi].tolist())
+        return ConceptAssignment(sample_index=i, concepts=tuple(pairs))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def take(self, rows: np.ndarray) -> Assignments:
+        """Row j of the result is row ``rows[j]``; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = np.flatnonzero((rows < 0) | (rows >= len(self)))
+        if bad.size:
+            raise ValueError(f"sampled index {rows[bad[0]]} out of range [0, {len(self)})")
+        sizes = np.diff(self.offsets)[rows]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        at = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], sizes)
+        return Assignments(offsets, self.concepts[at], self.sims[at])
 
 
 @dataclass
@@ -289,7 +353,7 @@ def topk_concepts(
     vocab: ConceptVocabulary,
     k: int,
     threads: int = 1,
-) -> list[ConceptAssignment]:
+) -> Assignments:
     """Assign each image row its k most cosine-similar concepts.
 
     The scan is exhaustive and exact: per image, all concepts are scored,
@@ -299,8 +363,8 @@ def topk_concepts(
     by a full stable sort, so the result always equals a stable descending
     sort of every row. Rows are scored at most ``_ROW_BLOCK`` at a time, so
     each worker's temporaries are a few ``_ROW_BLOCK`` x ``vocab.size``
-    arrays. Tasks of ``_TOPK_CHUNK`` rows may run on parallel workers;
-    output order and content are independent of ``threads``.
+    arrays. Tasks of ``_TOPK_CHUNK`` rows run on ``threads`` workers and
+    write their rows in place, so the result does not depend on ``threads``.
     """
     validate_embeddings(images)
     if images.shape[1] != vocab.embeddings.shape[1]:
@@ -313,22 +377,17 @@ def topk_concepts(
 
     img = _ensure_normalized(images)
     con = _ensure_normalized(vocab.embeddings)
+    n = img.shape[0]
+    order = np.empty((n, k), dtype=np.int64)
+    picked = np.empty((n, k), dtype=np.float64)
 
-    def score_chunk(start: int) -> list[ConceptAssignment]:
-        out: list[ConceptAssignment] = []
-        for rows in _row_blocks(start, min(start + _TOPK_CHUNK, img.shape[0])):
-            order, picked = _topk_block(cosine_similarities(img[rows], con), k)
-            for r, (idx, sim) in enumerate(zip(order.tolist(), picked.tolist()), rows.start):
-                out.append(ConceptAssignment(sample_index=r, concepts=tuple(zip(idx, sim))))
-        return out
+    def score_chunk(start: int) -> None:
+        for rows in _row_blocks(start, min(start + _TOPK_CHUNK, n)):
+            order[rows], picked[rows] = _topk_block(cosine_similarities(img[rows], con), k)
 
-    starts = range(0, img.shape[0], _TOPK_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(score_chunk, starts))
-    else:
-        parts = [score_chunk(s) for s in starts]
-    return [a for part in parts for a in part]
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        list(pool.map(score_chunk, range(0, n, _TOPK_CHUNK)))
+    return Assignments(np.arange(0, n * k + 1, k, dtype=np.int64), order.ravel(), picked.ravel())
 
 
 def build_pseudo_caption(assignment: ConceptAssignment, vocab: ConceptVocabulary) -> str:
@@ -339,21 +398,22 @@ def build_pseudo_caption(assignment: ConceptAssignment, vocab: ConceptVocabulary
     return CAPTION_SEPARATOR.join(vocab.names[idx] for idx, _ in assignment.concepts)
 
 
-def save_assignments(path: str | Path, assignments: Iterable[ConceptAssignment]) -> None:
-    """Write assignments as JSON Lines: {"i": idx, "c": [...], "s": [...]}."""
+def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment]) -> None:
+    """Write JSON Lines {"i": row, "c": [...], "s": [...]}, the bytes json.dumps would write."""
+    a = Assignments.of(assignments)
+    cs, ss, bounds = a.concepts.tolist(), a.sims.tolist(), a.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for a in assignments:
-            rec = {
-                "i": a.sample_index,
-                "c": [c for c, _ in a.concepts],
-                "s": [s for _, s in a.concepts],
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        f.writelines(
+            '{"i":%d,"c":[%s],"s":[%s]}\n'
+            % (i, ",".join(map(str, cs[lo:hi])), ",".join(map(repr, ss[lo:hi])))
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        )
 
 
-def load_assignments(path: str | Path) -> list[ConceptAssignment]:
-    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]}."""
-    out: list[ConceptAssignment] = []
+def load_assignments(path: str | Path) -> Assignments:
+    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
+    with one similarity per concept and every row rule of ``Assignments``."""
+    offsets, cs, ss = [0], [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
@@ -361,26 +421,22 @@ def load_assignments(path: str | Path) -> list[ConceptAssignment]:
                     raise ValueError("blank line")
                 rec = json.loads(line)
                 index = json_field(rec, "i", int)
-                if index != len(out):
-                    raise ValueError(f"record index {index}, expected {len(out)}")
-                cs = json_field(rec, "c", list)
-                sims = json_field(rec, "s", list)
-                if not all(type(c) is int for c in cs):
-                    raise ValueError(f"field 'c' must hold JSON integers, got {cs!r}")
-                if not all(type(s) is float for s in sims):
-                    raise ValueError(f"field 's' must hold JSON floats, got {sims!r}")
-                out.append(
-                    ConceptAssignment(sample_index=index, concepts=tuple(zip(cs, sims, strict=True)))
-                )
+                if index != len(offsets) - 1:
+                    raise ValueError(f"record index {index}, expected {len(offsets) - 1}")
+                c = json_field(rec, "c", list)
+                s = json_field(rec, "s", list)
+                if not all(type(x) is int and -(2**63) <= x < 2**63 for x in c):
+                    raise ValueError(f"field 'c' must hold JSON integers within int64, got {c!r}")
+                if not all(type(x) is float for x in s):
+                    raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
+                if len(c) != len(s):
+                    raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
+                cs += c
+                ss += s
+                offsets.append(len(cs))
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
-
-
-def assignment_indices(assignments: Sequence[ConceptAssignment]) -> np.ndarray:
-    """Flatten assignments into one int64 vector of concept indices."""
-    return np.fromiter(
-        (c for a in assignments for c in a.indices),
-        dtype=np.int64,
-        count=sum(len(a.concepts) for a in assignments),
-    )
+    try:
+        return Assignments(np.array(offsets), np.array(cs, dtype=np.int64), np.array(ss))
+    except _RowError as e:
+        raise ValueError(f"{path}: line {e.row + 1}: {e.reason}") from None

@@ -13,15 +13,15 @@ The k concepts are drawn column by column: each next concept falls in
 one of the gaps between the concepts already drawn, picked by gap mass
 (a difference of suffix sums of the Zipf weights), then placed inside
 the gap by binary search, at O(k^2 + k log m) per sample.
-Generation runs in fixed-size shards with Philox substreams keyed by
-(seed, stream, shard), so output never depends on worker count.
+Generation runs shard by shard on one thread, each fixed-size shard on
+Philox substreams keyed by (seed, stream, shard), and the concepts of all
+shards come back as one columnar ``concepts.Assignments``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .concepts import ConceptAssignment
+from .concepts import Assignments
 from .packing import PackItem, json_field
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
@@ -117,20 +117,6 @@ class SynthConfig:
         if any(p < 0 for _, p in self.sources):
             raise ValueError("source probabilities must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "vocab_size": self.vocab_size,
-            "k": self.k,
-            "zipf_exponent": self.zipf_exponent,
-            "length_mu": self.length_mu,
-            "length_sigma": self.length_sigma,
-            "length_min": self.length_min,
-            "length_max": self.length_max,
-            "sources": {tag: p for tag, p in self.sources},
-            "seed": self.seed,
-        }
-
 
 def zipf_weights(vocab_size: int, exponent: float) -> np.ndarray:
     """Normalized rank weights p(r) ~ r^-s; concept index = rank - 1."""
@@ -203,20 +189,18 @@ def _distinct_weighted_rows(
     return picked
 
 
-def synth_corpus(
-    cfg: SynthConfig, threads: int = 1
-) -> tuple[list[SampleRecord], list[ConceptAssignment]]:
+def synth_corpus(cfg: SynthConfig) -> tuple[list[SampleRecord], Assignments]:
     """Generate a manifest plus concept assignments, fully seed-determined.
 
-    Shards can run on parallel workers; output is shard-major and
-    independent of ``threads``.
+    Shards run in order, each on its own Philox substreams; output is
+    shard-major.
     """
     concept_w = zipf_weights(cfg.vocab_size, cfg.zipf_exponent)
     source_tags = [tag for tag, _ in cfg.sources]
     source_cdf = np.cumsum([p for _, p in cfg.sources])
-    n_shards = -(-cfg.n_samples // _GEN_SHARD)
-
-    def gen_shard(shard: int) -> tuple[list[SampleRecord], list[ConceptAssignment]]:
+    records: list[SampleRecord] = []
+    blocks: list[np.ndarray] = []
+    for shard in range(-(-cfg.n_samples // _GEN_SHARD)):
         base = shard * _GEN_SHARD
         count = min(_GEN_SHARD, cfg.n_samples - base)
         lengths = _truncated_lognormal(
@@ -231,38 +215,18 @@ def synth_corpus(
         src_idx = np.minimum(
             np.searchsorted(source_cdf, u_src, side="right"), len(source_tags) - 1
         )
-        concept_rows = _distinct_weighted_rows(
-            philox(cfg.seed, STREAM_CONCEPTS, shard), count, concept_w, cfg.k
-        )
-        records = [
+        records.extend(
             SampleRecord(
                 id=f"synth-{base + i:08d}",
                 source=source_tags[src_idx[i]],
                 text_tokens=int(lengths[i]),
             )
             for i in range(count)
-        ]
-        assignments = [
-            ConceptAssignment(
-                sample_index=base + i,
-                concepts=tuple((int(c), float(concept_w[c])) for c in concept_rows[i]),
-            )
-            for i in range(count)
-        ]
-        return records, assignments
-
-    if threads > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(gen_shard, range(n_shards)))
-    else:
-        parts = [gen_shard(s) for s in range(n_shards)]
-
-    all_records: list[SampleRecord] = []
-    all_assignments: list[ConceptAssignment] = []
-    for records, assignments in parts:
-        all_records.extend(records)
-        all_assignments.extend(assignments)
-    return all_records, all_assignments
+        )
+        concept_rng = philox(cfg.seed, STREAM_CONCEPTS, shard)
+        blocks.append(_distinct_weighted_rows(concept_rng, count, concept_w, cfg.k))
+    picked = np.concatenate(blocks).ravel()
+    return records, Assignments(np.arange(0, picked.size + 1, cfg.k), picked, concept_w[picked])
 
 
 def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:

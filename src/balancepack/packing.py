@@ -329,15 +329,15 @@ def pack_bucketed(
     return plan
 
 
-def pack(items: Iterable[PackItem], config: PackingConfig, threads: int = 1) -> PackPlan:
-    """Pack under ``config``. ``threads`` has no effect (see pack_bucketed).
+def pack(items: Iterable[PackItem], config: PackingConfig) -> PackPlan:
+    """Pack under ``config``.
 
     Strategy "ffd" is the bucket path with one bucket and one shard, which
     skips the refill pass: that is plain first-fit decreasing.
     """
     if config.strategy == "ffd":
         config = replace(config, num_buckets=1, shards=1)
-    return pack_bucketed(items, config, threads=threads)
+    return pack_bucketed(items, config)
 
 
 def pack_ffd(
