@@ -26,6 +26,7 @@ from .manifest import (
     synth_corpus,
 )
 from .packing import (
+    Items,
     PackingConfig,
     PackingStats,
     PackItem,
@@ -47,6 +48,7 @@ __all__ = [
     "ConceptAssignment",
     "ConceptFrequencyTable",
     "ConceptVocabulary",
+    "Items",
     "PackItem",
     "PackPlan",
     "PackingConfig",

@@ -138,11 +138,19 @@ def sample_balanced(
         idx = np.searchsorted(cum, u, side="right")
         return np.minimum(idx, size - 1).astype(np.int64)
 
-    u = rng.random(size)
-    with np.errstate(divide="ignore"):
-        keys = -np.log(u) / w
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(_race_keys(rng.random(size), w), kind="stable")
     return order[:n].astype(np.int64)
+
+
+def _race_keys(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exponential-race keys -ln(u) / w for uniforms u in [0, 1).
+
+    A draw of exactly 0 counts as the smallest positive double, so its key
+    is large but finite; only a zero weight gives +inf.
+    """
+    u = np.maximum(u, np.nextafter(0.0, 1.0))
+    with np.errstate(divide="ignore"):
+        return -np.log(u) / w
 
 
 def balance_report(
@@ -186,7 +194,8 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
 
 def load_weights(path: str | Path) -> np.ndarray:
     """Read what save_weights writes: record i is {"i": i, "w": float}, each
-    weight finite and non-negative."""
+    weight finite and non-negative, and the weights sum to 1 within
+    WEIGHT_SUM_TOL."""
     weights: list[float] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -205,7 +214,12 @@ def load_weights(path: str | Path) -> np.ndarray:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
     if not weights:
         raise ValueError(f"{path}: empty weights file")
-    return np.array(weights, dtype=np.float64)
+    out = np.array(weights, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a sum past the float range reads as inf
+        total = float(out.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"{path}: weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}")
+    return out
 
 
 def save_sampled_indices(

@@ -132,11 +132,16 @@ class Assignments(Sequence[ConceptAssignment]):
     @classmethod
     def of(cls, rows: Sequence[ConceptAssignment]) -> Assignments:
         """Checked columns of hand-built rows, each row's position its sample
-        index (not ``sample_index``); an ``Assignments`` is returned as is."""
+        index (not ``sample_index``); an ``Assignments`` is returned as is.
+        A concept index that is not an integer is rejected, not truncated."""
         if isinstance(rows, Assignments):
             return rows
         offsets = np.concatenate(([0], np.cumsum([len(r.concepts) for r in rows], dtype=np.int64)))
         pairs = [p for r in rows for p in r.concepts]
+        for j, (c, _) in enumerate(pairs):
+            if not isinstance(c, (int, np.integer)):
+                row = int(np.searchsorted(offsets, j, side="right")) - 1
+                raise _RowError(row, f"concept index {c!r} is not an integer")
         concepts = np.array([c for c, _ in pairs], dtype=np.int64)
         return cls(offsets, concepts, np.array([s for _, s in pairs], dtype=np.float64))
 

@@ -16,6 +16,13 @@ the gap by binary search, at O(k^2 + k log m) per sample.
 Generation runs shard by shard on one thread, each fixed-size shard on
 Philox substreams keyed by (seed, stream, shard), and the concepts of all
 shards come back as one columnar ``concepts.Assignments``.
+
+``load_pack_items`` reads a packing manifest straight into a columnar
+``packing.Items``: one ``json.loads`` per line, the record rules and the
+token arithmetic applied to the parsed fields, no ``SampleRecord`` or
+``PackItem`` per line. Both manifest readers skip blank lines, since
+manifests come from outside the toolkit; the readers of the files the
+toolkit writes itself (plans, assignments, weights) reject them.
 """
 
 from __future__ import annotations
@@ -23,14 +30,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .concepts import Assignments
-from .packing import PackItem, json_field
+from .packing import Items, check_length, json_field
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
 DEFAULT_PATCH = 14
@@ -58,29 +65,39 @@ class SampleRecord:
     merge: int = DEFAULT_MERGE
 
     def __post_init__(self) -> None:
-        if self.text_tokens < 0:
-            raise ValueError(f"record {self.id!r}: text_tokens must be >= 0")
-        if self.patch < 1 or self.merge < 1:
-            raise ValueError(f"record {self.id!r}: patch and merge must be >= 1")
-        if self.image is not None:
-            w, h = self.image
-            if w < self.patch or h < self.patch:
-                raise ValueError(
-                    f"record {self.id!r}: image {w}x{h} smaller than one {self.patch}px patch"
-                )
-        if self.text_tokens == 0 and self.image is None:
-            raise ValueError(f"record {self.id!r}: empty record (no text tokens, no image)")
+        _record_rules(self.id, self.text_tokens, self.image, self.patch, self.merge)
+
+
+def _record_rules(
+    sample_id: str, text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int
+) -> None:
+    """The rules every manifest record obeys, as fields."""
+    if text_tokens < 0:
+        raise ValueError(f"record {sample_id!r}: text_tokens must be >= 0")
+    if patch < 1 or merge < 1:
+        raise ValueError(f"record {sample_id!r}: patch and merge must be >= 1")
+    if image is not None:
+        w, h = image
+        if w < patch or h < patch:
+            raise ValueError(
+                f"record {sample_id!r}: image {w}x{h} smaller than one {patch}px patch"
+            )
+    if text_tokens == 0 and image is None:
+        raise ValueError(f"record {sample_id!r}: empty record (no text tokens, no image)")
+
+
+def _token_length(text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int) -> int:
+    if image is None:
+        return text_tokens
+    w, h = image
+    grid_w = -(-w // patch)
+    grid_h = -(-h // patch)
+    return text_tokens + -(-grid_w // merge) * -(-grid_h // merge)
 
 
 def estimate_tokens(rec: SampleRecord) -> int:
     """Total token length: text tokens plus merged patch-grid visual tokens."""
-    if rec.image is None:
-        return rec.text_tokens
-    w, h = rec.image
-    grid_w = -(-w // rec.patch)
-    grid_h = -(-h // rec.patch)
-    visual = -(-grid_w // rec.merge) * -(-grid_h // rec.merge)
-    return rec.text_tokens + visual
+    return _token_length(rec.text_tokens, rec.image, rec.patch, rec.merge)
 
 
 @dataclass(frozen=True)
@@ -243,26 +260,33 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _record_from_json(obj) -> SampleRecord:
-    """A manifest record from one parsed line, with strict JSON types."""
+def _record_fields(obj) -> tuple[str, str, int, tuple[int, int] | None, int, int]:
+    """(id, source, text_tokens, image, patch, merge) of one parsed manifest
+    line, with strict JSON types."""
     sample_id = json_field(obj, "id", str)
     image = json_field(obj, "image", dict, None)
     if image is not None:
         image = (json_field(image, "w", int), json_field(image, "h", int))
-    return SampleRecord(
-        id=sample_id,
-        source=json_field(obj, "source", str, ""),
-        text_tokens=json_field(obj, "text_tokens", int, 0),
-        image=image,
-        patch=json_field(obj, "patch", int, DEFAULT_PATCH),
-        merge=json_field(obj, "merge", int, DEFAULT_MERGE),
+    return (
+        sample_id,
+        json_field(obj, "source", str, ""),
+        json_field(obj, "text_tokens", int, 0),
+        image,
+        json_field(obj, "patch", int, DEFAULT_PATCH),
+        json_field(obj, "merge", int, DEFAULT_MERGE),
     )
 
 
-def _parse_lines(path: str | Path, parse, id_of) -> list:
-    """Apply ``parse`` to each non-blank JSON line; errors and duplicate
-    ids (``id_of`` a parsed value) name the line."""
-    out = []
+def _record_from_json(obj) -> SampleRecord:
+    """A manifest record from one parsed line, with strict JSON types."""
+    sample_id, source, text_tokens, image, patch, merge = _record_fields(obj)
+    return SampleRecord(sample_id, source, text_tokens, image, patch, merge)
+
+
+def _parse_lines(path: str | Path, parse, id_of) -> Iterator:
+    """Yield ``parse`` of each non-blank JSON line; errors and duplicate
+    ids (``id_of`` a parsed value) name the line. Manifests come from
+    outside the toolkit, so blank lines are skipped, not rejected."""
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -280,39 +304,51 @@ def _parse_lines(path: str | Path, parse, id_of) -> list:
             if sample_id in seen:
                 raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
             seen.add(sample_id)
-            out.append(value)
-    return out
+            yield value
 
 
 def ingest_manifest(path: str | Path) -> list[SampleRecord]:
     """Parse and validate a manifest; rejects duplicate ids and any field
     whose JSON type differs from what emit_manifest writes."""
-    return _parse_lines(path, _record_from_json, attrgetter("id"))
+    return list(_parse_lines(path, _record_from_json, attrgetter("id")))
 
 
-def _pack_item_from_json(obj) -> PackItem:
+def _pack_fields(obj) -> tuple[str, int, str]:
+    """(id, token length, source) of one packing-manifest line: the plain
+    form's ``length``, or a rich record's, under the rules of
+    ``SampleRecord`` and the arithmetic of ``estimate_tokens``."""
     if type(obj) is dict and "length" in obj:
-        return PackItem(
-            sample_id=json_field(obj, "id", str),
-            length=json_field(obj, "length", int),
-            source=json_field(obj, "source", str, ""),
-        )
-    rec = _record_from_json(obj)
-    return PackItem(sample_id=rec.id, length=estimate_tokens(rec), source=rec.source)
+        sample_id = json_field(obj, "id", str)
+        length = json_field(obj, "length", int)
+        source = json_field(obj, "source", str, "")
+    else:
+        sample_id, source, text_tokens, image, patch, merge = _record_fields(obj)
+        _record_rules(sample_id, text_tokens, image, patch, merge)
+        length = _token_length(text_tokens, image, patch, merge)
+    check_length(sample_id, length)
+    return sample_id, length, source
 
 
-def load_pack_items(path: str | Path) -> list[PackItem]:
-    """Read a packing manifest.
+def load_pack_items(path: str | Path) -> Items:
+    """Read a packing manifest into columns.
 
     Accepts the plain form {"id", "source", "length"} or the richer
-    manifest records, whose lengths are computed via estimate_tokens.
+    manifest records, whose lengths are computed as estimate_tokens does.
     Types are strict: ids and sources are JSON strings, lengths and token
-    counts JSON integers.
+    counts JSON integers. Blank lines are skipped; no ``SampleRecord`` or
+    ``PackItem`` is built.
     """
-    return _parse_lines(path, _pack_item_from_json, attrgetter("sample_id"))
+    ids: list[str] = []
+    lengths: list[int] = []
+    sources: list[str] = []
+    for sample_id, length, source in _parse_lines(path, _pack_fields, itemgetter(0)):
+        ids.append(sample_id)
+        lengths.append(length)
+        sources.append(source)
+    return Items.from_lists(ids, lengths, sources)
 
 
-def records_to_pack_items(records: Sequence[SampleRecord]) -> list[PackItem]:
-    return [
-        PackItem(sample_id=r.id, length=estimate_tokens(r), source=r.source) for r in records
-    ]
+def records_to_pack_items(records: Sequence[SampleRecord]) -> Items:
+    return Items.from_lists(
+        [r.id for r in records], [estimate_tokens(r) for r in records], [r.source for r in records]
+    )

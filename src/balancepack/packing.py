@@ -1,34 +1,48 @@
 """Offline consolidation of variable-length samples into fixed-capacity packs.
 
+Pack items are columns, not one object per sample: an ``Items`` holds the
+ids, an int64 length column and an int32 source-code column into a tag
+table, checked once with vector operations. A ``PackPlan`` holds the
+packed items in emitted order, pack bounds and the overflow items, also
+as columns. ``PackItem`` is a row view built on demand (``Items[i]``,
+``PackPlan.packs``); ``Items.of`` turns hand-built rows into columns.
+
 One engine, ``pack_bucketed``, does all packing. It shards items by a
 seeded hash of sample_id, sorts each shard by length descending (ties by
-sample_id ascending), routes the items into geometric length buckets,
-first-fit packs every bucket under the per-pack sample/source caps, then
-runs one refill pass that jointly re-packs a shard's underfilled packs
-(kept only when it reduces the pack count). Shard outputs concatenate in
-shard order. Strategy "ffd" (``pack_ffd``, the baseline) is this engine
-with one bucket and one shard, which skips the refill pass (with one
-bucket it could not merge anything): plain first-fit decreasing.
+sample_id ascending, then input order), routes the items into geometric
+length buckets, first-fit packs every bucket under the per-pack
+sample/source caps, then runs one refill pass that jointly re-packs a
+shard's underfilled packs (kept only when it reduces the pack count).
+Shard outputs concatenate in shard order. Strategy "ffd" (``pack_ffd``,
+the baseline) is this engine with one bucket and one shard, which skips
+the refill pass (with one bucket it could not merge anything): plain
+first-fit decreasing.
 
 First fit is indexed under every cap by one kind of index, a dict-backed
 max-tree over remaining capacity (``_FirstFitBins``): one tree over the
 packs that can take any source, and, under a source cap, one per source
 over the packs whose source slots are all used and that hold it. The
 leftmost hit of the two is the pack a left-to-right scan would pick, at
-O(log P) per item.
+O(log P) per item. Sorting, bucketing, fills and the assembly of the
+plan run as numpy operations over the columns; only the placement loop
+is per item.
 
 Items longer than the capacity are never truncated; they divert to an
 overflow list. Every emitted pack represents exactly ``capacity`` tokens
-after padding. ``load_plan`` accepts only what ``emit_plan`` writes.
+after padding. ``load_plan`` accepts only what ``emit_plan`` writes, and
+rejects blank lines, which ``emit_plan`` never writes.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from operator import attrgetter
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+
+import numpy as np
 
 from .rng import shard_of
 
@@ -37,7 +51,7 @@ DEFAULT_CAPACITY = 8192
 
 @dataclass(frozen=True)
 class PackItem:
-    """One sample in a packing manifest: identity, token length, source tag."""
+    """One row of an ``Items``: identity, token length, source tag."""
 
     sample_id: str
     length: int
@@ -46,6 +60,85 @@ class PackItem:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"item {self.sample_id!r} has length {self.length}, must be >= 1")
+
+
+def _source_codes(sources: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int32 codes of source tags into a tag table in first-seen order."""
+    code = {tag: i for i, tag in enumerate(dict.fromkeys(sources))}
+    return np.fromiter(map(code.__getitem__, sources), np.int32, len(sources)), tuple(code)
+
+
+@dataclass(frozen=True, eq=False)
+class Items(Sequence[PackItem]):
+    """Pack items as columns: item i is ``ids[i]``, ``length[i]`` tokens
+    long, with source tag ``tags[source[i]]``. The constructor checks once,
+    with vector operations, that the columns have equal lengths, every
+    length is at least 1 and every source code names a tag. ``len``,
+    indexing and iteration build ``PackItem`` rows on demand."""
+
+    ids: list[str] = field(default_factory=list)
+    length: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))  # int64[n]
+    source: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))  # int32[n]
+    tags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        if self.length.dtype != np.int64 or self.source.dtype != np.int32:
+            raise ValueError("length must be an int64 column and source an int32 column")
+        if self.length.shape != (n,) or self.source.shape != (n,):
+            raise ValueError(
+                f"columns of unequal length: {n} ids, {self.length.size} lengths, "
+                f"{self.source.size} sources"
+            )
+        if n == 0:
+            return
+        if self.length.min() < 1:
+            i = int(np.argmax(self.length < 1))
+            raise ValueError(f"item {self.ids[i]!r} has length {self.length[i]}, must be >= 1")
+        if self.source.min() < 0 or self.source.max() >= len(self.tags):
+            i = int(np.argmax((self.source < 0) | (self.source >= len(self.tags))))
+            raise ValueError(
+                f"item {self.ids[i]!r} has source code {self.source[i]}, "
+                f"outside its {len(self.tags)} tags"
+            )
+
+    @classmethod
+    def from_lists(cls, ids: list[str], lengths: list[int], sources: list[str]) -> Items:
+        """Checked columns of parallel lists; ``lengths`` must hold integers."""
+        codes, tags = _source_codes(sources)
+        return cls(ids, np.array(lengths, dtype=np.int64).reshape(-1), codes, tags)
+
+    @classmethod
+    def of(cls, rows: Iterable[PackItem]) -> Items:
+        """Checked columns of hand-built rows; an ``Items`` is returned as is.
+        A length that is not an integer is rejected, not truncated."""
+        if isinstance(rows, Items):
+            return rows
+        rows = list(rows)
+        for i, r in enumerate(rows):
+            if not isinstance(r.length, (int, np.integer)):
+                raise ValueError(f"row {i}: length {r.length!r} is not an integer")
+            check_length(r.sample_id, r.length)
+        return cls.from_lists(
+            [r.sample_id for r in rows], [r.length for r in rows], [r.source for r in rows]
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> PackItem:
+        i = range(len(self))[i]  # a negative i counts from the end, as for lists
+        return PackItem(self.ids[i], int(self.length[i]), self.tags[self.source[i]])
+
+    def __iter__(self) -> Iterator[PackItem]:
+        tags = self.tags
+        sources = [tags[c] for c in self.source.tolist()]
+        return map(PackItem, self.ids, self.length.tolist(), sources)
+
+    def take(self, rows: np.ndarray) -> Items:
+        """Item j of the result is item ``rows[j]``; the tag table is shared."""
+        ids = [self.ids[i] for i in rows.tolist()]
+        return Items(ids, self.length[rows], self.source[rows], self.tags)
 
 
 @dataclass(frozen=True)
@@ -79,36 +172,91 @@ class PackingConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PackPlan:
-    """Partition of the input into capacity-bounded packs plus overflow."""
+    """Partition of the input into capacity-bounded packs plus overflow.
+
+    Pack p holds ``packed[bounds[p]:bounds[p + 1]]``, in emitted order;
+    ``overflowed`` holds the items longer than the capacity. ``packs`` and
+    ``overflow`` are row views, built once and then the same lists.
+    """
 
     capacity: int
-    packs: list[list[PackItem]] = field(default_factory=list)
-    overflow: list[PackItem] = field(default_factory=list)
+    packed: Items = field(default_factory=Items)
+    bounds: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))  # int64[P + 1]
+    overflowed: Items = field(default_factory=Items)
+
+    def __post_init__(self) -> None:
+        b = self.bounds
+        if b.ndim != 1 or b.size < 1 or b[0] != 0 or b[-1] != len(self.packed):
+            raise ValueError("bounds must rise from 0 to the number of packed items")
+        if np.any(b[1:] < b[:-1]):
+            raise ValueError("bounds must rise from 0 to the number of packed items")
+
+    @classmethod
+    def of(
+        cls,
+        capacity: int,
+        packs: Iterable[Iterable[PackItem]] = (),
+        overflow: Iterable[PackItem] = (),
+    ) -> PackPlan:
+        """A plan of hand-built rows, pack by pack."""
+        packs = [list(p) for p in packs]
+        sizes = np.array([len(p) for p in packs], dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        packed = Items.of([it for p in packs for it in p])
+        return cls(capacity, packed, bounds, Items.of(overflow))
+
+    @property
+    def num_packs(self) -> int:
+        return self.bounds.size - 1
+
+    @cached_property
+    def fills(self) -> np.ndarray:
+        """Tokens per pack, int64[P]."""
+        ends = np.concatenate(([0], np.cumsum(self.packed.length)))
+        return ends[self.bounds[1:]] - ends[self.bounds[:-1]]
+
+    @cached_property
+    def packs(self) -> list[list[PackItem]]:
+        rows = list(self.packed)
+        b = self.bounds.tolist()
+        return [rows[lo:hi] for lo, hi in zip(b, b[1:])]
+
+    @cached_property
+    def overflow(self) -> list[PackItem]:
+        return list(self.overflowed)
 
     def paddings(self) -> list[int]:
-        return [self.capacity - sum(it.length for it in pack) for pack in self.packs]
+        return (self.capacity - self.fills).tolist()
 
     def num_items(self) -> int:
-        return sum(len(p) for p in self.packs) + len(self.overflow)
+        return len(self.packed) + len(self.overflowed)
 
     def validate(self) -> None:
-        seen: set[str] = set()
-        for i, pack in enumerate(self.packs):
-            if not pack:
-                raise ValueError(f"pack {i} is empty")
-            total = sum(it.length for it in pack)
-            if total > self.capacity:
-                raise ValueError(f"pack {i} holds {total} tokens > capacity {self.capacity}")
-            for it in pack:
-                if it.sample_id in seen:
-                    raise ValueError(f"partition violation: sample {it.sample_id!r} repeated")
-                seen.add(it.sample_id)
-        for it in self.overflow:
-            if it.sample_id in seen:
-                raise ValueError(f"partition violation: sample {it.sample_id!r} repeated")
-            seen.add(it.sample_id)
+        """Every pack non-empty and within capacity, and no id twice; the
+        first fault in pack order, then the overflow, is named."""
+        faults = []
+        empty = np.flatnonzero(self.bounds[1:] == self.bounds[:-1])
+        if empty.size:
+            faults.append((int(empty[0]), 0, f"pack {empty[0]} is empty"))
+        over = np.flatnonzero(self.fills > self.capacity)
+        if over.size:
+            p = int(over[0])
+            faults.append(
+                (p, 1, f"pack {p} holds {self.fills[p]} tokens > capacity {self.capacity}")
+            )
+        ids = self.packed.ids + self.overflowed.ids
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for j, sample_id in enumerate(ids):
+                if sample_id in seen:
+                    break
+                seen.add(sample_id)
+            pack = int(np.searchsorted(self.bounds, j, side="right")) - 1
+            faults.append((pack, 2, f"partition violation: sample {sample_id!r} repeated"))
+        if faults:
+            raise ValueError(min(faults)[2])
 
 
 @dataclass
@@ -126,12 +274,24 @@ class PackingStats:
         return asdict(self)
 
 
-def _packing_order(items: Iterable[PackItem]) -> list[PackItem]:
-    # Length descending, ties by sample_id ascending: two stable passes
-    # avoid building a key tuple per item.
-    ordered = sorted(items, key=attrgetter("sample_id"))
-    ordered.sort(key=attrgetter("length"), reverse=True)
-    return ordered
+def _id_rank(ids: list[str]) -> np.ndarray:
+    """Dense rank of each id in Python string order; equal ids share a rank.
+
+    Python's ``sorted`` orders the ids: a numpy "<U" array would drop
+    trailing NUL characters and tie "a" with "a\\x00".
+    """
+    n = len(ids)
+    order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.int64, n)
+    in_order = np.array(ids, dtype=object)[order]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(np.concatenate(([False], in_order[1:] != in_order[:-1])))
+    return rank
+
+
+def _packing_order(rank: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Positions in packing order: length descending, then id ascending,
+    then the given order (a stable sort)."""
+    return np.lexsort((rank, -length))
 
 
 def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:
@@ -190,12 +350,16 @@ class _FirstFitBins:
         self.capacity = capacity
         self.max_samples = max_samples
         self.max_sources = max_sources
-        self.packs: list[list[PackItem]] = []
+        self._count: list[int] = []
         self._remaining: list[int] = []
-        self._sources: list[set[str]] = []
+        self._sources: list[set[int]] = []
         self._size = 1
         self._tree: dict[int, int] = {}
-        self._full: dict[str, dict[int, int]] = {}
+        self._full: dict[int, dict[int, int]] = {}
+
+    @property
+    def num_packs(self) -> int:
+        return len(self._remaining)
 
     def _grow(self) -> None:
         # Doubling the leaf count makes each old tree the left subtree of a
@@ -210,36 +374,37 @@ class _FirstFitBins:
         self._tree = shifted(self._tree)
         self._full = {src: shifted(tree) for src, tree in self._full.items()}
 
-    def place(self, item: PackItem) -> None:
-        need = item.length
+    def place(self, length: int, source: int) -> int:
+        """Put an item of ``length`` tokens and source code ``source`` in the
+        first pack with room, opening one if none has; returns its index."""
+        need = length
         max_sources = self.max_sources
         idx = _sparse_find(self._tree, self._size, need)
         if max_sources is not None:
-            sparse = self._full.get(item.source)
+            sparse = self._full.get(source)
             if sparse is not None:
                 hit = _sparse_find(sparse, self._size, need)
                 if hit != -1 and (idx == -1 or hit < idx):
                     idx = hit
         if idx == -1:
-            idx = len(self.packs)
+            idx = len(self._remaining)
             if idx >= self._size:
                 self._grow()
-            self.packs.append([])
+            self._count.append(0)
             self._remaining.append(self.capacity)
             self._sources.append(set())
-        pack = self.packs[idx]
-        pack.append(item)
+        self._count[idx] += 1
         self._remaining[idx] -= need
         value = self._remaining[idx]
-        if self.max_samples is not None and len(pack) >= self.max_samples:
+        if self.max_samples is not None and self._count[idx] >= self.max_samples:
             value = -1
         sources = self._sources[idx]
         was_full = len(sources) == max_sources
-        sources.add(item.source)
+        sources.add(source)
         pos = self._size + idx
         if max_sources is None or len(sources) < max_sources:
             _sparse_set(self._tree, pos, value)
-            return
+            return idx
         if not was_full:
             _sparse_set(self._tree, pos, -1)
         full = self._full
@@ -248,62 +413,87 @@ class _FirstFitBins:
             if sparse is None:
                 sparse = full[src] = {}
             _sparse_set(sparse, pos, value)
+        return idx
 
 
 def _ffd(
-    ordered: Sequence[PackItem],
+    lengths: list[int],
+    sources: list[int],
     capacity: int,
     max_samples: int | None,
     max_sources: int | None,
-) -> list[list[PackItem]]:
+) -> tuple[list[int], int]:
+    """First fit of items in the given order: each item's pack index, and
+    the number of packs opened."""
     bins = _FirstFitBins(capacity, max_samples, max_sources)
-    for it in ordered:
-        bins.place(it)
-    return bins.packs
+    placed = list(map(bins.place, lengths, sources))
+    return placed, bins.num_packs
 
 
-def _bucket_index(length: int, capacity: int, num_buckets: int) -> int:
+def _bucket_index(length: np.ndarray, capacity: int, num_buckets: int) -> np.ndarray:
     # Bucket b holds lengths in (capacity/2^(b+1), capacity/2^b]; the last
-    # bucket also absorbs everything shorter.
-    b = 0
-    while b < num_buckets - 1 and length * (1 << (b + 1)) <= capacity:
-        b += 1
-    return b
+    # bucket also absorbs everything shorter. An item's bucket counts the
+    # b in 1..num_buckets-1 with length * 2^b <= capacity, i.e. with
+    # length <= capacity >> b (the bound shrinks as b grows).
+    bounds = np.array([capacity >> b for b in range(num_buckets - 1, 0, -1)], dtype=np.int64)
+    return bounds.size - np.searchsorted(bounds, length, side="left")
 
 
 def _pack_shard(
-    shard_items: list[PackItem], config: PackingConfig
-) -> tuple[list[list[PackItem]], list[PackItem]]:
-    ordered = _packing_order(shard_items)
-    overflow = [it for it in ordered if it.length > config.capacity]
-    in_range = [it for it in ordered if it.length <= config.capacity]
+    length: np.ndarray, source: np.ndarray, rank: np.ndarray, config: PackingConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack one shard's in-range items, given in packing order.
 
-    buckets: list[list[PackItem]] = [[] for _ in range(config.num_buckets)]
-    for it in in_range:
-        buckets[_bucket_index(it.length, config.capacity, config.num_buckets)].append(it)
-
+    Returns the positions in emitted order and the size of each pack.
+    """
     caps = (config.capacity, config.max_samples_per_pack, config.max_sources_per_pack)
-    packs = [p for bucket in buckets for p in _ffd(bucket, *caps)]
+    lengths, sources = length.tolist(), source.tolist()
+    # In packing order the bucket index never decreases: each bucket is a run.
+    cuts = np.searchsorted(
+        _bucket_index(length, config.capacity, config.num_buckets),
+        np.arange(config.num_buckets + 1),
+    ).tolist()
+    pack_of: list[int] = []
+    num_packs = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        placed, opened = _ffd(lengths[lo:hi], sources[lo:hi], *caps)
+        pack_of += [p + num_packs for p in placed] if num_packs else placed
+        num_packs += opened
+    pack_of = np.array(pack_of, dtype=np.int64)
+    # Placement order within a pack: position, then refilled items after.
+    seq = np.arange(length.size)
 
     # One refill pass: dismantle packs below the utilization threshold and
     # re-pack their items jointly. Applied only when it actually merges
     # residuals (fewer packs); otherwise the original packs stand. With one
     # bucket it is skipped, as it could never apply: first fit over the
     # residual packs' items, in their original order, rebuilds those packs.
-    if config.num_buckets == 1:
-        return packs, overflow
-    threshold = config.min_utilization * config.capacity
-    residual_at = [i for i, p in enumerate(packs) if sum(it.length for it in p) < threshold]
-    if len(residual_at) >= 2:
-        refilled = _ffd(_packing_order(it for i in residual_at for it in packs[i]), *caps)
-        if len(refilled) < len(residual_at):
-            residual_set = set(residual_at)
-            packs = [p for i, p in enumerate(packs) if i not in residual_set] + refilled
-    return packs, overflow
+    if config.num_buckets > 1:
+        fills = np.bincount(pack_of, weights=length, minlength=num_packs)
+        residual = fills < config.min_utilization * config.capacity
+        num_residual = int(np.count_nonzero(residual))
+        if num_residual >= 2:
+            # Residual items pack by pack, then in packing order (stable).
+            moved = np.flatnonzero(residual[pack_of])
+            moved = moved[np.argsort(pack_of[moved], kind="stable")]
+            moved = moved[_packing_order(rank[moved], length[moved])]
+            picked = moved.tolist()
+            placed, opened = _ffd(
+                [lengths[i] for i in picked], [sources[i] for i in picked], *caps
+            )
+            if opened < num_residual:
+                kept = ~residual
+                renumber = np.cumsum(kept) - 1
+                pack_of = renumber[pack_of]
+                num_kept = num_packs - num_residual
+                pack_of[moved] = np.add(placed, num_kept)
+                seq[moved] = length.size + np.arange(moved.size)
+                num_packs = num_kept + opened
+    return np.lexsort((seq, pack_of)), np.bincount(pack_of, minlength=num_packs)
 
 
 def pack_bucketed(
-    items: Iterable[PackItem], config: PackingConfig, threads: int = 1
+    items: Iterable[PackItem] | Items, config: PackingConfig, threads: int = 1
 ) -> PackPlan:
     """Hash-sharded, length-bucketed packing with a residual refill pass.
 
@@ -314,22 +504,34 @@ def pack_bucketed(
     so worker threads gave no speedup. ``threads`` is accepted for
     interface compatibility and has no effect.
     """
-    shard_lists: list[list[PackItem]] = [[] for _ in range(config.shards)]
+    items = Items.of(items)
+    length, source = items.length, items.source
     if config.shards == 1:
-        shard_lists[0] = list(items)
+        shard = np.zeros(len(items), dtype=np.int64)
     else:
-        for it in items:
-            shard_lists[shard_of(it.sample_id, config.seed, config.shards)].append(it)
+        seed, shards = config.seed, config.shards
+        shard = np.fromiter(
+            (shard_of(sample_id, seed, shards) for sample_id in items.ids), np.int64, len(items)
+        )
+    rank = _id_rank(items.ids)
+    # Shard by shard, each in packing order; overflow keeps that order.
+    order = np.lexsort((rank, -length, shard))
+    too_long = length[order] > config.capacity
+    in_range = order[~too_long]
+    cuts = np.searchsorted(shard[in_range], np.arange(config.shards + 1)).tolist()
+    emitted, sizes = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = in_range[lo:hi]
+        shard_order, shard_sizes = _pack_shard(length[at], source[at], rank[at], config)
+        emitted.append(at[shard_order])
+        sizes.append(shard_sizes)
+    bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes)))).astype(np.int64)
+    return PackPlan(
+        config.capacity, items.take(np.concatenate(emitted)), bounds, items.take(order[too_long])
+    )
 
-    plan = PackPlan(capacity=config.capacity)
-    for shard_items in shard_lists:
-        packs, overflow = _pack_shard(shard_items, config)
-        plan.packs.extend(packs)
-        plan.overflow.extend(overflow)
-    return plan
 
-
-def pack(items: Iterable[PackItem], config: PackingConfig) -> PackPlan:
+def pack(items: Iterable[PackItem] | Items, config: PackingConfig) -> PackPlan:
     """Pack under ``config``.
 
     Strategy "ffd" is the bucket path with one bucket and one shard, which
@@ -341,7 +543,7 @@ def pack(items: Iterable[PackItem], config: PackingConfig) -> PackPlan:
 
 
 def pack_ffd(
-    items: Iterable[PackItem],
+    items: Iterable[PackItem] | Items,
     capacity: int,
     *,
     max_samples_per_pack: int | None = None,
@@ -453,16 +655,32 @@ def _stats(
 
 def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
     """Compression, utilization, and success-rate accounting for a plan."""
-    fills = [sum(it.length for it in p) for p in plan.packs]
-    threshold = config.min_utilization * plan.capacity
+    fills = plan.fills
     return _stats(
-        num_packs=len(plan.packs),
-        packed=sum(len(p) for p in plan.packs),
-        overflow=len(plan.overflow),
-        tokens=sum(fills),
+        num_packs=plan.num_packs,
+        packed=len(plan.packed),
+        overflow=len(plan.overflowed),
+        tokens=int(fills.sum()),
         capacity=plan.capacity,
-        successes=sum(1 for fill in fills if fill >= threshold),
+        successes=int(np.count_nonzero(fills >= config.min_utilization * plan.capacity)),
     )
+
+
+def _item_fragments(items: Items, lo: int, hi: int, offsets: np.ndarray | None) -> list[str]:
+    """Items lo..hi-1 as ``json.dumps`` writes them without spaces:
+    {"id","len","off","src"}, or {"id","len","src"} without offsets."""
+    ids = map(encode_basestring_ascii, items.ids[lo:hi])
+    tags = [encode_basestring_ascii(tag) for tag in items.tags]
+    sources = [tags[c] for c in items.source[lo:hi].tolist()]
+    lengths = items.length[lo:hi].tolist()
+    if offsets is None:
+        return list(map('{"id":%s,"len":%d,"src":%s}'.__mod__, zip(ids, lengths, sources)))
+    fields = zip(ids, lengths, offsets[lo:hi].tolist(), sources)
+    return list(map('{"id":%s,"len":%d,"off":%d,"src":%s}'.__mod__, fields))
+
+
+# Packs formatted per write in emit_plan; bounds its temporary strings.
+_EMIT_BLOCK = 2048
 
 
 def emit_plan(
@@ -473,38 +691,44 @@ def emit_plan(
     Pack records carry per-item offsets (prefix sums of lengths) and the
     padding count so downstream loaders can build attention-segment
     boundaries. The trailer holds overflow items and summary stats, which
-    are also returned.
+    are also returned. Every line is what ``json.dumps`` with separators
+    (",", ":") writes for the record.
     """
     cfg = config if config is not None else PackingConfig(capacity=plan.capacity)
     stats = packing_stats(plan, cfg)
+    bounds, cap, packed = plan.bounds, plan.capacity, plan.packed
+    before = np.concatenate(([0], np.cumsum(packed.length)))  # tokens before each item
+    offsets = before[:-1] - np.repeat(before[bounds[:-1]], np.diff(bounds))
+    b = bounds.tolist()
+    pads = (cap - plan.fills).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for pack_idx, items in enumerate(plan.packs):
-            off = 0
-            recs = []
-            for it in items:
-                recs.append({"id": it.sample_id, "len": it.length, "off": off, "src": it.source})
-                off += it.length
-            rec = {
-                "pack": pack_idx,
-                "capacity": plan.capacity,
-                "items": recs,
-                "pad": plan.capacity - off,
-            }
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        trailer = {
-            "capacity": plan.capacity,
-            "overflow": [
-                {"id": it.sample_id, "len": it.length, "src": it.source}
-                for it in plan.overflow
-            ],
-            "stats": stats.to_dict(),
-        }
-        f.write(json.dumps(trailer, separators=(",", ":")) + "\n")
+        for first in range(0, plan.num_packs, _EMIT_BLOCK):
+            last = min(first + _EMIT_BLOCK, plan.num_packs)
+            base = b[first]
+            fragments = _item_fragments(packed, base, b[last], offsets)
+            f.writelines(
+                '{"pack":%d,"capacity":%d,"items":[%s],"pad":%d}\n'
+                % (p, cap, ",".join(fragments[b[p] - base : b[p + 1] - base]), pads[p])
+                for p in range(first, last)
+            )
+        overflow = _item_fragments(plan.overflowed, 0, len(plan.overflowed), None)
+        f.write(
+            '{"capacity":%d,"overflow":[%s],"stats":%s}\n'
+            % (cap, ",".join(overflow), json.dumps(stats.to_dict(), separators=(",", ":")))
+        )
     return stats
 
 
-_REQUIRED = object()
+class _Missing:
+    """Sentinel for an absent JSON field; reads "missing" in messages."""
+
+    def __repr__(self) -> str:
+        return "missing"
+
+
+_REQUIRED = _Missing()
 _JSON_TYPE_NAMES = {int: "integer", float: "float", str: "string", list: "array", dict: "object"}
+_INT64_MAX = 2**63 - 1
 
 
 def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
@@ -527,12 +751,21 @@ def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-def _plan_item(rec: dict) -> PackItem:
-    return PackItem(
-        sample_id=json_field(rec, "id", str),
-        length=json_field(rec, "len", int),
-        source=json_field(rec, "src", str, ""),
-    )
+def check_length(sample_id: str, length: int) -> None:
+    """An item length must be at least 1 and fit an int64 column."""
+    if length < 1:
+        raise ValueError(f"item {sample_id!r} has length {length}, must be >= 1")
+    if length > _INT64_MAX:
+        raise ValueError(f"item {sample_id!r} has length {length}, beyond the int64 range")
+
+
+def _plan_fields(r) -> tuple[str, int, str]:
+    """id, length and source of one plan item, with strict JSON types."""
+    sample_id = json_field(r, "id", str)
+    length = json_field(r, "len", int)
+    source = json_field(r, "src", str, "")
+    check_length(sample_id, length)
+    return sample_id, length, source
 
 
 def load_plan(path: str | Path) -> PackPlan:
@@ -542,12 +775,16 @@ def load_plan(path: str | Path) -> PackPlan:
     must exceed the capacity, and the trailer's capacity and stats must
     agree with the packs read before it; ``success_rate`` is not checked,
     since it depends on a min_utilization the file does not record.
+    Items go straight into columns; no ``PackItem`` is built.
     """
-    packs: list[list[PackItem]] = []
-    overflow: list[PackItem] = []
+    ids: list[str] = []
+    lengths: list[int] = []
+    sources: list[str] = []
+    bounds = [0]
+    overflow: tuple[list[str], list[int], list[str]] = ([], [], [])
     capacity: int | None = None
     saw_trailer = False
-    packed = tokens = 0
+    tokens = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -566,27 +803,40 @@ def load_plan(path: str | Path) -> PackPlan:
                     cap = json_field(rec, "capacity", int)
                     raw_items = json_field(rec, "items", list)
                     pad = json_field(rec, "pad", int)
-                    if pack_idx != len(packs):
-                        raise ValueError(f"pack index {pack_idx}, expected {len(packs)}")
+                    if pack_idx != len(bounds) - 1:
+                        raise ValueError(f"pack index {pack_idx}, expected {len(bounds) - 1}")
                     if capacity is None:
                         capacity = cap
                     elif cap != capacity:
                         raise ValueError(f"capacity {cap} != {capacity}")
-                    items = []
                     off = 0
                     for r in raw_items:
-                        it = _plan_item(r)
-                        item_off = json_field(r, "off", int)
-                        if item_off != off:
-                            raise ValueError(
-                                f"offset {item_off} for {it.sample_id!r}, expected {off}"
+                        # Fast path for a well-formed item; _plan_fields
+                        # decides, and names the fault, for anything else.
+                        try:
+                            sample_id, length, item_off = r["id"], r["len"], r["off"]
+                            source = r.get("src", "")
+                            well_formed = (
+                                type(sample_id) is str
+                                and type(length) is int
+                                and type(source) is str
+                                and type(item_off) is int
+                                and 0 < length <= _INT64_MAX
                             )
-                        off += it.length
-                        items.append(it)
+                        except (TypeError, KeyError):
+                            well_formed = False
+                        if not well_formed:
+                            sample_id, length, source = _plan_fields(r)
+                            item_off = json_field(r, "off", int)
+                        if item_off != off:
+                            raise ValueError(f"offset {item_off} for {sample_id!r}, expected {off}")
+                        off += length
+                        ids.append(sample_id)
+                        lengths.append(length)
+                        sources.append(source)
                     if pad != cap - off:
                         raise ValueError(f"padding {pad}, expected {cap - off}")
-                    packs.append(items)
-                    packed += len(items)
+                    bounds.append(len(ids))
                     tokens += off
                 elif "stats" in rec:
                     saw_trailer = True
@@ -596,15 +846,17 @@ def load_plan(path: str | Path) -> PackPlan:
                     elif cap != capacity:
                         raise ValueError(f"trailer capacity {cap} != pack capacity {capacity}")
                     for r in json_field(rec, "overflow", list):
-                        it = _plan_item(r)
-                        if it.length <= capacity:
+                        sample_id, length, source = _plan_fields(r)
+                        if length <= capacity:
                             raise ValueError(
-                                f"overflow item {it.sample_id!r} of length {it.length} "
+                                f"overflow item {sample_id!r} of length {length} "
                                 f"fits the capacity {capacity}"
                             )
-                        overflow.append(it)
+                        for column, value in zip(overflow, (sample_id, length, source)):
+                            column.append(value)
                     stats = json_field(rec, "stats", dict)
-                    want = _stats(len(packs), packed, len(overflow), tokens, capacity, None)
+                    num_packs = len(bounds) - 1
+                    want = _stats(num_packs, len(ids), len(overflow[0]), tokens, capacity, None)
                     for key, value in want.to_dict().items():
                         got = stats.get(key, _REQUIRED)
                         if key != "success_rate" and (type(got) is not type(value) or got != value):
@@ -618,6 +870,11 @@ def load_plan(path: str | Path) -> PackPlan:
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None
-    plan = PackPlan(capacity=capacity, packs=packs, overflow=overflow)
+    plan = PackPlan(
+        capacity,
+        Items.from_lists(ids, lengths, sources),
+        np.array(bounds, dtype=np.int64),
+        Items.from_lists(*overflow),
+    )
     plan.validate()
     return plan

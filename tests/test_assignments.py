@@ -1,6 +1,7 @@
 """The columnar ``Assignments``: its row rules, its row views and its writer."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ def test_of_names_the_broken_row(fields, message):
     rec = json.loads("{%s}" % fields)
     rows = [row(0, [(3, 0.5)]), row(1, zip(rec["c"], rec["s"])), row(2, [(3, 0.5)])]
     with pytest.raises(ValueError, match=f"^row 1: {message}"):
+        Assignments.of(rows)
+
+
+@pytest.mark.parametrize("index", [1.7, 2.0, np.float64(1.0), "1"])
+def test_of_rejects_a_concept_index_that_is_not_an_integer(index):
+    rows = [row(0, [(3, 0.5)]), row(1, [(4, 0.5), (index, 0.25)])]
+    message = re.escape(f"row 1: concept index {index!r} is not an integer")
+    with pytest.raises(ValueError, match=f"^{message}"):
         Assignments.of(rows)
 
 

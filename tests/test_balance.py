@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from balancepack.balance import (
+    _race_keys,
     balance_report,
     concept_frequencies,
     image_weights,
@@ -172,6 +173,13 @@ def test_sample_without_replacement_rejects_n_above_positive_weights():
     assert set(sample_balanced(w, 50, seed=4, replacement=True).tolist()) <= {1, 3, 4}
 
 
+def test_race_key_of_a_zero_draw_is_finite():
+    keys = _race_keys(np.array([0.0, 0.5, 0.0]), np.array([0.5, 0.5, 0.0]))
+    assert np.isfinite(keys[:2]).all() and keys[0] > keys[1]
+    assert keys[0] == -np.log(np.nextafter(0.0, 1.0)) / 0.5
+    assert keys[2] == np.inf  # a zero weight still never wins the race
+
+
 # -------------------------------------------------------------------- reports
 
 
@@ -297,7 +305,28 @@ def test_weights_save_writes_what_json_dumps_writes(tmp_path):
         json.dumps({"i": i, "w": float(x)}, separators=(",", ":")) + "\n" for i, x in enumerate(w)
     )
     assert path.read_text() == want
+    # These weights do not sum to 1, so the reader refuses them.
+    with pytest.raises(ValueError, match="weights sum to"):
+        load_weights(path)
+
+
+def test_weights_load_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(6)
+    w = np.concatenate([rng.random(200), [0.0, -0.0, 5e-324, 2.2250738585072014e-308]])
+    w /= w.sum()
+    path = tmp_path / "w.jsonl"
+    save_weights(path, w)
     assert load_weights(path).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("second", [0.4, 0.6, 0.5 + 2e-9])
+def test_weights_load_rejects_a_sum_other_than_one(tmp_path, second):
+    path = tmp_path / "w.jsonl"
+    path.write_text('{"i":0,"w":0.5}\n{"i":1,"w":%r}\n' % second)
+    with pytest.raises(ValueError, match=f"^{path}: weights sum to {0.5 + second!r}, not 1"):
+        load_weights(path)
+    path.write_text('{"i":0,"w":0.5}\n{"i":1,"w":%r}\n' % (0.5 + 5e-10))
+    assert load_weights(path).tolist() == [0.5, 0.5 + 5e-10]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])

@@ -95,6 +95,33 @@ def test_pack_threads_do_not_change_bytes(tmp_path, capsys, synth_dir):
     assert outs[0] == outs[1]
 
 
+def test_pack_and_stats_build_no_row_objects(tmp_path, capsys, monkeypatch, synth_dir):
+    # Items and plans stay columns from reading to writing: count every
+    # PackItem and SampleRecord constructed while pack and stats run.
+    from balancepack import manifest, packing
+
+    built = []
+    for cls in (packing.PackItem, manifest.SampleRecord):
+        real = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, real=real: built.append(type(self)) or real(self)
+        )
+    pack_dir, stats_dir = tmp_path / "p", tmp_path / "st"
+    for argv in (
+        ["pack", "--output", str(pack_dir), "--input", str(synth_dir / "manifest.jsonl"),
+         "--capacity", "2048", "--shards", "4", "--max-sources-per-pack", "2",
+         "--max-samples-per-pack", "4"],
+        ["stats", "--output", str(stats_dir), "--input", str(pack_dir / "plan.jsonl")],
+    ):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+    assert built == []
+    # The counter sees rows where they are built: the plan's row views.
+    plan = load_plan(pack_dir / "plan.jsonl")
+    assert built == [] and plan.packs
+    assert built == [packing.PackItem] * len(plan.packed)
+
+
 def test_weigh_sample_coverage_chain(tmp_path, capsys, synth_dir):
     weigh_dir = tmp_path / "weigh"
     code, _, _ = run_cli(

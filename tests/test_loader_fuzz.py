@@ -1,0 +1,160 @@
+"""Seeded fuzz tests of the manifest and plan readers against the oracle readers.
+
+Valid files are mutated by truncation, character flips, JSON type swaps,
+and duplicated, dropped, swapped or blank lines. On every mutant the
+columnar reader must do what the object-based reader in
+``packing_oracle`` does: load the same items, or raise a ValueError with
+the same message. A fault inside a record names its line.
+"""
+
+import json
+
+import numpy as np
+import packing_oracle as oracle
+import pytest
+
+from balancepack.manifest import load_pack_items
+from balancepack.packing import PackingConfig, PackItem, emit_plan, load_plan, pack_bucketed
+
+# Values a swap puts in place of a field: every JSON type, and integers
+# that break the range rules (0, negative) without leaving int64.
+SWAPS = [0, -1, 7, 336, 2.0, 1.5, "7", "", None, True, False, [], {}, [1], {"w": 336}]
+FLIPS = '0123456789",:{}[]aetn-. \\'
+# Reader faults that concern the whole file rather than one line.
+FILE_FAULTS = ("stats trailer", "partition violation", " is empty", " tokens > capacity")
+
+
+def valid_manifest(rng):
+    lines = []
+    for j in range(30):
+        sample_id = f"s{j:02d}" if j % 9 else f"s\u00e9{j:02d}\u2028"
+        kind = j % 5
+        if kind == 0:
+            rec = {"id": sample_id, "source": "web", "length": int(rng.integers(1, 60))}
+        elif kind == 1:
+            rec = {"id": sample_id, "source": "doc", "text_tokens": int(rng.integers(1, 60))}
+        elif kind == 2:
+            rec = {"id": sample_id, "source": "img", "text_tokens": int(rng.integers(0, 9)),
+                   "image": {"w": int(rng.integers(14, 400)), "h": int(rng.integers(14, 400))}}
+        elif kind == 3:
+            rec = {"id": sample_id, "text_tokens": 3, "image": {"w": 64, "h": 80},
+                   "patch": 16, "merge": 4}
+        else:
+            rec = {"id": sample_id, "length": int(rng.integers(1, 60))}
+        lines.append(json.dumps(rec) + "\n")
+    lines.insert(int(rng.integers(len(lines))), "\n")
+    return lines
+
+
+def valid_plan(rng, path):
+    items = [
+        PackItem(f"p{j:02d}", int(rng.integers(1, 52)), f"src{int(rng.integers(3))}")
+        for j in range(40)
+    ]
+    cfg = PackingConfig(capacity=40, num_buckets=3, shards=2, max_sources_per_pack=2, seed=3)
+    emit_plan(pack_bucketed(items, cfg), path, cfg)
+    return path.read_text().splitlines(keepends=True)
+
+
+def scalar_paths(value, path=()):
+    """Paths to every value inside a parsed record, nested ones included."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield path + (key,)
+            yield from scalar_paths(inner, path + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield path + (i,)
+            yield from scalar_paths(inner, path + (i,))
+
+
+def swap_type(rng, line):
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return line
+    paths = list(scalar_paths(rec))
+    if not paths:
+        return line
+    path = paths[int(rng.integers(len(paths)))]
+    target = rec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = SWAPS[int(rng.integers(len(SWAPS)))]
+    return json.dumps(rec, separators=(",", ":") if rng.random() < 0.5 else None) + "\n"
+
+
+def mutate(rng, lines):
+    lines = list(lines)
+    for _ in range(int(rng.integers(1, 4))):
+        if not lines:
+            break
+        kind = int(rng.integers(7))
+        at = int(rng.integers(len(lines)))
+        if kind == 0:  # truncation
+            text = "".join(lines)
+            return [text[: int(rng.integers(len(text)))]]
+        if kind == 1:  # character flip
+            line = lines[at]
+            pos = int(rng.integers(len(line)))
+            lines[at] = line[:pos] + FLIPS[int(rng.integers(len(FLIPS)))] + line[pos + 1 :]
+        elif kind == 2:
+            lines[at] = swap_type(rng, lines[at])
+        elif kind == 3:
+            lines.insert(int(rng.integers(len(lines) + 1)), lines[at])
+        elif kind == 4:
+            del lines[at]
+        elif kind == 5:
+            lines.insert(at, " \n" if rng.random() < 0.5 else "\n")
+        else:
+            other = int(rng.integers(len(lines)))
+            lines[at], lines[other] = lines[other], lines[at]
+    return lines
+
+
+def plan_rows(path):
+    plan = load_plan(path)
+    return plan.capacity, plan.packs, plan.overflow
+
+
+def outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_manifest_reader_matches_the_oracle_on_mutants(tmp_path, seed):
+    rng = np.random.default_rng([17, seed])
+    path = tmp_path / "m.jsonl"
+    base = valid_manifest(rng)
+    loaded = 0
+    for _ in range(250):
+        path.write_text("".join(mutate(rng, base)), encoding="utf-8")
+        want = outcome(oracle.load_pack_items, path)
+        got = outcome(lambda p: list(load_pack_items(p)), path)
+        assert got == want
+        if got[0] == "error":
+            assert f"{path}: line " in got[1]
+        else:
+            loaded += 1
+    assert 0 < loaded < 250
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_plan_reader_matches_the_oracle_on_mutants(tmp_path, seed):
+    rng = np.random.default_rng([19, seed])
+    path = tmp_path / "p.jsonl"
+    base = valid_plan(rng, path)
+    loaded = 0
+    for _ in range(250):
+        path.write_text("".join(mutate(rng, base)), encoding="utf-8")
+        want = outcome(oracle.load_plan, path)
+        got = outcome(plan_rows, path)
+        assert got == want
+        if got[0] == "error":
+            assert f"{path}: line " in got[1] or any(f in got[1] for f in FILE_FAULTS), got[1]
+        else:
+            loaded += 1
+    assert 0 < loaded < 250

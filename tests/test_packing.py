@@ -379,7 +379,7 @@ def test_plan_round_trip_randomized(tmp_path):
 
 
 def test_plan_load_rejects_duplicate_sample(tmp_path):
-    plan = PackPlan(
+    plan = PackPlan.of(
         capacity=10,
         packs=[[PackItem("x", 4)], [PackItem("x", 4)]],
     )
@@ -407,7 +407,7 @@ def test_plan_load_rejects_malformed_line(tmp_path):
 
 @pytest.mark.parametrize("blank", ["", "  "])
 def test_plan_load_rejects_blank_line(tmp_path, blank):
-    plan = PackPlan(capacity=10, packs=[[PackItem("a", 6)], [PackItem("b", 7)]])
+    plan = PackPlan.of(capacity=10, packs=[[PackItem("a", 6)], [PackItem("b", 7)]])
     path = tmp_path / "plan.jsonl"
     emit_plan(plan, path)
     lines = path.read_text().splitlines(keepends=True)
@@ -421,7 +421,7 @@ def _tampered_plan(tmp_path, edit, line=-1):
     to the parsed record at index ``line`` and write it back."""
     import json
 
-    plan = PackPlan(
+    plan = PackPlan.of(
         capacity=10,
         packs=[[PackItem("a", 6, "web"), PackItem("b", 4, "doc")], [PackItem("c", 7, "web")]],
         overflow=[PackItem("d", 12, "web")],
@@ -484,7 +484,7 @@ def test_plan_load_ignores_success_rate(tmp_path):
 
 def test_plan_load_checks_stats_of_empty_plan(tmp_path):
     path = tmp_path / "empty.jsonl"
-    emit_plan(PackPlan(capacity=10, overflow=[PackItem("x", 11)]), path)
+    emit_plan(PackPlan.of(capacity=10, overflow=[PackItem("x", 11)]), path)
     assert load_plan(path).overflow == [PackItem("x", 11)]
     path.write_text(path.read_text().replace('"empty":true', '"empty":false'))
     with pytest.raises(ValueError, match="line 1: trailer stats empty is False"):
@@ -512,7 +512,7 @@ def test_plan_load_rejects_coercible_types(tmp_path, line, edit, field):
 
 
 def test_plan_validate_rejects_overfull_pack():
-    plan = PackPlan(capacity=5, packs=[[PackItem("a", 3), PackItem("b", 3)]])
+    plan = PackPlan.of(capacity=5, packs=[[PackItem("a", 3), PackItem("b", 3)]])
     with pytest.raises(ValueError, match="capacity"):
         plan.validate()
 

@@ -1,133 +1,34 @@
-"""Differential tests of the indexed first-fit kernel against the linear scan.
+"""Differential tests of the columnar packing engine against the object engine.
 
-``OracleFirstFitBins`` is the earlier ``packing._FirstFitBins``, kept
-verbatim: without a source cap it uses the segment tree, with one it
-scans every pack from the left. The production kernel must produce the
-same pack lists (``==``) on any input, placement order and cap, both
-when ``_ffd`` is called directly and through ``pack_bucketed`` (bucket
-FFD plus the refill pass). ``pack_ffd``, which runs the bucket path with
-one bucket and one shard, must equal plain oracle FFD: there the refill
-pass may never change a pack.
+``packing_oracle`` keeps the engine as it was before items became
+columns: one ``PackItem`` per sample, packs as lists, the same
+dict-backed max-trees (``FirstFitBins``) and, older still, a linear scan
+under a source cap (``LinearFirstFitBins``). The columnar engine must
+produce the same packs and overflow (``==``) on any input and under every
+cap, both when ``_ffd`` is called directly and through ``pack_bucketed``
+(bucket FFD plus the refill pass). ``pack_ffd``, which runs the bucket
+path with one bucket and one shard, must equal plain oracle FFD: there
+the refill pass may never change a pack.
 """
 
 import itertools
 import tracemalloc
 
 import numpy as np
+import packing_oracle as oracle
 import pytest
 
-from balancepack import packing
 from balancepack.packing import (
+    Items,
     PackingConfig,
     PackItem,
+    _bucket_index,
     _ffd,
+    _id_rank,
     _packing_order,
     pack_bucketed,
     pack_ffd,
 )
-
-# ------------------------------------------------------------------ oracle
-
-
-class OracleFirstFitBins:
-    """First-fit placement over an ordered pack list.
-
-    Without a source cap, a segment tree over per-pack remaining capacity
-    answers "leftmost pack with room" in O(log P); packs that reach the
-    sample cap are closed by zeroing their tree slot. The source cap makes
-    fit depend on which tags a pack holds, so that path falls back to a
-    linear scan (only used at test scale here).
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        max_samples: int | None = None,
-        max_sources: int | None = None,
-    ) -> None:
-        self.capacity = capacity
-        self.max_samples = max_samples
-        self.max_sources = max_sources
-        self.packs: list[list[PackItem]] = []
-        self._remaining: list[int] = []
-        self._sources: list[set[str]] = []
-        self._size = 1
-        self._tree = [-1, -1]
-
-    def _grow(self) -> None:
-        self._size *= 2
-        tree = [-1] * (2 * self._size)
-        for i, rem in enumerate(self._remaining):
-            tree[self._size + i] = rem if self._open(i) else -1
-        for i in range(self._size - 1, 0, -1):
-            tree[i] = max(tree[2 * i], tree[2 * i + 1])
-        self._tree = tree
-
-    def _open(self, idx: int) -> bool:
-        return self.max_samples is None or len(self.packs[idx]) < self.max_samples
-
-    def _tree_set(self, idx: int, value: int) -> None:
-        pos = self._size + idx
-        self._tree[pos] = value
-        pos //= 2
-        while pos:
-            self._tree[pos] = max(self._tree[2 * pos], self._tree[2 * pos + 1])
-            pos //= 2
-
-    def _tree_find(self, need: int) -> int:
-        if self._tree[1] < need:
-            return -1
-        pos = 1
-        while pos < self._size:
-            pos *= 2
-            if self._tree[pos] < need:
-                pos += 1
-        return pos - self._size
-
-    def _find_linear(self, item: PackItem) -> int:
-        for i, rem in enumerate(self._remaining):
-            if rem < item.length or not self._open(i):
-                continue
-            src = self._sources[i]
-            if (
-                self.max_sources is not None
-                and item.source not in src
-                and len(src) >= self.max_sources
-            ):
-                continue
-            return i
-        return -1
-
-    def place(self, item: PackItem) -> None:
-        if self.max_sources is None:
-            idx = self._tree_find(item.length)
-        else:
-            idx = self._find_linear(item)
-        if idx == -1:
-            idx = len(self.packs)
-            if idx >= self._size:
-                self._grow()
-            self.packs.append([])
-            self._remaining.append(self.capacity)
-            self._sources.append(set())
-        self.packs[idx].append(item)
-        self._remaining[idx] -= item.length
-        self._sources[idx].add(item.source)
-        self._tree_set(idx, self._remaining[idx] if self._open(idx) else -1)
-
-
-def oracle_ffd(ordered, capacity, max_samples, max_sources):
-    bins = OracleFirstFitBins(capacity, max_samples, max_sources)
-    for it in ordered:
-        bins.place(it)
-    return bins.packs
-
-
-def oracle_pack_bucketed(items, config, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(packing, "_FirstFitBins", OracleFirstFitBins)
-        return pack_bucketed(items, config)
-
 
 # ------------------------------------------------------------------ inputs
 
@@ -162,8 +63,12 @@ def criterion3_instances(seed, trials):
         yield items, cfg
 
 
-def capped_instance(rng, trial, tie_heavy=False):
-    """Source-capped instance: 1-3 source slots, 1-6 sources, up to 300 items."""
+def capped_instance(rng, trial, tie_heavy=False, id_pool=None):
+    """Source-capped instance: 1-3 source slots, 1-6 sources, up to 300 items.
+
+    With ``id_pool``, ids are drawn from that many values, so ids repeat
+    as they do when ``pipeline --replacement`` packs a draw with repeats.
+    """
     n = int(rng.integers(1, 300))
     cap = int(rng.integers(4, 80))
     n_sources = int(rng.integers(1, 7))
@@ -172,9 +77,12 @@ def capped_instance(rng, trial, tie_heavy=False):
         lengths = rng.choice(choices, size=n)
     else:
         lengths = rng.integers(1, cap + 1, size=n)
+    if id_pool is None:
+        ids = [f"c{trial}-{j:03d}" for j in range(n)]
+    else:
+        ids = [f"c{trial}-{int(j):03d}" for j in rng.integers(0, id_pool, size=n)]
     items = [
-        PackItem(f"c{trial}-{j:03d}", int(lengths[j]), f"s{int(rng.integers(n_sources))}")
-        for j in range(n)
+        PackItem(ids[j], int(lengths[j]), f"s{int(rng.integers(n_sources))}") for j in range(n)
     ]
     cfg = PackingConfig(
         capacity=cap,
@@ -188,9 +96,26 @@ def capped_instance(rng, trial, tie_heavy=False):
     return items, cfg
 
 
-def assert_kernels_agree(items, cfg, monkeypatch, rng=None):
-    """Both _ffd orders (sorted and, given rng, shuffled) and pack_bucketed."""
-    in_range = [it for it in _packing_order(items) if it.length <= cfg.capacity]
+# ----------------------------------------------------------------- helpers
+
+
+def columnar_ffd(ordered, capacity, max_samples, max_sources):
+    """``_ffd`` over the columns of ``ordered``, regrouped into pack lists."""
+    items = Items.of(ordered)
+    placed, opened = _ffd(
+        items.length.tolist(), items.source.tolist(), capacity, max_samples, max_sources
+    )
+    packs = [[] for _ in range(opened)]
+    for it, p in zip(ordered, placed):
+        packs[p].append(it)
+    return packs
+
+
+def assert_engines_agree(items, cfg, rng=None, linear=False):
+    """``_ffd`` on the sorted order (and, given rng, a shuffled one) and
+    ``pack_bucketed``, against the oracle engine
+    (and, with ``linear``, against the linear-scan bins as well)."""
+    in_range = [it for it in oracle.packing_order(items) if it.length <= cfg.capacity]
     orders = [in_range]
     if rng is not None:
         shuffled = list(in_range)
@@ -198,12 +123,17 @@ def assert_kernels_agree(items, cfg, monkeypatch, rng=None):
         orders.append(shuffled)
     caps = (cfg.capacity, cfg.max_samples_per_pack, cfg.max_sources_per_pack)
     for ordered in orders:
-        assert _ffd(ordered, *caps) == oracle_ffd(ordered, *caps)
-    want = oracle_pack_bucketed(items, cfg, monkeypatch)
-    for threads in (1, 2):
-        got = pack_bucketed(items, cfg, threads=threads)
-        assert got.packs == want.packs
-        assert got.overflow == want.overflow
+        assert columnar_ffd(ordered, *caps) == oracle.ffd(ordered, *caps)
+    want_packs, want_overflow = oracle.pack_bucketed(items, cfg)
+    if linear:
+        assert oracle.pack_bucketed(items, cfg, oracle.LinearFirstFitBins) == (
+            want_packs,
+            want_overflow,
+        )
+    got = pack_bucketed(items, cfg)
+    assert got.packs == want_packs
+    assert got.overflow == want_overflow
+    assert got.fills.tolist() == [sum(it.length for it in p) for p in want_packs]
 
 
 # ------------------------------------------------------------------- tests
@@ -212,23 +142,41 @@ def assert_kernels_agree(items, cfg, monkeypatch, rng=None):
 def test_packing_order_matches_tuple_key_sort():
     rng = np.random.default_rng(41)
     items = [
-        PackItem(f"o{int(rng.integers(0, 400)):03d}-{j}", int(rng.integers(1, 6)))
+        PackItem(f"o{int(rng.integers(0, 400)):03d}-{j % 7}", int(rng.integers(1, 6)))
         for j in range(500)
     ]
     rng.shuffle(items)
-    assert _packing_order(items) == sorted(items, key=lambda it: (-it.length, it.sample_id))
+    cols = Items.of(items)
+    order = _packing_order(_id_rank(cols.ids), cols.length).tolist()
+    # sorted() is stable, so repeated (length, id) pairs keep input order.
+    assert order == sorted(range(len(items)), key=lambda i: (-items[i].length, items[i].sample_id))
 
 
-def test_differential_criterion3_generator(monkeypatch):
+def test_id_rank_keeps_trailing_nul_characters():
+    # A numpy "<U" array would drop the trailing NUL and tie "a" with "a\x00".
+    ids = ["a\x00", "a", "b", "a\x00\x00", "a"]
+    assert _id_rank(ids).tolist() == [1, 0, 3, 2, 0]
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 3, 6, 40, 70])
+def test_bucket_index_matches_the_loop(num_buckets):
+    for capacity in (1, 7, 64, 100, 8192):
+        lengths = np.arange(1, 2 * capacity + 2, dtype=np.int64)
+        got = _bucket_index(lengths, capacity, num_buckets).tolist()
+        want = [oracle.bucket_index(int(x), capacity, num_buckets) for x in lengths]
+        assert got == want
+
+
+def test_differential_criterion3_generator():
     rng = np.random.default_rng(42)
-    for items, cfg in criterion3_instances(1003, 10_000):
-        assert_kernels_agree(items, cfg, monkeypatch, rng)
+    for trial, (items, cfg) in enumerate(criterion3_instances(1003, 10_000)):
+        assert_engines_agree(items, cfg, rng, linear=trial % 10 == 0)
 
 
 def test_pack_ffd_is_oracle_ffd_under_every_cap_combination():
     rng = np.random.default_rng(47)
     for items, cfg in criterion3_instances(1003, 10_000):
-        ordered = _packing_order(items)
+        ordered = oracle.packing_order(items)
         in_range = [it for it in ordered if it.length <= cfg.capacity]
         overflow = [it for it in ordered if it.length > cfg.capacity]
         samples_caps = (None, int(rng.integers(1, 8)))
@@ -240,19 +188,36 @@ def test_pack_ffd_is_oracle_ffd_under_every_cap_combination():
                 max_samples_per_pack=max_samples,
                 max_sources_per_pack=max_sources,
             )
-            assert plan.packs == oracle_ffd(in_range, cfg.capacity, max_samples, max_sources)
+            assert plan.packs == oracle.ffd(in_range, cfg.capacity, max_samples, max_sources)
             assert plan.overflow == overflow
 
 
 @pytest.mark.parametrize("tie_heavy", [False, True])
-def test_differential_source_capped(monkeypatch, tie_heavy):
+def test_differential_source_capped(tie_heavy):
     rng = np.random.default_rng(43 + tie_heavy)
     for trial in range(300):
         items, cfg = capped_instance(rng, trial, tie_heavy)
-        assert_kernels_agree(items, cfg, monkeypatch, rng)
+        assert_engines_agree(items, cfg, rng, linear=True)
 
 
-def test_differential_one_sample_per_pack(monkeypatch):
+def test_differential_repeated_ids():
+    # Repeated ids tie in the sort; the input order, and in the refill pass
+    # the order the residual packs held them in, must break the tie.
+    rng = np.random.default_rng(48)
+    for trial in range(300):
+        items, cfg = capped_instance(rng, trial, tie_heavy=trial % 2 == 1, id_pool=20)
+        if trial % 3 == 0:
+            cfg = PackingConfig(
+                capacity=cfg.capacity,
+                num_buckets=cfg.num_buckets,
+                shards=cfg.shards,
+                min_utilization=cfg.min_utilization,
+                seed=cfg.seed,
+            )
+        assert_engines_agree(items, cfg, rng)
+
+
+def test_differential_one_sample_per_pack():
     rng = np.random.default_rng(45)
     for trial in range(50):
         items, cfg = capped_instance(rng, trial)
@@ -262,12 +227,12 @@ def test_differential_one_sample_per_pack(monkeypatch):
             max_samples_per_pack=1,
             max_sources_per_pack=cfg.max_sources_per_pack if trial % 2 else None,
         )
-        assert_kernels_agree(items, cfg, monkeypatch, rng)
+        assert_engines_agree(items, cfg, rng, linear=True)
         plan = pack_bucketed(items, cfg)
         assert all(len(p) == 1 for p in plan.packs)
 
 
-def test_differential_many_packs_past_tree_growth(monkeypatch):
+def test_differential_many_packs_past_tree_growth():
     # Enough packs that both trees are rebuilt several times mid-run.
     rng = np.random.default_rng(46)
     items = [
@@ -276,20 +241,21 @@ def test_differential_many_packs_past_tree_growth(monkeypatch):
     ]
     for max_sources in (1, 2, 3):
         cfg = PackingConfig(capacity=100, num_buckets=3, max_sources_per_pack=max_sources)
-        assert_kernels_agree(items, cfg, monkeypatch, rng)
+        assert_engines_agree(items, cfg, rng)
 
 
 def test_source_index_memory_is_sparse():
     # Every item its own source and one source slot per pack: 4,000 packs,
     # each in its own source tree. A dense 2 * 4096-slot list per source
     # would need ~260 MB; the sparse trees hold ~13 nodes each.
-    items = [PackItem(f"m{j:05d}", 1 + j % 7, f"src{j:05d}") for j in range(4000)]
-    ordered = _packing_order(items)
+    items = Items.of(PackItem(f"m{j:05d}", 1 + j % 7, f"src{j:05d}") for j in range(4000))
+    order = _packing_order(_id_rank(items.ids), items.length)
+    lengths, sources = items.length[order].tolist(), items.source[order].tolist()
     tracemalloc.start()
     try:
-        packs = _ffd(ordered, 64, None, 1)
+        _, opened = _ffd(lengths, sources, 64, None, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(packs) == 4000
+    assert opened == 4000
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
