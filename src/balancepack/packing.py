@@ -47,6 +47,15 @@ import numpy as np
 from .rng import shard_of
 
 DEFAULT_CAPACITY = 8192
+_INT64_MAX = 2**63 - 1
+
+
+def check_length(sample_id: str, length: int) -> None:
+    """An item length must be at least 1 and fit an int64 column."""
+    if length < 1:
+        raise ValueError(f"item {sample_id!r} has length {length}, must be >= 1")
+    if length > _INT64_MAX:
+        raise ValueError(f"item {sample_id!r} has length {length}, beyond the int64 range")
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,7 @@ class PackItem:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"item {self.sample_id!r} has length {self.length}, must be >= 1")
+        check_length(self.sample_id, self.length)
 
 
 def _source_codes(sources: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -118,7 +126,6 @@ class Items(Sequence[PackItem]):
         for i, r in enumerate(rows):
             if not isinstance(r.length, (int, np.integer)):
                 raise ValueError(f"row {i}: length {r.length!r} is not an integer")
-            check_length(r.sample_id, r.length)
         return cls.from_lists(
             [r.sample_id for r in rows], [r.length for r in rows], [r.source for r in rows]
         )
@@ -177,8 +184,11 @@ class PackPlan:
     """Partition of the input into capacity-bounded packs plus overflow.
 
     Pack p holds ``packed[bounds[p]:bounds[p + 1]]``, in emitted order;
-    ``overflowed`` holds the items longer than the capacity. ``packs`` and
-    ``overflow`` are row views, built once and then the same lists.
+    ``overflowed`` holds the items longer than the capacity. The columns
+    are the plan. ``packs`` and ``overflow`` are read-only row views, built
+    once and then the same lists; an edit to them does not reach the
+    columns, and ``validate`` and ``emit_plan`` refuse a plan whose views
+    were edited. Build a plan of hand-made rows with ``PackPlan.of``.
     """
 
     capacity: int
@@ -217,15 +227,26 @@ class PackPlan:
         ends = np.concatenate(([0], np.cumsum(self.packed.length)))
         return ends[self.bounds[1:]] - ends[self.bounds[:-1]]
 
-    @cached_property
-    def packs(self) -> list[list[PackItem]]:
+    def _pack_rows(self) -> list[list[PackItem]]:
         rows = list(self.packed)
         b = self.bounds.tolist()
         return [rows[lo:hi] for lo, hi in zip(b, b[1:])]
 
     @cached_property
+    def packs(self) -> list[list[PackItem]]:
+        return self._pack_rows()
+
+    @cached_property
     def overflow(self) -> list[PackItem]:
         return list(self.overflowed)
+
+    def _check_views(self) -> None:
+        """Raise if ``packs`` or ``overflow`` was built and then edited."""
+        views = self.__dict__
+        if "packs" in views and views["packs"] != self._pack_rows():
+            raise ValueError("plan.packs was edited; it is a read-only view of the columns")
+        if "overflow" in views and views["overflow"] != list(self.overflowed):
+            raise ValueError("plan.overflow was edited; it is a read-only view of the columns")
 
     def paddings(self) -> list[int]:
         return (self.capacity - self.fills).tolist()
@@ -235,7 +256,9 @@ class PackPlan:
 
     def validate(self) -> None:
         """Every pack non-empty and within capacity, and no id twice; the
-        first fault in pack order, then the overflow, is named."""
+        first fault in pack order, then the overflow, is named. Edited
+        row views are refused first."""
+        self._check_views()
         faults = []
         empty = np.flatnonzero(self.bounds[1:] == self.bounds[:-1])
         if empty.size:
@@ -692,8 +715,10 @@ def emit_plan(
     padding count so downstream loaders can build attention-segment
     boundaries. The trailer holds overflow items and summary stats, which
     are also returned. Every line is what ``json.dumps`` with separators
-    (",", ":") writes for the record.
+    (",", ":") writes for the record. A plan whose row views were edited
+    is refused, since the columns, not the views, are written.
     """
+    plan._check_views()
     cfg = config if config is not None else PackingConfig(capacity=plan.capacity)
     stats = packing_stats(plan, cfg)
     bounds, cap, packed = plan.bounds, plan.capacity, plan.packed
@@ -728,7 +753,6 @@ class _Missing:
 
 _REQUIRED = _Missing()
 _JSON_TYPE_NAMES = {int: "integer", float: "float", str: "string", list: "array", dict: "object"}
-_INT64_MAX = 2**63 - 1
 
 
 def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
@@ -751,16 +775,23 @@ def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     return value
 
 
-def check_length(sample_id: str, length: int) -> None:
-    """An item length must be at least 1 and fit an int64 column."""
-    if length < 1:
-        raise ValueError(f"item {sample_id!r} has length {length}, must be >= 1")
-    if length > _INT64_MAX:
-        raise ValueError(f"item {sample_id!r} has length {length}, beyond the int64 range")
-
-
 def _plan_fields(r) -> tuple[str, int, str]:
-    """id, length and source of one plan item, with strict JSON types."""
+    """id, length and source of one plan item, with strict JSON types.
+
+    A well-formed item passes one inline test; anything else goes through
+    ``json_field`` and ``check_length``, which decide and name the fault.
+    """
+    try:
+        sample_id, length, source = r["id"], r["len"], r.get("src", "")
+        if (
+            type(sample_id) is str
+            and type(length) is int
+            and type(source) is str
+            and 0 < length <= _INT64_MAX
+        ):
+            return sample_id, length, source
+    except (TypeError, KeyError, AttributeError):
+        pass
     sample_id = json_field(r, "id", str)
     length = json_field(r, "len", int)
     source = json_field(r, "src", str, "")
@@ -811,22 +842,9 @@ def load_plan(path: str | Path) -> PackPlan:
                         raise ValueError(f"capacity {cap} != {capacity}")
                     off = 0
                     for r in raw_items:
-                        # Fast path for a well-formed item; _plan_fields
-                        # decides, and names the fault, for anything else.
-                        try:
-                            sample_id, length, item_off = r["id"], r["len"], r["off"]
-                            source = r.get("src", "")
-                            well_formed = (
-                                type(sample_id) is str
-                                and type(length) is int
-                                and type(source) is str
-                                and type(item_off) is int
-                                and 0 < length <= _INT64_MAX
-                            )
-                        except (TypeError, KeyError):
-                            well_formed = False
-                        if not well_formed:
-                            sample_id, length, source = _plan_fields(r)
+                        sample_id, length, source = _plan_fields(r)
+                        item_off = r.get("off")
+                        if type(item_off) is not int:
                             item_off = json_field(r, "off", int)
                         if item_off != off:
                             raise ValueError(f"offset {item_off} for {sample_id!r}, expected {off}")

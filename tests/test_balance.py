@@ -311,9 +311,14 @@ def test_weights_save_writes_what_json_dumps_writes(tmp_path):
 
 
 def test_weights_load_is_bit_exact(tmp_path):
+    # Weights over 300 decades that still sum to 1, as the reader requires:
+    # tiny and subnormal ones, mid-sized ones, and one dominant weight.
     rng = np.random.default_rng(6)
-    w = np.concatenate([rng.random(200), [0.0, -0.0, 5e-324, 2.2250738585072014e-308]])
-    w /= w.sum()
+    tiny = rng.random(200) * 10.0 ** rng.integers(-300, -20, 200)
+    mid = rng.random(50) * 10.0 ** rng.integers(-20, -2, 50)
+    extremes = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308]
+    w = np.concatenate([tiny, mid, extremes])
+    w = np.append(w, 1.0 - w.sum())
     path = tmp_path / "w.jsonl"
     save_weights(path, w)
     assert load_weights(path).tobytes() == w.tobytes()

@@ -104,6 +104,27 @@ def test_plan_row_views_are_built_once():
     assert plan.num_packs == 1 and plan.num_items() == 3
 
 
+@pytest.mark.parametrize(
+    "edit, view",
+    [
+        (lambda plan: plan.packs[0].append(PackItem("extra", 1)), "packs"),
+        (lambda plan: plan.packs.pop(), "packs"),
+        (lambda plan: plan.overflow.clear(), "overflow"),
+    ],
+)
+def test_plan_with_edited_views_is_neither_validated_nor_written(tmp_path, edit, view):
+    plan = PackPlan.of(10, [[PackItem("a", 6)], [PackItem("b", 4)]], [PackItem("c", 12)])
+    assert plan.packs and plan.overflow  # built and read, not edited: accepted
+    plan.validate()
+    emit_plan(plan, tmp_path / "ok.jsonl")
+    edit(plan)
+    with pytest.raises(ValueError, match=f"plan.{view} was edited"):
+        plan.validate()
+    with pytest.raises(ValueError, match=f"plan.{view} was edited"):
+        emit_plan(plan, tmp_path / "plan.jsonl")
+    assert not (tmp_path / "plan.jsonl").exists()
+
+
 def test_plan_bounds_must_cover_the_packed_items():
     items = Items.of([PackItem("a", 2)])
     for bounds in ([0], [1, 1], [0, 2], [0, 1, 0, 1]):

@@ -4,11 +4,12 @@
 columns: one ``PackItem`` per sample, packs as lists, the same
 dict-backed max-trees (``FirstFitBins``) and, older still, a linear scan
 under a source cap (``LinearFirstFitBins``). The columnar engine must
-produce the same packs and overflow (``==``) on any input and under every
-cap, both when ``_ffd`` is called directly and through ``pack_bucketed``
-(bucket FFD plus the refill pass). ``pack_ffd``, which runs the bucket
-path with one bucket and one shard, must equal plain oracle FFD: there
-the refill pass may never change a pack.
+produce the same packs and overflow (``==``) as the oracle over either
+bins on any input, placement order and cap, both when ``_ffd`` is called
+directly and through ``pack_bucketed`` (bucket FFD plus the refill pass).
+``pack_ffd``, which runs the bucket path with one bucket and one shard,
+must equal plain FFD over the linear-scan bins: there the refill pass may
+never change a pack.
 """
 
 import itertools
@@ -111,10 +112,10 @@ def columnar_ffd(ordered, capacity, max_samples, max_sources):
     return packs
 
 
-def assert_engines_agree(items, cfg, rng=None, linear=False):
+def assert_engines_agree(items, cfg, rng=None):
     """``_ffd`` on the sorted order (and, given rng, a shuffled one) and
-    ``pack_bucketed``, against the oracle engine
-    (and, with ``linear``, against the linear-scan bins as well)."""
+    ``pack_bucketed`` with 1 and 2 threads, against the oracle engine over
+    both its tree bins and its linear-scan bins."""
     in_range = [it for it in oracle.packing_order(items) if it.length <= cfg.capacity]
     orders = [in_range]
     if rng is not None:
@@ -122,18 +123,18 @@ def assert_engines_agree(items, cfg, rng=None, linear=False):
         rng.shuffle(shuffled)
         orders.append(shuffled)
     caps = (cfg.capacity, cfg.max_samples_per_pack, cfg.max_sources_per_pack)
+    all_bins = (oracle.FirstFitBins, oracle.LinearFirstFitBins)
     for ordered in orders:
-        assert columnar_ffd(ordered, *caps) == oracle.ffd(ordered, *caps)
-    want_packs, want_overflow = oracle.pack_bucketed(items, cfg)
-    if linear:
-        assert oracle.pack_bucketed(items, cfg, oracle.LinearFirstFitBins) == (
-            want_packs,
-            want_overflow,
-        )
-    got = pack_bucketed(items, cfg)
-    assert got.packs == want_packs
-    assert got.overflow == want_overflow
-    assert got.fills.tolist() == [sum(it.length for it in p) for p in want_packs]
+        got = columnar_ffd(ordered, *caps)
+        for bins in all_bins:
+            assert got == oracle.ffd(ordered, *caps, bins=bins)
+    for threads in (1, 2):
+        got = pack_bucketed(items, cfg, threads=threads)
+        for bins in all_bins:
+            want_packs, want_overflow = oracle.pack_bucketed(items, cfg, bins)
+            assert got.packs == want_packs
+            assert got.overflow == want_overflow
+        assert got.fills.tolist() == [sum(it.length for it in p) for p in want_packs]
 
 
 # ------------------------------------------------------------------- tests
@@ -169,8 +170,8 @@ def test_bucket_index_matches_the_loop(num_buckets):
 
 def test_differential_criterion3_generator():
     rng = np.random.default_rng(42)
-    for trial, (items, cfg) in enumerate(criterion3_instances(1003, 10_000)):
-        assert_engines_agree(items, cfg, rng, linear=trial % 10 == 0)
+    for items, cfg in criterion3_instances(1003, 10_000):
+        assert_engines_agree(items, cfg, rng)
 
 
 def test_pack_ffd_is_oracle_ffd_under_every_cap_combination():
@@ -188,7 +189,10 @@ def test_pack_ffd_is_oracle_ffd_under_every_cap_combination():
                 max_samples_per_pack=max_samples,
                 max_sources_per_pack=max_sources,
             )
-            assert plan.packs == oracle.ffd(in_range, cfg.capacity, max_samples, max_sources)
+            want = oracle.ffd(
+                in_range, cfg.capacity, max_samples, max_sources, bins=oracle.LinearFirstFitBins
+            )
+            assert plan.packs == want
             assert plan.overflow == overflow
 
 
@@ -197,7 +201,7 @@ def test_differential_source_capped(tie_heavy):
     rng = np.random.default_rng(43 + tie_heavy)
     for trial in range(300):
         items, cfg = capped_instance(rng, trial, tie_heavy)
-        assert_engines_agree(items, cfg, rng, linear=True)
+        assert_engines_agree(items, cfg, rng)
 
 
 def test_differential_repeated_ids():
@@ -227,7 +231,7 @@ def test_differential_one_sample_per_pack():
             max_samples_per_pack=1,
             max_sources_per_pack=cfg.max_sources_per_pack if trial % 2 else None,
         )
-        assert_engines_agree(items, cfg, rng, linear=True)
+        assert_engines_agree(items, cfg, rng)
         plan = pack_bucketed(items, cfg)
         assert all(len(p) == 1 for p in plan.packs)
 
