@@ -11,7 +11,6 @@ renormalization while staying order-independent and seed-stable.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import Assignments, ConceptAssignment
-from .packing import json_field
+from .jsonl import json_field, json_lines
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -197,21 +196,15 @@ def load_weights(path: str | Path) -> np.ndarray:
     weight finite and non-negative, and the weights sum to 1 within
     WEIGHT_SUM_TOL."""
     weights: list[float] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                if not line.strip():
-                    raise ValueError("blank line")
-                rec = json.loads(line)
-                index = json_field(rec, "i", int)
-                if index != len(weights):
-                    raise ValueError(f"record index {index}, expected {len(weights)}")
-                w = json_field(rec, "w", float)
-                if not 0.0 <= w < math.inf:
-                    raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
-                weights.append(w)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+    with json_lines(path) as records:
+        for rec in records:
+            index = json_field(rec, "i", int)
+            if index != len(weights):
+                raise ValueError(f"record index {index}, expected {len(weights)}")
+            w = json_field(rec, "w", float)
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
+            weights.append(w)
     if not weights:
         raise ValueError(f"{path}: empty weights file")
     out = np.array(weights, dtype=np.float64)

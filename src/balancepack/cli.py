@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,15 @@ class StageError(ValueError):
     def __init__(self, stage: str, error: Exception | str):
         super().__init__(str(error))
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Tag a ValueError raised inside the block with the pipeline stage ``name``."""
+    try:
+        yield
+    except ValueError as e:
+        raise StageError(name, e) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +275,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _outdir(args.output)
-    try:
+    with _stage("config"):
         cfg = _synth_config(args)
         if args.sample_n is None:
             args.sample_n = max(1, args.n // 10)  # the echo records the resolved size
@@ -274,26 +285,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if not args.replacement and sample_n > args.n:
             raise ValueError(f"sample-n={sample_n} exceeds corpus size {args.n} without replacement")
         pack_config = _packing_config(args)
-    except ValueError as e:
-        raise StageError("config", e) from None
 
-    try:
+    with _stage("synth"):
         records, assignments = manifest.synth_corpus(cfg)
         manifest.emit_manifest(out / "manifest.jsonl", records)
         concepts.save_assignments(out / "assignments.jsonl", assignments)
         print(f"[pipeline/synth] {len(records)} records")
-    except ValueError as e:
-        raise StageError("synth", e) from None
 
-    try:
+    with _stage("weigh"):
         freqs = balance.concept_frequencies(assignments, cfg.vocab_size)
         weights = balance.image_weights(assignments, freqs)
         balance.save_weights(out / "weights.jsonl", weights)
         print(f"[pipeline/weigh] {weights.size} weights")
-    except ValueError as e:
-        raise StageError("weigh", e) from None
 
-    try:
+    with _stage("sample"):
         balanced_idx = balance.sample_balanced(
             weights, sample_n, args.seed, replacement=args.replacement
         )
@@ -308,19 +313,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             out / "sampled_uniform.txt", uniform_idx, args.seed, sample_n, args.replacement
         )
         print(f"[pipeline/sample] {sample_n} balanced + {sample_n} uniform indices")
-    except ValueError as e:
-        raise StageError("sample", e) from None
 
-    try:
+    with _stage("pack"):
         chosen = [records[i] for i in balanced_idx]
         plan = packing.pack(manifest.records_to_pack_items(chosen), pack_config)
         stats = packing.emit_plan(plan, out / "plan.jsonl", pack_config)
         _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": pack_config.to_dict()})
         print(f"[pipeline/pack] {stats.num_packs} packs")
-    except ValueError as e:
-        raise StageError("pack", e) from None
 
-    try:
+    with _stage("report"):
         balanced_report = balance.balance_report(assignments.take(balanced_idx), cfg.vocab_size)
         uniform_report = balance.balance_report(assignments.take(uniform_idx), cfg.vocab_size)
         report = {
@@ -338,8 +339,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f"[pipeline/report] entropy balanced={balanced_report.entropy_bits:.3f} "
             f"unbalanced={uniform_report.entropy_bits:.3f} -> {out / 'report.json'}"
         )
-    except ValueError as e:
-        raise StageError("report", e) from None
 
     _write_echo(out, args)
     return 0

@@ -24,7 +24,6 @@ then rows*dim float32-LE values, row-major.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from collections.abc import Iterator, Sequence
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .packing import json_field
+from .jsonl import json_field, json_lines
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -419,28 +418,22 @@ def load_assignments(path: str | Path) -> Assignments:
     """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
     with one similarity per concept and every row rule of ``Assignments``."""
     offsets, cs, ss = [0], [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                if not line.strip():
-                    raise ValueError("blank line")
-                rec = json.loads(line)
-                index = json_field(rec, "i", int)
-                if index != len(offsets) - 1:
-                    raise ValueError(f"record index {index}, expected {len(offsets) - 1}")
-                c = json_field(rec, "c", list)
-                s = json_field(rec, "s", list)
-                if not all(type(x) is int and -(2**63) <= x < 2**63 for x in c):
-                    raise ValueError(f"field 'c' must hold JSON integers within int64, got {c!r}")
-                if not all(type(x) is float for x in s):
-                    raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
-                if len(c) != len(s):
-                    raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
-                cs += c
-                ss += s
-                offsets.append(len(cs))
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+    with json_lines(path) as records:
+        for rec in records:
+            index = json_field(rec, "i", int)
+            if index != len(offsets) - 1:
+                raise ValueError(f"record index {index}, expected {len(offsets) - 1}")
+            c = json_field(rec, "c", list)
+            s = json_field(rec, "s", list)
+            if not all(type(x) is int and -(2**63) <= x < 2**63 for x in c):
+                raise ValueError(f"field 'c' must hold JSON integers within int64, got {c!r}")
+            if not all(type(x) is float for x in s):
+                raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
+            if len(c) != len(s):
+                raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
+            cs += c
+            ss += s
+            offsets.append(len(cs))
     try:
         return Assignments(np.array(offsets), np.array(cs, dtype=np.int64), np.array(ss))
     except _RowError as e:

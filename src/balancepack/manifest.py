@@ -17,12 +17,11 @@ Generation runs shard by shard on one thread, each fixed-size shard on
 Philox substreams keyed by (seed, stream, shard), and the concepts of all
 shards come back as one columnar ``concepts.Assignments``.
 
-``load_pack_items`` reads a packing manifest straight into a columnar
-``packing.Items``: one ``json.loads`` per line, the record rules and the
-token arithmetic applied to the parsed fields, no ``SampleRecord`` or
-``PackItem`` per line. Both manifest readers skip blank lines, since
-manifests come from outside the toolkit; the readers of the files the
-toolkit writes itself (plans, assignments, weights) reject them.
+Both manifest readers run one loop over ``jsonl.json_lines`` that skips
+blank lines, since manifests come from outside the toolkit, and rejects
+duplicate ids. ``load_pack_items`` reads straight into a columnar
+``packing.Items``: the record rules and the token arithmetic apply to
+the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line.
 """
 
 from __future__ import annotations
@@ -30,14 +29,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .concepts import Assignments
-from .packing import Items, check_length, json_field
+from .jsonl import json_field, json_lines
+from .packing import Items, check_length
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
 DEFAULT_PATCH = 14
@@ -277,40 +276,23 @@ def _record_fields(obj) -> tuple[str, str, int, tuple[int, int] | None, int, int
     )
 
 
-def _record_from_json(obj) -> SampleRecord:
-    """A manifest record from one parsed line, with strict JSON types."""
-    sample_id, source, text_tokens, image, patch, merge = _record_fields(obj)
-    return SampleRecord(sample_id, source, text_tokens, image, patch, merge)
-
-
-def _parse_lines(path: str | Path, parse, id_of) -> Iterator:
-    """Yield ``parse`` of each non-blank JSON line; errors and duplicate
-    ids (``id_of`` a parsed value) name the line. Manifests come from
-    outside the toolkit, so blank lines are skipped, not rejected."""
+def _parse_lines(path: str | Path, parse) -> Iterator:
+    """Yield ``parse`` of each JSON line, skipping blank lines, since manifests
+    come from outside the toolkit; errors and duplicate ids name the line."""
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            try:
-                value = parse(obj)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            sample_id = id_of(value)
-            if sample_id in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-            seen.add(sample_id)
+    with json_lines(path, skip_blank=True) as records:
+        for obj in records:
+            value = parse(obj)  # reads obj["id"] as a JSON string first
+            if obj["id"] in seen:
+                raise ValueError(f"duplicate id {obj['id']!r}")
+            seen.add(obj["id"])
             yield value
 
 
 def ingest_manifest(path: str | Path) -> list[SampleRecord]:
     """Parse and validate a manifest; rejects duplicate ids and any field
     whose JSON type differs from what emit_manifest writes."""
-    return list(_parse_lines(path, _record_from_json, attrgetter("id")))
+    return list(_parse_lines(path, lambda obj: SampleRecord(*_record_fields(obj))))
 
 
 def _pack_fields(obj) -> tuple[str, int, str]:
@@ -341,7 +323,7 @@ def load_pack_items(path: str | Path) -> Items:
     ids: list[str] = []
     lengths: list[int] = []
     sources: list[str] = []
-    for sample_id, length, source in _parse_lines(path, _pack_fields, itemgetter(0)):
+    for sample_id, length, source in _parse_lines(path, _pack_fields):
         ids.append(sample_id)
         lengths.append(length)
         sources.append(source)

@@ -29,8 +29,8 @@ is per item.
 
 Items longer than the capacity are never truncated; they divert to an
 overflow list. Every emitted pack represents exactly ``capacity`` tokens
-after padding. ``load_plan`` accepts only what ``emit_plan`` writes, and
-rejects blank lines, which ``emit_plan`` never writes.
+after padding. ``load_plan`` accepts only what ``emit_plan`` writes, read
+through ``jsonl.json_lines``, which rejects blank lines.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .jsonl import _REQUIRED, json_field, json_lines
 from .rng import shard_of
 
 DEFAULT_CAPACITY = 8192
@@ -744,37 +745,6 @@ def emit_plan(
     return stats
 
 
-class _Missing:
-    """Sentinel for an absent JSON field; reads "missing" in messages."""
-
-    def __repr__(self) -> str:
-        return "missing"
-
-
-_REQUIRED = _Missing()
-_JSON_TYPE_NAMES = {int: "integer", float: "float", str: "string", list: "array", dict: "object"}
-
-
-def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]``, required to be exactly JSON type ``kind``.
-
-    ``obj`` must be a JSON object. Nothing is coerced: a float, a bool or a
-    numeric string is not an integer, an integer is not a float, and a
-    number is not a string. An absent key gives ``default`` or, without
-    one, a ValueError.
-    """
-    if type(obj) is not dict:
-        raise ValueError(f"expected a JSON object, got {obj!r}")
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ValueError(f"missing field {key!r}")
-        return default
-    value = obj[key]
-    if type(value) is not kind:
-        raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
 def _plan_fields(r) -> tuple[str, int, str]:
     """id, length and source of one plan item, with strict JSON types.
 
@@ -816,75 +786,64 @@ def load_plan(path: str | Path) -> PackPlan:
     capacity: int | None = None
     saw_trailer = False
     tokens = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                raise ValueError(f"{path}: line {lineno}: blank line")
+    with json_lines(path) as records:
+        for rec in records:
             if saw_trailer:
-                raise ValueError(f"{path}: line {lineno}: records after the trailer")
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            try:
-                if type(rec) is not dict:
-                    raise ValueError("unrecognized record")
-                if "pack" in rec:
-                    pack_idx = json_field(rec, "pack", int)
-                    cap = json_field(rec, "capacity", int)
-                    raw_items = json_field(rec, "items", list)
-                    pad = json_field(rec, "pad", int)
-                    if pack_idx != len(bounds) - 1:
-                        raise ValueError(f"pack index {pack_idx}, expected {len(bounds) - 1}")
-                    if capacity is None:
-                        capacity = cap
-                    elif cap != capacity:
-                        raise ValueError(f"capacity {cap} != {capacity}")
-                    off = 0
-                    for r in raw_items:
-                        sample_id, length, source = _plan_fields(r)
-                        item_off = r.get("off")
-                        if type(item_off) is not int:
-                            item_off = json_field(r, "off", int)
-                        if item_off != off:
-                            raise ValueError(f"offset {item_off} for {sample_id!r}, expected {off}")
-                        off += length
-                        ids.append(sample_id)
-                        lengths.append(length)
-                        sources.append(source)
-                    if pad != cap - off:
-                        raise ValueError(f"padding {pad}, expected {cap - off}")
-                    bounds.append(len(ids))
-                    tokens += off
-                elif "stats" in rec:
-                    saw_trailer = True
-                    cap = json_field(rec, "capacity", int)
-                    if capacity is None:
-                        capacity = cap
-                    elif cap != capacity:
-                        raise ValueError(f"trailer capacity {cap} != pack capacity {capacity}")
-                    for r in json_field(rec, "overflow", list):
-                        sample_id, length, source = _plan_fields(r)
-                        if length <= capacity:
-                            raise ValueError(
-                                f"overflow item {sample_id!r} of length {length} "
-                                f"fits the capacity {capacity}"
-                            )
-                        for column, value in zip(overflow, (sample_id, length, source)):
-                            column.append(value)
-                    stats = json_field(rec, "stats", dict)
-                    num_packs = len(bounds) - 1
-                    want = _stats(num_packs, len(ids), len(overflow[0]), tokens, capacity, None)
-                    for key, value in want.to_dict().items():
-                        got = stats.get(key, _REQUIRED)
-                        if key != "success_rate" and (type(got) is not type(value) or got != value):
-                            raise ValueError(
-                                f"trailer stats {key} is {got!r}, the plan gives {value!r}"
-                            )
-                else:
-                    raise ValueError("unrecognized record")
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
+                raise ValueError("records after the trailer")
+            if type(rec) is not dict:
+                raise ValueError("unrecognized record")
+            if "pack" in rec:
+                pack_idx = json_field(rec, "pack", int)
+                cap = json_field(rec, "capacity", int)
+                raw_items = json_field(rec, "items", list)
+                pad = json_field(rec, "pad", int)
+                if pack_idx != len(bounds) - 1:
+                    raise ValueError(f"pack index {pack_idx}, expected {len(bounds) - 1}")
+                if capacity is None:
+                    capacity = cap
+                elif cap != capacity:
+                    raise ValueError(f"capacity {cap} != {capacity}")
+                off = 0
+                for r in raw_items:
+                    sample_id, length, source = _plan_fields(r)
+                    item_off = r.get("off")
+                    if type(item_off) is not int:
+                        item_off = json_field(r, "off", int)
+                    if item_off != off:
+                        raise ValueError(f"offset {item_off} for {sample_id!r}, expected {off}")
+                    off += length
+                    ids.append(sample_id)
+                    lengths.append(length)
+                    sources.append(source)
+                if pad != cap - off:
+                    raise ValueError(f"padding {pad}, expected {cap - off}")
+                bounds.append(len(ids))
+                tokens += off
+            elif "stats" in rec:
+                saw_trailer = True
+                cap = json_field(rec, "capacity", int)
+                if capacity is None:
+                    capacity = cap
+                elif cap != capacity:
+                    raise ValueError(f"trailer capacity {cap} != pack capacity {capacity}")
+                for r in json_field(rec, "overflow", list):
+                    sample_id, length, source = _plan_fields(r)
+                    if length <= capacity:
+                        raise ValueError(
+                            f"overflow item {sample_id!r} of length {length} "
+                            f"fits the capacity {capacity}"
+                        )
+                    for column, value in zip(overflow, (sample_id, length, source)):
+                        column.append(value)
+                stats = json_field(rec, "stats", dict)
+                num_packs = len(bounds) - 1
+                want = _stats(num_packs, len(ids), len(overflow[0]), tokens, capacity, None)
+                for key, value in want.to_dict().items():
+                    got = stats.get(key, _REQUIRED)
+                    if key != "success_rate" and (type(got) is not type(value) or got != value):
+                        raise ValueError(f"trailer stats {key} is {got!r}, the plan gives {value!r}")
+            else:
+                raise ValueError("unrecognized record")
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None

@@ -35,7 +35,7 @@ def philox(seed: int, stream: int = 0, index: int = 0) -> np.random.Generator:
 def shard_of(sample_id: str, seed: int, shards: int) -> int:
     """Deterministic shard for a sample id under a seeded keyed hash."""
     digest = hashlib.blake2b(
-        sample_id.encode("utf-8"),
+        sample_id.encode("utf-8", "surrogatepass"),  # a lone surrogate hashes as 3 bytes
         digest_size=8,
         key=(seed & _MASK64).to_bytes(8, "little"),
     ).digest()

@@ -374,6 +374,34 @@ def test_pipeline_rejects_n_zero_before_running(tmp_path, capsys):
     assert not (out / "manifest.jsonl").exists()
 
 
+def test_pipeline_names_the_synth_stage_when_synth_fails(tmp_path, capsys):
+    out = tmp_path / "pipe"
+    code, _, err = run_cli(
+        ["pipeline", "--output", str(out), "--n", "50", "--zipf", "300", "--k", "30"], capsys
+    )
+    assert code == 1
+    obj = json.loads(err.strip())
+    assert obj["stage"] == "synth"
+    assert "fewer than k=30" in obj["error"]
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_sharded_pack_takes_an_id_with_a_lone_surrogate(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        '{"id":"\\ud800","length":3}\n{"id":"a","length":4}\n{"id":"b\\udfff","length":9}\n'
+    )
+    out = tmp_path / "packed"
+    code, _, err = run_cli(
+        ["pack", "--output", str(out), "--input", str(manifest), "--capacity", "10",
+         "--shards", "2"],
+        capsys,
+    )
+    assert code == 0, err
+    plan = load_plan(out / "plan.jsonl")
+    assert {it.sample_id for p in plan.packs for it in p} == {"\ud800", "a", "b\udfff"}
+
+
 def test_unknown_flag_is_structured_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["synth", "--output", str(tmp_path / "x"), "--n", "5", "--frobnicate"], capsys

@@ -1,0 +1,254 @@
+"""The JSON Lines contract of every loader, and seeded fuzz tests of the
+assignments, weights and manifest readers.
+
+Every loader reads through ``jsonl.json_lines``: a fault in a line reads
+``{path}: line N: ...``, broken JSON says ``malformed JSON``, blank lines
+are rejected except in manifests, and a decoding error passes through as
+``UnicodeDecodeError``. The fuzz tests mutate valid files as
+``test_loader_fuzz`` does and compare each loader with an independent
+per-line reference parse: the loader raises for the line the reference
+rejects first, names the file for a fault of the whole file, or loads
+exactly what the reference reads.
+"""
+
+import json
+import math
+
+import numpy as np
+import packing_oracle as oracle
+import pytest
+from test_loader_fuzz import mutate, valid_manifest
+
+from balancepack.balance import WEIGHT_SUM_TOL, load_weights, save_weights
+from balancepack.concepts import ConceptAssignment, load_assignments, save_assignments
+from balancepack.manifest import ingest_manifest, load_pack_items
+from balancepack.packing import PackingConfig, PackItem, emit_plan, load_plan, pack_bucketed
+
+
+def plan_lines(tmp_path):
+    items = [PackItem("a", 6, "x"), PackItem("b", 5, "y"), PackItem("c", 4, "x")]
+    cfg = PackingConfig(capacity=10)
+    emit_plan(pack_bucketed(items, cfg), tmp_path / "src.jsonl", cfg)
+    return (tmp_path / "src.jsonl").read_text().splitlines(keepends=True)
+
+
+# loader, valid lines (or a builder of them), line 2 with a wrongly typed
+# field, the message of that field, and whether blank lines are skipped.
+LOADERS = {
+    "weights": (
+        load_weights,
+        ['{"i":0,"w":0.25}\n', '{"i":1,"w":0.25}\n', '{"i":2,"w":0.5}\n'],
+        '{"i":1,"w":1}\n',
+        "field 'w' must be a JSON float, got 1",
+        False,
+    ),
+    "assignments": (
+        load_assignments,
+        ['{"i":0,"c":[1],"s":[0.5]}\n', '{"i":1,"c":[2,0],"s":[0.5,0.25]}\n',
+         '{"i":2,"c":[3],"s":[1.0]}\n'],
+        '{"i":1,"c":"2","s":[0.5]}\n',
+        "field 'c' must be a JSON array, got '2'",
+        False,
+    ),
+    "plan": (
+        load_plan,
+        plan_lines,
+        '{"pack":"1","capacity":10,"items":[],"pad":10}\n',
+        "field 'pack' must be a JSON integer, got '1'",
+        False,
+    ),
+    "pack-items": (
+        load_pack_items,
+        ['{"id":"a","length":3}\n', '{"id":"b","length":4}\n', '{"id":"c","length":5}\n'],
+        '{"id":"b","length":"4"}\n',
+        "field 'length' must be a JSON integer, got '4'",
+        True,
+    ),
+    "manifest": (
+        ingest_manifest,
+        ['{"id":"a","text_tokens":3}\n', '{"id":"b","text_tokens":4}\n',
+         '{"id":"c","text_tokens":5}\n'],
+        '{"id":"b","text_tokens":4.0}\n',
+        "field 'text_tokens' must be a JSON integer, got 4.0",
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_loader_keeps_the_line_contract(tmp_path, name):
+    load, lines, wrong, message, skips_blank = LOADERS[name]
+    lines = lines(tmp_path) if callable(lines) else lines
+    path = tmp_path / "f.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    want = load(path)
+
+    def fault(line2, insert=False):
+        text = lines[:1] + [line2] + lines[1 if insert else 2 :]
+        path.write_text("".join(text), encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            load(path)
+        return str(e.value)
+
+    assert fault("{not json\n").startswith(f"{path}: line 2: malformed JSON: ")
+    assert fault(wrong) == f"{path}: line 2: {message}"
+    for blank in ("\n", " \t\n"):
+        if skips_blank:
+            path.write_text("".join(lines[:1] + [blank] + lines[1:]), encoding="utf-8")
+            assert list(load(path)) == list(want)
+        else:
+            assert fault(blank, insert=True) == f"{path}: line 2: blank line"
+    path.write_bytes("".join(lines).replace("\n", "\xff\n", 2).encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError):
+        load(path)
+
+
+def test_a_malformed_line_after_the_plan_trailer_names_its_line(tmp_path):
+    path = tmp_path / "p.jsonl"
+    lines = plan_lines(tmp_path)
+    path.write_text("".join(lines) + '{"pack":\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"line {len(lines) + 1}: malformed JSON: "):
+        load_plan(path)
+    path.write_text("".join(lines) + lines[0], encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"line {len(lines) + 1}: records after the trailer"):
+        load_plan(path)
+
+
+# ------------------------------------------------------------- fuzz tests
+
+
+def reference_lines(path):
+    with open(path, encoding="utf-8") as f:
+        return list(enumerate(f, 1))
+
+
+def parse(line):
+    """A parsed JSON object, or None for a line that is not one (blank lines included)."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    return rec if type(rec) is dict else None
+
+
+def reference_weights(path):
+    weights = []
+    for n, line in reference_lines(path):
+        rec = parse(line)
+        if (
+            rec is None
+            or type(rec.get("i")) is not int
+            or rec["i"] != n - 1
+            or type(rec.get("w")) is not float
+            or not 0.0 <= rec["w"] < math.inf
+        ):
+            return "error", n
+        weights.append(rec["w"])
+    if not weights or abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        return "file", None
+    return "loaded", weights
+
+
+def reference_assignments(path):
+    rows = []
+    for n, line in reference_lines(path):
+        rec = parse(line)
+        if rec is None or type(rec.get("i")) is not int or rec["i"] != n - 1:
+            return "error", n
+        c, s = rec.get("c"), rec.get("s")
+        if (
+            type(c) is not list
+            or type(s) is not list
+            or len(c) != len(s)
+            or not all(type(x) is int and -(2**63) <= x < 2**63 for x in c)
+            or not all(type(x) is float for x in s)
+        ):
+            return "error", n
+        rows.append(list(zip(c, s)))
+    for n, row in enumerate(rows, 1):
+        sims = [s for _, s in row]
+        if (
+            not row
+            or len({c for c, _ in row}) != len(row)
+            or not all(-1.0 - 1e-6 <= s <= 1.0 + 1e-6 for s in sims)
+            or any(a < b for a, b in zip(sims, sims[1:]))
+        ):
+            return "error", n
+    return "loaded", rows
+
+
+def reference_manifest(path):
+    records, seen = [], set()
+    for n, line in reference_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = oracle._record_from_json(json.loads(line))
+        except ValueError:
+            return "error", n
+        if rec.id in seen:
+            return "error", n
+        seen.add(rec.id)
+        records.append(rec)
+    return "loaded", records
+
+
+def assignment_rows(a):
+    bounds = a.offsets.tolist()
+    cs, ss = a.concepts.tolist(), a.sims.tolist()
+    return [list(zip(cs[lo:hi], ss[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def valid_weights(rng, path):
+    w = rng.random(25)
+    save_weights(path, w / w.sum())
+    return path.read_text().splitlines(keepends=True)
+
+
+def valid_assignments(rng, path):
+    rows = []
+    for i in range(25):
+        k = int(rng.integers(1, 6))
+        concepts = rng.choice(40, size=k, replace=False).tolist()
+        sims = sorted(rng.uniform(-1.0, 1.0, size=k).tolist(), reverse=True)
+        rows.append(ConceptAssignment(i, tuple(zip(concepts, sims))))
+    save_assignments(path, rows)
+    return path.read_text().splitlines(keepends=True)
+
+
+def manifest_lines(rng, path):
+    """The packing manifest of ``test_loader_fuzz`` without its plain
+    ``length`` records, which ``ingest_manifest`` does not take."""
+    return [line for line in valid_manifest(rng) if '"length"' not in line]
+
+
+FUZZED = {
+    "weights": (load_weights, valid_weights, reference_weights, lambda w: w.tolist()),
+    "assignments": (load_assignments, valid_assignments, reference_assignments, assignment_rows),
+    "manifest": (ingest_manifest, manifest_lines, reference_manifest, list),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", FUZZED)
+def test_reader_matches_a_per_line_reference_on_mutants(tmp_path, name, seed):
+    load, valid, reference, rows = FUZZED[name]
+    rng = np.random.default_rng([23, seed, list(FUZZED).index(name)])
+    path = tmp_path / "f.jsonl"
+    base = valid(rng, path)
+    outcomes = {"error": 0, "file": 0, "loaded": 0}
+    for _ in range(250):
+        path.write_text("".join(mutate(rng, base)), encoding="utf-8")
+        kind, want = reference(path)
+        outcomes[kind] += 1
+        if kind == "loaded":
+            assert rows(load(path)) == want
+            continue
+        with pytest.raises(ValueError) as e:
+            load(path)
+        if kind == "error":
+            assert str(e.value).startswith(f"{path}: line {want}: "), str(e.value)
+        else:
+            assert str(e.value).startswith(f"{path}: ")
+            assert not str(e.value).startswith(f"{path}: line "), str(e.value)
+    assert outcomes["error"] and outcomes["loaded"], outcomes
