@@ -1,11 +1,11 @@
 """Command-line entry point: generate/ingest -> assign -> weigh -> sample -> pack -> report.
 
-Every subcommand writes its data files plus a ``config.json`` echo into
-the output directory. The echo holds every parsed flag except --output
-and --threads, which do not determine output content, so rerunning a
-subcommand from its echo reproduces every file byte for byte. All
-randomness hangs off --seed; --threads changes wall time only, never
-bytes.
+Every subcommand writes its data files, then a ``config.json`` echo, into the
+output directory. Only a run that wrote all its files writes the echo, so its
+presence marks a complete run. The echo holds every parsed flag except
+--output and --threads, which do not determine output content, so rerunning
+a subcommand from its echo reproduces every file byte for byte. All
+randomness hangs off --seed; --threads changes wall time only, never bytes.
 
 stdout carries human-readable progress; errors go to stderr as a single
 JSON object and a nonzero exit code.
@@ -185,79 +185,81 @@ def _packing_config(args: argparse.Namespace) -> packing.PackingConfig:
     )
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
-    cfg = _synth_config(args)
+def _synth(out: Path, cfg: manifest.SynthConfig) -> tuple[list, concepts.Assignments]:
+    """Generate the corpus; write manifest.jsonl and assignments.jsonl."""
     records, assignments = manifest.synth_corpus(cfg)
     manifest.emit_manifest(out / "manifest.jsonl", records)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
-    _write_echo(out, args)
+    return records, assignments
+
+
+def _weigh(out: Path, assignments: concepts.Assignments, vocab_size: int, mode: str) -> np.ndarray:
+    """Inverse-frequency weights of ``assignments``; write weights.jsonl."""
+    freqs = balance.concept_frequencies(assignments, vocab_size)
+    weights = balance.image_weights(assignments, freqs, mode=mode)
+    balance.save_weights(out / "weights.jsonl", weights)
+    return weights
+
+
+def _sample(path: Path, weights: np.ndarray, n: int, seed: int, replacement: bool) -> np.ndarray:
+    """Draw ``n`` indices by ``weights``; write them to ``path``."""
+    indices = balance.sample_balanced(weights, n, seed, replacement=replacement)
+    balance.save_sampled_indices(path, indices, seed, n, replacement)
+    return indices
+
+
+def _pack(out: Path, items: packing.Items, config: packing.PackingConfig) -> packing.PackingStats:
+    """Pack ``items``; write plan.jsonl and stats.json."""
+    plan = packing.pack(items, config)
+    stats = packing.emit_plan(plan, out / "plan.jsonl", config)
+    _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
+    return stats
+
+
+def cmd_synth(args: argparse.Namespace, out: Path) -> None:
+    records, _ = _synth(out, _synth_config(args))
     print(f"[synth] {len(records)} records -> {out / 'manifest.jsonl'}")
-    return 0
 
 
-def cmd_assign(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_assign(args: argparse.Namespace, out: Path) -> None:
     images = concepts.load_embeddings(args.input)
     vocab = concepts.load_vocabulary(args.vocab_names, args.vocab_emb)
     assignments = concepts.topk_concepts(images, vocab, args.k, threads=args.threads)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
-    _write_echo(out, args)
     print(f"[assign] {len(assignments)} assignments -> {out / 'assignments.jsonl'}")
-    return 0
 
 
-def cmd_weigh(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_weigh(args: argparse.Namespace, out: Path) -> None:
     assignments = concepts.load_assignments(args.input)
-    freqs = balance.concept_frequencies(assignments, args.vocab_size)
-    weights = balance.image_weights(assignments, freqs, mode=args.mode)
-    balance.save_weights(out / "weights.jsonl", weights)
-    _write_echo(out, args)
+    weights = _weigh(out, assignments, args.vocab_size, args.mode)
     print(f"[weigh] {weights.size} weights -> {out / 'weights.jsonl'}")
-    return 0
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_sample(args: argparse.Namespace, out: Path) -> None:
     weights = balance.load_weights(args.input)
-    indices = balance.sample_balanced(weights, args.n, args.seed, replacement=args.replacement)
-    balance.save_sampled_indices(out / "sampled.txt", indices, args.seed, args.n, args.replacement)
-    _write_echo(out, args)
+    indices = _sample(out / "sampled.txt", weights, args.n, args.seed, args.replacement)
     print(f"[sample] {indices.size} indices -> {out / 'sampled.txt'}")
-    return 0
 
 
-def cmd_pack(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
-    items = manifest.load_pack_items(args.input)
-    config = _packing_config(args)
-    plan = packing.pack(items, config)
-    stats = packing.emit_plan(plan, out / "plan.jsonl", config)
-    _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
-    _write_echo(out, args)
+def cmd_pack(args: argparse.Namespace, out: Path) -> None:
+    stats = _pack(out, manifest.load_pack_items(args.input), _packing_config(args))
     print(
         f"[pack] {stats.num_samples} samples -> {stats.num_packs} packs "
         f"({stats.overflow_count} overflow) -> {out / 'plan.jsonl'}"
     )
-    return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_stats(args: argparse.Namespace, out: Path) -> None:
     plan = packing.load_plan(args.input)
     config = packing.PackingConfig(capacity=plan.capacity, min_utilization=args.min_utilization)
     stats = packing.packing_stats(plan, config)
     # A plan file does not record the rest of the config it was packed with.
     known = {"capacity": plan.capacity, "min_utilization": args.min_utilization}
     _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": known})
-    _write_echo(out, args)
     print(f"[stats] {stats.num_packs} packs -> {out / 'stats.json'}")
-    return 0
 
 
-def cmd_coverage(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_coverage(args: argparse.Namespace, out: Path) -> None:
     assignments = concepts.load_assignments(args.input)
     if args.subset:
         # Positional, with multiplicity, as pipeline reports its balanced subset.
@@ -268,13 +270,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         {"vocab_size": args.vocab_size, "num_samples": len(assignments), **report.to_dict()},
     )
     balance.save_sorted_counts_csv(out / "coverage.csv", report)
-    _write_echo(out, args)
     print(f"[coverage] coverage={report.coverage:.4f} -> {out / 'report.json'}")
-    return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    out = _outdir(args.output)
+def cmd_pipeline(args: argparse.Namespace, out: Path) -> None:
     with _stage("config"):
         cfg = _synth_config(args)
         if args.sample_n is None:
@@ -287,38 +286,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         pack_config = _packing_config(args)
 
     with _stage("synth"):
-        records, assignments = manifest.synth_corpus(cfg)
-        manifest.emit_manifest(out / "manifest.jsonl", records)
-        concepts.save_assignments(out / "assignments.jsonl", assignments)
+        records, assignments = _synth(out, cfg)
         print(f"[pipeline/synth] {len(records)} records")
 
     with _stage("weigh"):
-        freqs = balance.concept_frequencies(assignments, cfg.vocab_size)
-        weights = balance.image_weights(assignments, freqs)
-        balance.save_weights(out / "weights.jsonl", weights)
+        weights = _weigh(out, assignments, cfg.vocab_size, "mean")
         print(f"[pipeline/weigh] {weights.size} weights")
 
     with _stage("sample"):
-        balanced_idx = balance.sample_balanced(
-            weights, sample_n, args.seed, replacement=args.replacement
-        )
+        draw = (sample_n, args.seed, args.replacement)
+        balanced_idx = _sample(out / "sampled.txt", weights, *draw)
         uniform = np.full(len(records), 1.0 / len(records))
-        uniform_idx = balance.sample_balanced(
-            uniform, sample_n, args.seed, replacement=args.replacement
-        )
-        balance.save_sampled_indices(
-            out / "sampled.txt", balanced_idx, args.seed, sample_n, args.replacement
-        )
-        balance.save_sampled_indices(
-            out / "sampled_uniform.txt", uniform_idx, args.seed, sample_n, args.replacement
-        )
+        uniform_idx = _sample(out / "sampled_uniform.txt", uniform, *draw)
         print(f"[pipeline/sample] {sample_n} balanced + {sample_n} uniform indices")
 
     with _stage("pack"):
         chosen = [records[i] for i in balanced_idx]
-        plan = packing.pack(manifest.records_to_pack_items(chosen), pack_config)
-        stats = packing.emit_plan(plan, out / "plan.jsonl", pack_config)
-        _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": pack_config.to_dict()})
+        stats = _pack(out, manifest.records_to_pack_items(chosen), pack_config)
         print(f"[pipeline/pack] {stats.num_packs} packs")
 
     with _stage("report"):
@@ -339,9 +323,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             f"[pipeline/report] entropy balanced={balanced_report.entropy_bits:.3f} "
             f"unbalanced={uniform_report.entropy_bits:.3f} -> {out / 'report.json'}"
         )
-
-    _write_echo(out, args)
-    return 0
 
 
 def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, threads: bool = False) -> None:
@@ -444,10 +425,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        out = _outdir(args.output)
+        args.func(args, out)
+        _write_echo(out, args)
     except (ValueError, OSError) as e:
         _fail(args.command, e)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -43,10 +43,6 @@ NORM_EPS = 1e-12
 
 CAPTION_SEPARATOR = ", "
 
-# Image rows per worker task in topk_concepts. Fixed so results do not
-# depend on the thread count.
-_TOPK_CHUNK = 8192
-
 # Most rows per block for finiteness checks, normalization and scoring.
 # Bounds every float64 temporary to _ROW_BLOCK rows.
 _ROW_BLOCK = 1024
@@ -365,10 +361,12 @@ def topk_concepts(
     equal similarities resolved to the lower concept index. A row whose
     k-th similarity is tied with a concept outside the selection is ranked
     by a full stable sort, so the result always equals a stable descending
-    sort of every row. Rows are scored at most ``_ROW_BLOCK`` at a time, so
-    each worker's temporaries are a few ``_ROW_BLOCK`` x ``vocab.size``
-    arrays. Tasks of ``_TOPK_CHUNK`` rows run on ``threads`` workers and
-    write their rows in place, so the result does not depend on ``threads``.
+    sort of every row. The pool's tasks are the near-equal blocks of
+    ``_row_blocks``, at most ``_ROW_BLOCK`` rows each, so a worker's
+    temporaries are a few ``_ROW_BLOCK`` x ``vocab.size`` arrays; each task
+    writes its rows in place, so the result does not depend on ``threads``.
+    No block holds a single row once n >= 2 (n == 1 is a matrix-vector
+    product), though BLAS may still round a small product unlike a large one.
     """
     validate_embeddings(images)
     if images.shape[1] != vocab.embeddings.shape[1]:
@@ -385,12 +383,11 @@ def topk_concepts(
     order = np.empty((n, k), dtype=np.int64)
     picked = np.empty((n, k), dtype=np.float64)
 
-    def score_chunk(start: int) -> None:
-        for rows in _row_blocks(start, min(start + _TOPK_CHUNK, n)):
-            order[rows], picked[rows] = _topk_block(cosine_similarities(img[rows], con), k)
+    def score_block(rows: slice) -> None:
+        order[rows], picked[rows] = _topk_block(cosine_similarities(img[rows], con), k)
 
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        list(pool.map(score_chunk, range(0, n, _TOPK_CHUNK)))
+        list(pool.map(score_block, _row_blocks(0, n)))
     return Assignments(np.arange(0, n * k + 1, k, dtype=np.int64), order.ravel(), picked.ravel())
 
 

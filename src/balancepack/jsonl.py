@@ -3,8 +3,8 @@
 ``json_lines`` streams a file and parses each line once. In its ``with``
 block a ValueError from the reader or from the caller's checks on the
 current record reads ``{path}: line N: ...``. A blank line (skipped in
-manifests) is ``blank line`` and broken JSON ``malformed JSON``. A
-``UnicodeDecodeError`` passes through: the file decodes many lines at once.
+manifests) is ``blank line``, broken or too deeply nested JSON ``malformed
+JSON``. A ``UnicodeDecodeError`` passes through: the file decodes in bulk.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]
                 raise ValueError("blank line")
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise ValueError(f"malformed JSON: {e}") from None
             yield rec
 

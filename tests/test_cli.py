@@ -386,6 +386,30 @@ def test_pipeline_names_the_synth_stage_when_synth_fails(tmp_path, capsys):
     assert not (out / "manifest.jsonl").exists()
 
 
+def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
+    # An output path taken by a directory makes the writer fail after the
+    # files before it were written; config.json is written only after all.
+    out = tmp_path / "pipe"
+    (out / "plan.jsonl").mkdir(parents=True)
+    code, _, err = run_cli(["pipeline", "--output", str(out), "--n", "200"], capsys)
+    assert code == 1
+    assert json.loads(err)["command"] == "pipeline"
+    for name in ("manifest.jsonl", "assignments.jsonl", "weights.jsonl", "sampled.txt",
+                 "sampled_uniform.txt"):
+        assert (out / name).is_file(), name
+    assert not (out / "config.json").exists()
+
+    out = tmp_path / "packed"
+    (out / "stats.json").mkdir(parents=True)
+    code, _, err = run_cli(
+        ["pack", "--output", str(out), "--input", str(synth_dir / "manifest.jsonl")], capsys
+    )
+    assert code == 1
+    assert json.loads(err)["command"] == "pack"
+    assert (out / "plan.jsonl").is_file()
+    assert not (out / "config.json").exists()
+
+
 def test_sharded_pack_takes_an_id_with_a_lone_surrogate(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(

@@ -19,6 +19,7 @@ import packing_oracle as oracle
 import pytest
 from test_loader_fuzz import mutate, valid_manifest
 
+from balancepack import cli
 from balancepack.balance import WEIGHT_SUM_TOL, load_weights, save_weights
 from balancepack.concepts import ConceptAssignment, load_assignments, save_assignments
 from balancepack.manifest import ingest_manifest, load_pack_items
@@ -91,6 +92,7 @@ def test_every_loader_keeps_the_line_contract(tmp_path, name):
         return str(e.value)
 
     assert fault("{not json\n").startswith(f"{path}: line 2: malformed JSON: ")
+    assert fault("[" * 200_000 + "\n").startswith(f"{path}: line 2: malformed JSON: ")
     assert fault(wrong) == f"{path}: line 2: {message}"
     for blank in ("\n", " \t\n"):
         if skips_blank:
@@ -101,6 +103,19 @@ def test_every_loader_keeps_the_line_contract(tmp_path, name):
     path.write_bytes("".join(lines).replace("\n", "\xff\n", 2).encode("latin-1"))
     with pytest.raises(UnicodeDecodeError):
         load(path)
+
+
+def test_sample_reports_a_deeply_nested_line_as_one_json_error(tmp_path, capsys):
+    weights = tmp_path / "w.jsonl"
+    weights.write_text('{"i":0,"w":1.0}\n' + "[" * 200_000 + "\n", encoding="utf-8")
+    argv = ["sample", "--output", str(tmp_path / "out"), "--input", str(weights), "--n", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["command"] == "sample"
+    assert obj["error"].startswith(f"{weights}: line 2: malformed JSON: ")
+    assert not (tmp_path / "out" / "config.json").exists()
 
 
 def test_a_malformed_line_after_the_plan_trailer_names_its_line(tmp_path):

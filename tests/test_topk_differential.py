@@ -15,7 +15,6 @@ import pytest
 
 from balancepack.concepts import (
     _ROW_BLOCK,
-    _TOPK_CHUNK,
     NORM_EPS,
     ConceptAssignment,
     ConceptVocabulary,
@@ -25,6 +24,9 @@ from balancepack.concepts import (
 )
 
 # ------------------------------------------------------------------ oracle
+
+# Image rows per task of the oracle, as the earlier kernel chunked them.
+_TOPK_CHUNK = 8192
 
 
 def oracle_l2_normalize(m):
@@ -180,11 +182,21 @@ def test_rows_across_block_and_chunk_boundaries_match_oracle():
         assert_same_as_oracle(images, vocab, k, threads=2)
 
 
-def test_last_chunk_of_one_row_matches_oracle():
-    # The final chunk holds one row; every other chunk splits into blocks.
+def test_a_lone_last_row_scores_as_in_a_two_row_input():
+    # The oracle scores its final chunk, one row, as a matrix-vector product,
+    # which may round unlike the same row in a larger block. The kernel never
+    # scores a row alone, so the last row matches the same image in a 2-row
+    # input, and every other row matches the oracle.
     rng = np.random.default_rng(2007)
     images = gaussian(rng, 2 * _TOPK_CHUNK + 1, 16)
-    assert_same_as_oracle(images, make_vocab(gaussian(rng, 40, 16)), 3, threads=2)
+    vocab = make_vocab(gaussian(rng, 40, 16))
+    *head, last = topk_concepts(images, vocab, 3, threads=2)
+    want = oracle_topk_concepts(images[:-1], vocab, 3)
+    assert head == want
+    assert sims_bytes(head) == sims_bytes(want)
+    pair = topk_concepts(images[-2:], vocab, 3)
+    assert last.concepts == pair[1].concepts
+    assert sims_bytes([last]) == sims_bytes([pair[1]])
 
 
 def test_pre_normalized_inputs_match_oracle():
