@@ -86,10 +86,10 @@ class StageError(ValueError):
 
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
-    """Tag a ValueError raised inside the block with the pipeline stage ``name``."""
+    """Tag a ValueError or OSError raised inside the block with the pipeline stage ``name``."""
     try:
         yield
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise StageError(name, e) from None
 
 
@@ -301,7 +301,7 @@ def cmd_pipeline(args: argparse.Namespace, out: Path) -> None:
         print(f"[pipeline/sample] {sample_n} balanced + {sample_n} uniform indices")
 
     with _stage("pack"):
-        chosen = [records[i] for i in balanced_idx]
+        chosen = [records[i] for i in np.unique(balanced_idx)]  # each drawn sample once
         stats = _pack(out, manifest.records_to_pack_items(chosen), pack_config)
         print(f"[pipeline/pack] {stats.num_packs} packs")
 

@@ -218,7 +218,12 @@ def load_embeddings(path: str | Path) -> np.ndarray:
         if rows < 1 or dim < 1:
             raise ValueError(f"{path}: invalid header rows={rows} dim={dim} at byte 4")
         expected = _HEADER.size + rows * dim * 4
-        if size != expected:
+        if size > expected:
+            raise ValueError(
+                f"{path}: {size - expected} bytes of trailing data after the payload: "
+                f"the file ends at byte {size}, expected {expected} bytes"
+            )
+        if size < expected:
             raise ValueError(
                 f"{path}: truncated payload at byte {size}, expected {expected} bytes"
             )

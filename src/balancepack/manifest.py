@@ -51,6 +51,11 @@ DEFAULT_LENGTH_MAX = 8192
 
 _GEN_SHARD = 16384
 
+# Least log-normal mass the length window may hold: the generator redraws
+# every length outside the window, so a window with (almost) no mass
+# would have it redraw (almost) forever.
+_MIN_WINDOW_MASS = 1e-3
+
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -121,17 +126,40 @@ class SynthConfig:
             raise ValueError(f"k={self.k} out of range [1, {self.vocab_size}]")
         if self.zipf_exponent < 0:
             raise ValueError("zipf_exponent must be >= 0")
+        if not (math.isfinite(self.length_mu) and math.isfinite(self.length_sigma)):
+            raise ValueError("length_mu and length_sigma must be finite")
         if self.length_sigma < 0:
             raise ValueError("length_sigma must be >= 0")
         if not 1 <= self.length_min <= self.length_max:
             raise ValueError("need 1 <= length_min <= length_max")
+        lo, hi = self.length_min, self.length_max
+        mass = _window_mass(self.length_mu, self.length_sigma, lo, hi)
+        if mass < _MIN_WINDOW_MASS:
+            raise ValueError(
+                f"log-normal(mu={self.length_mu}, sigma={self.length_sigma}) lengths put "
+                f"mass {mass:.3g} in the window [{lo}, {hi}], below {_MIN_WINDOW_MASS}"
+            )
         if not self.sources:
             raise ValueError("source mixture must not be empty")
+        if not all(math.isfinite(p) for _, p in self.sources):
+            raise ValueError("source probabilities must be finite")
         total = sum(p for _, p in self.sources)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"source probabilities sum to {total!r}, not 1")
         if any(p < 0 for _, p in self.sources):
             raise ValueError("source probabilities must be non-negative")
+
+
+def _window_mass(mu: float, sigma: float, lo: int, hi: int) -> float:
+    """P(lo <= exp(X) <= hi) for X ~ Normal(mu, sigma), as the generator draws.
+
+    With sigma 0 every draw is ``np.exp(mu)``, so the test uses that value.
+    """
+    if sigma == 0:
+        with np.errstate(over="ignore"):
+            return float(lo <= np.exp(np.float64(mu)) <= hi)
+    z_lo, z_hi = ((math.log(b) - mu) / (sigma * math.sqrt(2)) for b in (lo, hi))
+    return 0.5 * (math.erf(z_hi) - math.erf(z_lo))
 
 
 def zipf_weights(vocab_size: int, exponent: float) -> np.ndarray:

@@ -9,14 +9,14 @@ as columns. ``PackItem`` is a row view built on demand (``Items[i]``,
 
 One engine, ``pack_bucketed``, does all packing. It shards items by a
 seeded hash of sample_id, sorts each shard by length descending (ties by
-sample_id ascending, then input order), routes the items into geometric
-length buckets, first-fit packs every bucket under the per-pack
-sample/source caps, then runs one refill pass that jointly re-packs a
-shard's underfilled packs (kept only when it reduces the pack count).
-Shard outputs concatenate in shard order. Strategy "ffd" (``pack_ffd``,
-the baseline) is this engine with one bucket and one shard, which skips
-the refill pass (with one bucket it could not merge anything): plain
-first-fit decreasing.
+sample_id ascending; a repeated id raises ValueError, so a plan never
+depends on input order), routes the items into geometric length buckets,
+first-fit packs every bucket under the per-pack sample/source caps, then
+runs one refill pass that jointly re-packs a shard's underfilled packs
+(kept only when it reduces the pack count). Shard outputs concatenate in
+shard order. Strategy "ffd" (``pack_ffd``, the baseline) is this engine
+with one bucket and one shard, which skips the refill pass (with one
+bucket it could not merge anything): plain first-fit decreasing.
 
 First fit is indexed under every cap by one kind of index, a dict-backed
 max-tree over remaining capacity (``_FirstFitBins``): one tree over the
@@ -299,7 +299,7 @@ class PackingStats:
 
 
 def _id_rank(ids: list[str]) -> np.ndarray:
-    """Dense rank of each id in Python string order; equal ids share a rank.
+    """Rank of each id in Python string order; a repeated id is refused.
 
     Python's ``sorted`` orders the ids: a numpy "<U" array would drop
     trailing NUL characters and tie "a" with "a\\x00".
@@ -307,15 +307,12 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     n = len(ids)
     order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.int64, n)
     in_order = np.array(ids, dtype=object)[order]
+    repeated = np.flatnonzero(in_order[1:] == in_order[:-1])
+    if repeated.size:
+        raise ValueError(f"sample {in_order[repeated[0]]!r} repeated; pack items need distinct ids")
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.cumsum(np.concatenate(([False], in_order[1:] != in_order[:-1])))
+    rank[order] = np.arange(n)
     return rank
-
-
-def _packing_order(rank: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Positions in packing order: length descending, then id ascending,
-    then the given order (a stable sort)."""
-    return np.lexsort((rank, -length))
 
 
 def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:
@@ -464,7 +461,7 @@ def _bucket_index(length: np.ndarray, capacity: int, num_buckets: int) -> np.nda
 
 
 def _pack_shard(
-    length: np.ndarray, source: np.ndarray, rank: np.ndarray, config: PackingConfig
+    length: np.ndarray, source: np.ndarray, config: PackingConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pack one shard's in-range items, given in packing order.
 
@@ -484,8 +481,6 @@ def _pack_shard(
         pack_of += [p + num_packs for p in placed] if num_packs else placed
         num_packs += opened
     pack_of = np.array(pack_of, dtype=np.int64)
-    # Placement order within a pack: position, then refilled items after.
-    seq = np.arange(length.size)
 
     # One refill pass: dismantle packs below the utilization threshold and
     # re-pack their items jointly. Applied only when it actually merges
@@ -497,10 +492,8 @@ def _pack_shard(
         residual = fills < config.min_utilization * config.capacity
         num_residual = int(np.count_nonzero(residual))
         if num_residual >= 2:
-            # Residual items pack by pack, then in packing order (stable).
+            # Residual items, in position order, which is packing order.
             moved = np.flatnonzero(residual[pack_of])
-            moved = moved[np.argsort(pack_of[moved], kind="stable")]
-            moved = moved[_packing_order(rank[moved], length[moved])]
             picked = moved.tolist()
             placed, opened = _ffd(
                 [lengths[i] for i in picked], [sources[i] for i in picked], *caps
@@ -511,9 +504,9 @@ def _pack_shard(
                 pack_of = renumber[pack_of]
                 num_kept = num_packs - num_residual
                 pack_of[moved] = np.add(placed, num_kept)
-                seq[moved] = length.size + np.arange(moved.size)
                 num_packs = num_kept + opened
-    return np.lexsort((seq, pack_of)), np.bincount(pack_of, minlength=num_packs)
+    # No pack mixes kept and moved items, so position order is placement order.
+    return np.argsort(pack_of, kind="stable"), np.bincount(pack_of, minlength=num_packs)
 
 
 def pack_bucketed(
@@ -523,10 +516,10 @@ def pack_bucketed(
 
     Shards are independent: each is bucketed, FFD-packed under the
     configured caps, and refilled; outputs concatenate in shard-index
-    order. The plan is a pure function of (items, config). Shards run one
-    after another: packing is pure Python and holds the interpreter lock,
-    so worker threads gave no speedup. ``threads`` is accepted for
-    interface compatibility and has no effect.
+    order. The plan is a pure function of the item set and config. Shards
+    run one after another: packing is pure Python and holds the
+    interpreter lock, so worker threads gave no speedup. ``threads`` is
+    accepted for interface compatibility and has no effect.
     """
     items = Items.of(items)
     length, source = items.length, items.source
@@ -546,7 +539,7 @@ def pack_bucketed(
     emitted, sizes = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         at = in_range[lo:hi]
-        shard_order, shard_sizes = _pack_shard(length[at], source[at], rank[at], config)
+        shard_order, shard_sizes = _pack_shard(length[at], source[at], config)
         emitted.append(at[shard_order])
         sizes.append(shard_sizes)
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes)))).astype(np.int64)
@@ -575,9 +568,9 @@ def pack_ffd(
 ) -> PackPlan:
     """First-fit-decreasing baseline: ``pack`` with strategy "ffd".
 
-    Items are sorted by length descending (ties by sample_id ascending);
-    each goes to the first pack with room, or opens a new pack. Items
-    longer than the capacity land in overflow.
+    Items are sorted by length descending, ties by sample_id ascending
+    (a repeated id raises ValueError); each goes to the first pack with
+    room, or opens a new pack. Items longer than the capacity overflow.
     """
     config = PackingConfig(
         capacity=capacity,

@@ -10,6 +10,7 @@ import pytest
 
 import balancepack
 from balancepack import cli
+from balancepack.balance import load_sampled_indices
 from balancepack.concepts import ConceptVocabulary, save_embeddings, save_vocabulary
 from balancepack.packing import load_plan
 
@@ -394,6 +395,7 @@ def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     code, _, err = run_cli(["pipeline", "--output", str(out), "--n", "200"], capsys)
     assert code == 1
     assert json.loads(err)["command"] == "pipeline"
+    assert json.loads(err)["stage"] == "pack"
     for name in ("manifest.jsonl", "assignments.jsonl", "weights.jsonl", "sampled.txt",
                  "sampled_uniform.txt"):
         assert (out / name).is_file(), name
@@ -408,6 +410,30 @@ def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     assert json.loads(err)["command"] == "pack"
     assert (out / "plan.jsonl").is_file()
     assert not (out / "config.json").exists()
+
+
+def test_pipeline_with_replacement_writes_a_plan_stats_can_read(tmp_path, capsys):
+    # 400 draws from 200 samples repeat some; each drawn sample is packed once.
+    out = tmp_path / "pipe"
+    code, _, err = run_cli(
+        ["pipeline", "--output", str(out), "--n", "200", "--sample-n", "400", "--replacement",
+         "--seed", "3", "--shards", "2"],
+        capsys,
+    )
+    assert code == 0, err
+    drawn = load_sampled_indices(out / "sampled.txt")
+    assert drawn.size == 400 and np.unique(drawn).size < 400
+    ids = [json.loads(line)["id"] for line in (out / "manifest.jsonl").read_text().splitlines()]
+    plan = load_plan(out / "plan.jsonl")
+    assert sorted(plan.packed.ids + plan.overflowed.ids) == sorted({ids[i] for i in drawn})
+    report = json.loads((out / "report.json").read_text())
+    assert report["packing"]["num_samples"] == np.unique(drawn).size
+    assert sum(report["balanced"]["sorted_counts"]) == 400 * 5  # k = 5 concepts per draw
+
+    code, _, err = run_cli(
+        ["stats", "--output", str(tmp_path / "stats"), "--input", str(out / "plan.jsonl")], capsys
+    )
+    assert code == 0, err
 
 
 def test_sharded_pack_takes_an_id_with_a_lone_surrogate(tmp_path, capsys):

@@ -103,6 +103,16 @@ def test_load_rejects_trailing_bytes(tmp_path):
         load_embeddings(path)
 
 
+def test_load_names_trailing_bytes_as_trailing_data(tmp_path):
+    # A file longer than its header says holds trailing data, not a short payload.
+    path = tmp_path / "long.emb"
+    save_embeddings(path, np.ones((2, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + b"abc")
+    with pytest.raises(ValueError, match="3 bytes of trailing data") as err:
+        load_embeddings(path)
+    assert "truncated" not in str(err.value)
+
+
 def test_load_names_first_non_finite_value_past_the_first_row_block(tmp_path):
     path = tmp_path / "late-nan.emb"
     save_embeddings(path, np.ones((3000, 4), dtype=np.float32))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,25 @@ def test_synth_config_validation():
         SynthConfig(n_samples=5, sources=(("a", 0.5), ("b", 0.6)))
     with pytest.raises(ValueError, match="length_min"):
         SynthConfig(n_samples=5, length_min=100, length_max=50)
+    # The generator redraws every length outside [length_min, length_max],
+    # so a window without mass would never fill; a NaN probability slips past
+    # every comparison.
+    with pytest.raises(ValueError, match=r"mass 0 in the window \[32, 8192\], below 0.001"):
+        SynthConfig(n_samples=5, length_mu=20)
+    with pytest.raises(ValueError, match=r"mass 0 in the window \[32, 8192\]"):
+        SynthConfig(n_samples=5, length_mu=10, length_sigma=0)
+    with pytest.raises(ValueError, match=r"mass 0.000\d+ in the window \[1, 2\]"):
+        SynthConfig(n_samples=5, length_mu=0, length_sigma=1000, length_min=1, length_max=2)
+    for mu, sigma in ((float("nan"), 0.35), (6.0, float("nan")), (float("inf"), 0.35),
+                      (6.0, float("inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            SynthConfig(n_samples=5, length_mu=mu, length_sigma=sigma)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="source probabilities must be finite"):
+            SynthConfig(n_samples=5, sources=(("a", 0.5), ("b", bad)))
+    # Windows that hold the mass are kept, with sigma 0 or with half the mass.
+    SynthConfig(n_samples=5, length_mu=math.log(64), length_sigma=0, length_min=60, length_max=70)
+    SynthConfig(n_samples=5, length_mu=math.log(8192), length_sigma=0.35)
 
 
 def test_synth_deterministic_fixed_seed(tmp_path):

@@ -26,7 +26,8 @@ from balancepack.packing import (
     _bucket_index,
     _ffd,
     _id_rank,
-    _packing_order,
+    emit_plan,
+    pack,
     pack_bucketed,
     pack_ffd,
 )
@@ -64,12 +65,8 @@ def criterion3_instances(seed, trials):
         yield items, cfg
 
 
-def capped_instance(rng, trial, tie_heavy=False, id_pool=None):
-    """Source-capped instance: 1-3 source slots, 1-6 sources, up to 300 items.
-
-    With ``id_pool``, ids are drawn from that many values, so ids repeat
-    as they do when ``pipeline --replacement`` packs a draw with repeats.
-    """
+def capped_instance(rng, trial, tie_heavy=False):
+    """Source-capped instance: 1-3 source slots, 1-6 sources, up to 300 items."""
     n = int(rng.integers(1, 300))
     cap = int(rng.integers(4, 80))
     n_sources = int(rng.integers(1, 7))
@@ -78,10 +75,7 @@ def capped_instance(rng, trial, tie_heavy=False, id_pool=None):
         lengths = rng.choice(choices, size=n)
     else:
         lengths = rng.integers(1, cap + 1, size=n)
-    if id_pool is None:
-        ids = [f"c{trial}-{j:03d}" for j in range(n)]
-    else:
-        ids = [f"c{trial}-{int(j):03d}" for j in rng.integers(0, id_pool, size=n)]
+    ids = [f"c{trial}-{j:03d}" for j in range(n)]
     items = [
         PackItem(ids[j], int(lengths[j]), f"s{int(rng.integers(n_sources))}") for j in range(n)
     ]
@@ -143,20 +137,20 @@ def assert_engines_agree(items, cfg, rng=None):
 def test_packing_order_matches_tuple_key_sort():
     rng = np.random.default_rng(41)
     items = [
-        PackItem(f"o{int(rng.integers(0, 400)):03d}-{j % 7}", int(rng.integers(1, 6)))
+        PackItem(f"o{int(rng.integers(0, 400)):03d}-{j}", int(rng.integers(1, 6)))
         for j in range(500)
     ]
     rng.shuffle(items)
     cols = Items.of(items)
-    order = _packing_order(_id_rank(cols.ids), cols.length).tolist()
-    # sorted() is stable, so repeated (length, id) pairs keep input order.
+    order = np.lexsort((_id_rank(cols.ids), -cols.length)).tolist()
     assert order == sorted(range(len(items)), key=lambda i: (-items[i].length, items[i].sample_id))
 
 
 def test_id_rank_keeps_trailing_nul_characters():
     # A numpy "<U" array would drop the trailing NUL and tie "a" with "a\x00".
-    ids = ["a\x00", "a", "b", "a\x00\x00", "a"]
-    assert _id_rank(ids).tolist() == [1, 0, 3, 2, 0]
+    assert _id_rank(["a\x00", "a", "b", "a\x00\x00"]).tolist() == [1, 0, 3, 2]
+    with pytest.raises(ValueError, match="sample 'a\\\\x00' repeated"):
+        _id_rank(["a\x00", "a", "b", "a\x00"])
 
 
 @pytest.mark.parametrize("num_buckets", [1, 2, 3, 6, 40, 70])
@@ -204,21 +198,35 @@ def test_differential_source_capped(tie_heavy):
         assert_engines_agree(items, cfg, rng)
 
 
-def test_differential_repeated_ids():
-    # Repeated ids tie in the sort; the input order, and in the refill pass
-    # the order the residual packs held them in, must break the tie.
-    rng = np.random.default_rng(48)
-    for trial in range(300):
-        items, cfg = capped_instance(rng, trial, tie_heavy=trial % 2 == 1, id_pool=20)
-        if trial % 3 == 0:
-            cfg = PackingConfig(
-                capacity=cfg.capacity,
-                num_buckets=cfg.num_buckets,
-                shards=cfg.shards,
-                min_utilization=cfg.min_utilization,
-                seed=cfg.seed,
-            )
-        assert_engines_agree(items, cfg, rng)
+def test_every_pack_entry_refuses_a_repeated_id():
+    # "b" comes twice with different lengths and sources, so no order of
+    # the two could make the plan a partition of the input.
+    items = [PackItem("a", 3, "x"), PackItem("b", 4, "x"), PackItem("c", 2), PackItem("b", 5)]
+    entries = [
+        lambda: pack(items, PackingConfig(capacity=8, strategy="ffd")),
+        lambda: pack(items, PackingConfig(capacity=8, strategy="bucket", num_buckets=3)),
+        lambda: pack_bucketed(items, PackingConfig(capacity=8, shards=1)),
+        lambda: pack_bucketed(items, PackingConfig(capacity=8, shards=3, seed=5)),
+        lambda: pack_ffd(items, 8),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="sample 'b' repeated; pack items need distinct ids"):
+            entry()
+
+
+def test_plan_does_not_depend_on_input_order(tmp_path):
+    rng = np.random.default_rng(49)
+    for items, cfg in criterion3_instances(1004, 300):
+        shuffled = list(items)
+        rng.shuffle(shuffled)
+        a, b = pack(items, cfg), pack(shuffled, cfg)
+        # Source codes follow first-seen order, so compare rows, which carry tags.
+        assert list(a.packed) == list(b.packed)
+        assert a.bounds.tolist() == b.bounds.tolist()
+        assert list(a.overflowed) == list(b.overflowed)
+        emit_plan(a, tmp_path / "a.jsonl", cfg)
+        emit_plan(b, tmp_path / "b.jsonl", cfg)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def test_differential_one_sample_per_pack():
@@ -253,7 +261,7 @@ def test_source_index_memory_is_sparse():
     # each in its own source tree. A dense 2 * 4096-slot list per source
     # would need ~260 MB; the sparse trees hold ~13 nodes each.
     items = Items.of(PackItem(f"m{j:05d}", 1 + j % 7, f"src{j:05d}") for j in range(4000))
-    order = _packing_order(_id_rank(items.ids), items.length)
+    order = np.lexsort((_id_rank(items.ids), -items.length))
     lengths, sources = items.length[order].tolist(), items.source[order].tolist()
     tracemalloc.start()
     try:
