@@ -21,6 +21,7 @@ from .concepts import (
 from .manifest import (
     SampleRecord,
     SynthConfig,
+    SynthRecords,
     estimate_tokens,
     ingest_manifest,
     synth_corpus,
@@ -55,6 +56,7 @@ __all__ = [
     "PackingStats",
     "SampleRecord",
     "SynthConfig",
+    "SynthRecords",
     "balance_report",
     "build_pseudo_caption",
     "concept_frequencies",

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import Assignments, ConceptAssignment
-from .jsonl import json_field, json_lines
+from .jsonl import WRITE_BLOCK, json_field, json_lines
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -187,8 +187,10 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
         i = int(bad[0])
         raise ValueError(f"weight {i} is {values[i].item()!r}, not finite and non-negative")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        # %r of a float is what json.dumps writes for it.
-        f.writelines('{"i":%d,"w":%r}\n' % iw for iw in enumerate(values.tolist()))
+        for lo in range(0, values.size, WRITE_BLOCK):
+            block = values[lo : lo + WRITE_BLOCK].tolist()
+            # %r of a float is what json.dumps writes for it.
+            f.writelines('{"i":%d,"w":%r}\n' % iw for iw in enumerate(block, lo))
 
 
 def load_weights(path: str | Path) -> np.ndarray:
@@ -221,8 +223,9 @@ def save_sampled_indices(
     """One index per line, with a header comment recording the draw."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# seed={seed} n={n} replacement={str(replacement).lower()}\n")
-        for i in indices:
-            f.write(f"{int(i)}\n")
+        indices = np.asarray(indices)
+        for lo in range(0, indices.size, WRITE_BLOCK):
+            f.writelines("%d\n" % i for i in indices[lo : lo + WRITE_BLOCK].tolist())
 
 
 _SAMPLED_HEADER = re.compile(

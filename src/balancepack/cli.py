@@ -185,7 +185,9 @@ def _packing_config(args: argparse.Namespace) -> packing.PackingConfig:
     )
 
 
-def _synth(out: Path, cfg: manifest.SynthConfig) -> tuple[list, concepts.Assignments]:
+def _synth(
+    out: Path, cfg: manifest.SynthConfig
+) -> tuple[manifest.SynthRecords, concepts.Assignments]:
     """Generate the corpus; write manifest.jsonl and assignments.jsonl."""
     records, assignments = manifest.synth_corpus(cfg)
     manifest.emit_manifest(out / "manifest.jsonl", records)
@@ -301,8 +303,8 @@ def cmd_pipeline(args: argparse.Namespace, out: Path) -> None:
         print(f"[pipeline/sample] {sample_n} balanced + {sample_n} uniform indices")
 
     with _stage("pack"):
-        chosen = [records[i] for i in np.unique(balanced_idx)]  # each drawn sample once
-        stats = _pack(out, manifest.records_to_pack_items(chosen), pack_config)
+        items = records.take(np.unique(balanced_idx))  # each drawn sample once
+        stats = _pack(out, items, pack_config)
         print(f"[pipeline/pack] {stats.num_packs} packs")
 
     with _stage("report"):

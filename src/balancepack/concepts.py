@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import json_field, json_lines
+from .jsonl import WRITE_BLOCK, json_field, json_lines
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -404,16 +404,52 @@ def build_pseudo_caption(assignment: ConceptAssignment, vocab: ConceptVocabulary
     return CAPTION_SEPARATOR.join(vocab.names[idx] for idx, _ in assignment.concepts)
 
 
+def _float_reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64, as an object array of str.
+
+    When at most half the values are distinct, each distinct value is
+    formatted once. The table is keyed on the bit pattern, not the value,
+    so -0.0 keeps its sign next to 0.0.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if bits.size <= values.size // 2:
+        table = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        return table[inverse]
+    return np.array(list(map(repr, values.tolist())), dtype=object)
+
+
 def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment]) -> None:
-    """Write JSON Lines {"i": row, "c": [...], "s": [...]}, the bytes json.dumps would write."""
+    """Write JSON Lines {"i": row, "c": [...], "s": [...]}, the bytes json.dumps would write.
+
+    Rows go out a block at a time. A block whose rows are all k wide is one
+    ``%`` of k-wide line formats over its fields; other blocks join row by row.
+    """
     a = Assignments.of(assignments)
-    cs, ss, bounds = a.concepts.tolist(), a.sims.tolist(), a.offsets.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.writelines(
-            '{"i":%d,"c":[%s],"s":[%s]}\n'
-            % (i, ",".join(map(str, cs[lo:hi])), ",".join(map(repr, ss[lo:hi])))
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        )
+        for lo in range(0, len(a), WRITE_BLOCK):
+            hi = min(lo + WRITE_BLOCK, len(a))
+            bounds = a.offsets[lo : hi + 1]
+            first, last = int(bounds[0]), int(bounds[-1])
+            cs = a.concepts[first:last]
+            ss = _float_reprs(a.sims[first:last])
+            widths = np.diff(bounds)
+            k = int(widths[0])
+            if np.all(widths == k):
+                fields = np.empty((hi - lo, 2 * k + 1), dtype=object)
+                fields[:, 0] = range(lo, hi)
+                fields[:, 1 : k + 1] = cs.reshape(-1, k)
+                fields[:, k + 1 :] = ss.reshape(-1, k)
+                fields = fields.ravel().tolist()
+                line = '{"i":%%d,"c":[%s],"s":[%s]}\n' % ((",".join(["%s"] * k),) * 2)
+                f.write((line * (hi - lo)) % tuple(fields))
+                continue
+            cs, ss, starts = cs.tolist(), ss.tolist(), (bounds - first).tolist()
+            f.writelines(
+                '{"i":%d,"c":[%s],"s":[%s]}\n'
+                % (i, ",".join(map(str, cs[b0:b1])), ",".join(ss[b0:b1]))
+                for i, b0, b1 in zip(range(lo, hi), starts, starts[1:])
+            )
 
 
 def load_assignments(path: str | Path) -> Assignments:

@@ -1,4 +1,5 @@
-"""The toolkit's one JSON Lines reader, and strict field access.
+"""The toolkit's one JSON Lines reader, strict field access, and the
+writers' block size.
 
 ``json_lines`` streams a file and parses each line once. In its ``with``
 block a ValueError from the reader or from the caller's checks on the
@@ -13,6 +14,10 @@ import json
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+
+# Rows per write of the line writers: each formats one block of rows from
+# its columns, so a writer's temporaries do not grow with the file.
+WRITE_BLOCK = 8192
 
 
 @contextmanager

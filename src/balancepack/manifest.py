@@ -14,8 +14,14 @@ one of the gaps between the concepts already drawn, picked by gap mass
 (a difference of suffix sums of the Zipf weights), then placed inside
 the gap by binary search, at O(k^2 + k log m) per sample.
 Generation runs shard by shard on one thread, each fixed-size shard on
-Philox substreams keyed by (seed, stream, shard), and the concepts of all
-shards come back as one columnar ``concepts.Assignments``.
+Philox substreams keyed by (seed, stream, shard), filling preallocated
+columns: the records come back as one ``SynthRecords`` (an int64 length
+column and an int32 source-code column; ids are ``synth-%08d`` of the
+row) and the concepts as one ``concepts.Assignments``. No ``SampleRecord``
+is built unless a row is read. ``emit_manifest`` writes ``SynthRecords``
+from the columns a block of rows at a time, and ``SynthRecords.take``
+gives the pack items of chosen rows, so the pipeline never holds one
+object per sample.
 
 Both manifest readers run one loop over ``jsonl.json_lines`` that skips
 blank lines, since manifests come from outside the toolkit, and rejects
@@ -35,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .concepts import Assignments
-from .jsonl import json_field, json_lines
+from .jsonl import WRITE_BLOCK, json_field, json_lines
 from .packing import Items, check_length
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
@@ -50,6 +56,10 @@ DEFAULT_LENGTH_MIN = 32
 DEFAULT_LENGTH_MAX = 8192
 
 _GEN_SHARD = 16384
+
+# The largest float64 below 2**63: a drawn length <= length_max <= this
+# bound casts to int64 exactly.
+_LENGTH_LIMIT = 2**63 - 1024
 
 # Least log-normal mass the length window may hold: the generator redraws
 # every length outside the window, so a window with (almost) no mass
@@ -132,6 +142,11 @@ class SynthConfig:
             raise ValueError("length_sigma must be >= 0")
         if not 1 <= self.length_min <= self.length_max:
             raise ValueError("need 1 <= length_min <= length_max")
+        if self.length_max > _LENGTH_LIMIT:
+            raise ValueError(
+                f"length_max={self.length_max} is beyond the int64 range: lengths are drawn "
+                f"as float64, and {_LENGTH_LIMIT} is the largest that casts to int64"
+            )
         lo, hi = self.length_min, self.length_max
         mass = _window_mass(self.length_mu, self.length_sigma, lo, hi)
         if mass < _MIN_WINDOW_MASS:
@@ -233,21 +248,66 @@ def _distinct_weighted_rows(
     return picked
 
 
-def synth_corpus(cfg: SynthConfig) -> tuple[list[SampleRecord], Assignments]:
+@dataclass(frozen=True, eq=False)
+class SynthRecords(Sequence[SampleRecord]):
+    """Synthetic manifest records as columns: record i is
+    ``SampleRecord(f"synth-{i:08d}", tags[source[i]], text_tokens[i])``,
+    with no image and the default patch and merge. ``synth_corpus`` builds
+    it with every length in [length_min, length_max], at least 1 and within
+    int64, so no row is checked. ``len``, indexing and iteration build
+    ``SampleRecord`` rows on demand; ``==`` compares rows with any sequence
+    of rows."""
+
+    text_tokens: np.ndarray  # int64[n]
+    source: np.ndarray  # int32[n], codes into tags
+    tags: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return self.text_tokens.size
+
+    def __getitem__(self, i: int) -> SampleRecord:
+        i = range(len(self))[i]  # a negative i counts from the end, as for lists
+        return SampleRecord(f"synth-{i:08d}", self.tags[self.source[i]], int(self.text_tokens[i]))
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        ids = map("synth-%08d".__mod__, range(len(self)))
+        sources = map(self.tags.__getitem__, self.source.tolist())
+        return map(SampleRecord, ids, sources, self.text_tokens.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def take(self, rows: np.ndarray) -> Items:
+        """Pack items of records ``rows``, in order, as ``records_to_pack_items``
+        builds them: a synth record's token length is its ``text_tokens``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = np.flatnonzero((rows < 0) | (rows >= len(self)))
+        if bad.size:
+            raise ValueError(f"record index {rows[bad[0]]} out of range [0, {len(self)})")
+        ids = list(map("synth-%08d".__mod__, rows.tolist()))
+        return Items(ids, self.text_tokens[rows], self.source[rows], self.tags)
+
+
+def synth_corpus(cfg: SynthConfig) -> tuple[SynthRecords, Assignments]:
     """Generate a manifest plus concept assignments, fully seed-determined.
 
-    Shards run in order, each on its own Philox substreams; output is
-    shard-major.
+    Shards run in order, each on its own Philox substreams, and fill the
+    columns shard-major.
     """
+    n, k = cfg.n_samples, cfg.k
     concept_w = zipf_weights(cfg.vocab_size, cfg.zipf_exponent)
-    source_tags = [tag for tag, _ in cfg.sources]
+    tags = tuple(dict.fromkeys(tag for tag, _ in cfg.sources))  # a repeated tag is one source
+    code_of = np.array([tags.index(tag) for tag, _ in cfg.sources], dtype=np.int32)
     source_cdf = np.cumsum([p for _, p in cfg.sources])
-    records: list[SampleRecord] = []
-    blocks: list[np.ndarray] = []
-    for shard in range(-(-cfg.n_samples // _GEN_SHARD)):
-        base = shard * _GEN_SHARD
-        count = min(_GEN_SHARD, cfg.n_samples - base)
-        lengths = _truncated_lognormal(
+    text_tokens = np.empty(n, dtype=np.int64)
+    source = np.empty(n, dtype=np.int32)
+    picked = np.empty((n, k), dtype=np.int64)
+    for shard in range(-(-n // _GEN_SHARD)):
+        rows = slice(shard * _GEN_SHARD, min((shard + 1) * _GEN_SHARD, n))
+        count = rows.stop - rows.start
+        text_tokens[rows] = _truncated_lognormal(
             philox(cfg.seed, STREAM_LENGTHS, shard),
             count,
             cfg.length_mu,
@@ -256,26 +316,26 @@ def synth_corpus(cfg: SynthConfig) -> tuple[list[SampleRecord], Assignments]:
             cfg.length_max,
         )
         u_src = philox(cfg.seed, STREAM_SOURCES, shard).random(count)
-        src_idx = np.minimum(
-            np.searchsorted(source_cdf, u_src, side="right"), len(source_tags) - 1
-        )
-        records.extend(
-            SampleRecord(
-                id=f"synth-{base + i:08d}",
-                source=source_tags[src_idx[i]],
-                text_tokens=int(lengths[i]),
-            )
-            for i in range(count)
-        )
+        src_idx = np.minimum(np.searchsorted(source_cdf, u_src, side="right"), code_of.size - 1)
+        source[rows] = code_of[src_idx]
         concept_rng = philox(cfg.seed, STREAM_CONCEPTS, shard)
-        blocks.append(_distinct_weighted_rows(concept_rng, count, concept_w, cfg.k))
-    picked = np.concatenate(blocks).ravel()
-    return records, Assignments(np.arange(0, picked.size + 1, cfg.k), picked, concept_w[picked])
+        picked[rows] = _distinct_weighted_rows(concept_rng, count, concept_w, k)
+    picked = picked.reshape(-1)
+    assignments = Assignments(np.arange(0, picked.size + 1, k), picked, concept_w[picked])
+    return SynthRecords(text_tokens, source, tags), assignments
 
 
 def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
-    """JSON Lines manifest; patch/merge are written only when non-default."""
+    """JSON Lines manifest; patch/merge are written only when non-default.
+
+    ``SynthRecords`` are written from their columns, a block of rows per
+    write, with each source tag JSON-encoded once; the bytes are those of
+    the row loop below.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
+        if isinstance(records, SynthRecords):
+            _write_synth_lines(f, records)
+            return
         for rec in records:
             obj: dict = {"id": rec.id, "source": rec.source, "text_tokens": rec.text_tokens}
             if rec.image is not None:
@@ -285,6 +345,18 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
             if rec.merge != DEFAULT_MERGE:
                 obj["merge"] = rec.merge
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def _write_synth_lines(f, records: SynthRecords) -> None:
+    tags = np.array([json.dumps(tag) for tag in records.tags], dtype=object)
+    line = '{"id":"synth-%08d","source":%s,"text_tokens":%d}\n'
+    for lo in range(0, len(records), WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, len(records))
+        fields = np.empty((hi - lo, 3), dtype=object)
+        fields[:, 0] = range(lo, hi)
+        fields[:, 1] = tags[records.source[lo:hi]]
+        fields[:, 2] = records.text_tokens[lo:hi]
+        f.write((line * (hi - lo)) % tuple(fields.ravel().tolist()))
 
 
 def _record_fields(obj) -> tuple[str, str, int, tuple[int, int] | None, int, int]:

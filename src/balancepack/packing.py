@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .jsonl import _REQUIRED, json_field, json_lines
-from .rng import shard_of
+from .rng import shards_of
 
 DEFAULT_CAPACITY = 8192
 _INT64_MAX = 2**63 - 1
@@ -526,10 +526,7 @@ def pack_bucketed(
     if config.shards == 1:
         shard = np.zeros(len(items), dtype=np.int64)
     else:
-        seed, shards = config.seed, config.shards
-        shard = np.fromiter(
-            (shard_of(sample_id, seed, shards) for sample_id in items.ids), np.int64, len(items)
-        )
+        shard = shards_of(items.ids, config.seed, config.shards)
     rank = _id_rank(items.ids)
     # Shard by shard, each in packing order; overflow keeps that order.
     order = np.lexsort((rank, -length, shard))

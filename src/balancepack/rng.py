@@ -10,6 +10,7 @@ byte-identical results.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -32,11 +33,26 @@ def philox(seed: int, stream: int = 0, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _digests(sample_ids: Iterable[str], seed: int) -> np.ndarray:
+    """8-byte BLAKE2b of each id keyed by the seed, read little-endian.
+
+    The keyed state is built once and copied per id.
+    """
+    keyed = hashlib.blake2b(digest_size=8, key=(seed & _MASK64).to_bytes(8, "little"))
+
+    def digest(sample_id: str) -> bytes:
+        h = keyed.copy()
+        h.update(sample_id.encode("utf-8", "surrogatepass"))  # a lone surrogate hashes as 3 bytes
+        return h.digest()
+
+    return np.frombuffer(b"".join(map(digest, sample_ids)), dtype="<u8")
+
+
 def shard_of(sample_id: str, seed: int, shards: int) -> int:
     """Deterministic shard for a sample id under a seeded keyed hash."""
-    digest = hashlib.blake2b(
-        sample_id.encode("utf-8", "surrogatepass"),  # a lone surrogate hashes as 3 bytes
-        digest_size=8,
-        key=(seed & _MASK64).to_bytes(8, "little"),
-    ).digest()
-    return int.from_bytes(digest, "little") % shards
+    return int(_digests([sample_id], seed)[0]) % shards
+
+
+def shards_of(sample_ids: Iterable[str], seed: int, shards: int) -> np.ndarray:
+    """``shard_of`` of every id, as int64; ``shards`` must fit an int64."""
+    return (_digests(sample_ids, seed) % np.uint64(shards)).astype(np.int64)

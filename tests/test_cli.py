@@ -387,6 +387,20 @@ def test_pipeline_names_the_synth_stage_when_synth_fails(tmp_path, capsys):
     assert not (out / "manifest.jsonl").exists()
 
 
+def test_synth_names_a_length_max_beyond_the_int64_range(tmp_path, capsys):
+    out = tmp_path / "synth"
+    code, _, err = run_cli(
+        ["synth", "--output", str(out), "--n", "3", "--length-mu", "60", "--length-sigma", "0",
+         "--length-max", "1000000000000000000000000000000"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(err)["error"].startswith(
+        "length_max=1000000000000000000000000000000 is beyond the int64 range"
+    )
+    assert not (out / "manifest.jsonl").exists()
+
+
 def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     # An output path taken by a directory makes the writer fail after the
     # files before it were written; config.json is written only after all.

@@ -98,9 +98,25 @@ def test_synth_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="source probabilities must be finite"):
             SynthConfig(n_samples=5, sources=(("a", 0.5), ("b", bad)))
+    # Lengths are drawn as float64 and cast to int64: 2**63 - 1 rounds to
+    # 2**63 as a float64, so the largest bound kept is 2**63 - 1024.
+    for bad in (2**63 - 1, 2**63 - 1023, 10**30):
+        with pytest.raises(ValueError, match=f"length_max={bad} is beyond the int64 range"):
+            SynthConfig(n_samples=3, length_mu=60, length_sigma=0, length_max=bad)
     # Windows that hold the mass are kept, with sigma 0 or with half the mass.
     SynthConfig(n_samples=5, length_mu=math.log(64), length_sigma=0, length_min=60, length_max=70)
     SynthConfig(n_samples=5, length_mu=math.log(8192), length_sigma=0.35)
+
+
+def test_synth_lengths_at_the_top_of_the_int64_range_fit():
+    top = 2**63 - 1024
+    cfg = SynthConfig(
+        n_samples=20_000, length_mu=math.log(2**62.8), length_sigma=0.3, length_min=2**61,
+        length_max=top, seed=2,
+    )
+    records, _ = synth_corpus(cfg)
+    assert 2**61 <= records.text_tokens.min() and records.text_tokens.max() <= top
+    assert records.text_tokens.max() > 2**62.9
 
 
 def test_synth_deterministic_fixed_seed(tmp_path):
