@@ -405,18 +405,13 @@ def build_pseudo_caption(assignment: ConceptAssignment, vocab: ConceptVocabulary
 
 
 def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64, as an object array of str.
-
-    When at most half the values are distinct, each distinct value is
-    formatted once. The table is keyed on the bit pattern, not the value,
-    so -0.0 keeps its sign next to 0.0.
-    """
+    """``repr`` of each float64, as an object array of str, formatting each
+    distinct value once. The table is keyed on the bit pattern, not the
+    value, so -0.0 keeps its sign next to 0.0."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    if bits.size <= values.size // 2:
-        table = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        return table[inverse]
-    return np.array(list(map(repr, values.tolist())), dtype=object)
+    table = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return table[inverse]
 
 
 def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment]) -> None:

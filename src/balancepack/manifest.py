@@ -42,7 +42,7 @@ import numpy as np
 
 from .concepts import Assignments
 from .jsonl import WRITE_BLOCK, json_field, json_lines
-from .packing import Items, check_length
+from .packing import Items, check_length, source_codes
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
 DEFAULT_PATCH = 14
@@ -298,8 +298,7 @@ def synth_corpus(cfg: SynthConfig) -> tuple[SynthRecords, Assignments]:
     """
     n, k = cfg.n_samples, cfg.k
     concept_w = zipf_weights(cfg.vocab_size, cfg.zipf_exponent)
-    tags = tuple(dict.fromkeys(tag for tag, _ in cfg.sources))  # a repeated tag is one source
-    code_of = np.array([tags.index(tag) for tag, _ in cfg.sources], dtype=np.int32)
+    code_of, tags = source_codes([tag for tag, _ in cfg.sources])  # a repeated tag is one source
     source_cdf = np.cumsum([p for _, p in cfg.sources])
     text_tokens = np.empty(n, dtype=np.int64)
     source = np.empty(n, dtype=np.int32)

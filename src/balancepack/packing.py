@@ -71,7 +71,7 @@ class PackItem:
         check_length(self.sample_id, self.length)
 
 
-def _source_codes(sources: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+def source_codes(sources: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """int32 codes of source tags into a tag table in first-seen order."""
     code = {tag: i for i, tag in enumerate(dict.fromkeys(sources))}
     return np.fromiter(map(code.__getitem__, sources), np.int32, len(sources)), tuple(code)
@@ -114,7 +114,7 @@ class Items(Sequence[PackItem]):
     @classmethod
     def from_lists(cls, ids: list[str], lengths: list[int], sources: list[str]) -> Items:
         """Checked columns of parallel lists; ``lengths`` must hold integers."""
-        codes, tags = _source_codes(sources)
+        codes, tags = source_codes(sources)
         return cls(ids, np.array(lengths, dtype=np.int64).reshape(-1), codes, tags)
 
     @classmethod
