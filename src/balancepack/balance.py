@@ -10,7 +10,6 @@ renormalization while staying order-independent and seed-stable.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import Assignments, ConceptAssignment
-from .jsonl import WRITE_BLOCK, json_field, json_lines
+from .jsonl import json_field, json_lines, output, write_rows
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -186,11 +185,9 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"weight {i} is {values[i].item()!r}, not finite and non-negative")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for lo in range(0, values.size, WRITE_BLOCK):
-            block = values[lo : lo + WRITE_BLOCK].tolist()
-            # %r of a float is what json.dumps writes for it.
-            f.writelines('{"i":%d,"w":%r}\n' % iw for iw in enumerate(block, lo))
+    line = '{"i":%d,"w":%r}\n'  # %r of a float is what json.dumps writes for it
+    with output(path) as f:
+        write_rows(f, line, values.size, lambda lo, hi: (range(lo, hi), values[lo:hi]))
 
 
 def load_weights(path: str | Path) -> np.ndarray:
@@ -221,11 +218,10 @@ def save_sampled_indices(
     path: str | Path, indices: np.ndarray, seed: int, n: int, replacement: bool
 ) -> None:
     """One index per line, with a header comment recording the draw."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    indices = np.asarray(indices)
+    with output(path) as f:
         f.write(f"# seed={seed} n={n} replacement={str(replacement).lower()}\n")
-        indices = np.asarray(indices)
-        for lo in range(0, indices.size, WRITE_BLOCK):
-            f.writelines("%d\n" % i for i in indices[lo : lo + WRITE_BLOCK].tolist())
+        write_rows(f, "%d\n", indices.size, lambda lo, hi: (indices[lo:hi],))
 
 
 _SAMPLED_HEADER = re.compile(
@@ -260,8 +256,7 @@ def load_sampled_indices(path: str | Path) -> np.ndarray:
 
 def save_sorted_counts_csv(path: str | Path, report: BalanceReport) -> None:
     """rank,count rows for long-tail plots (rank is 1-based)."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["rank", "count"])
-        for rank, count in enumerate(report.sorted_counts, start=1):
-            writer.writerow([rank, int(count)])
+    counts = np.asarray(report.sorted_counts)
+    with output(path) as f:
+        f.write("rank,count\n")
+        write_rows(f, "%d,%d\n", counts.size, lambda lo, hi: (range(lo + 1, hi + 1), counts[lo:hi]))

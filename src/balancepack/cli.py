@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import balance, concepts, manifest, packing
+from . import balance, concepts, jsonl, manifest, packing
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -119,7 +119,7 @@ def _write_echo(outdir: Path, args: argparse.Namespace) -> None:
         for key, value in vars(args).items()
         if key not in ("command", "func", "output", "threads")
     }
-    with open(outdir / "config.json", "w", encoding="utf-8", newline="\n") as f:
+    with jsonl.output(outdir / "config.json") as f:
         json.dump({"command": args.command, "params": params}, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -152,7 +152,7 @@ def _parse_sources(text: str) -> tuple[tuple[str, float], ...]:
 
 
 def _json_dump(path: Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with jsonl.output(path) as f:
         json.dump(obj, f, indent=2)
         f.write("\n")
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import WRITE_BLOCK, json_field, json_lines
+from .jsonl import json_field, json_lines, output, write_rows
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -175,6 +175,9 @@ class ConceptVocabulary:
 
     def __post_init__(self) -> None:
         self.names = [n.strip() for n in self.names]
+        for i, name in enumerate(self.names):
+            if any(ch in name for ch in "\t\n\r"):
+                raise ValueError(f"concept {i} name {name!r} holds a tab or a line break")
         if len(set(self.names)) != len(self.names):
             raise ValueError("vocabulary names must be unique after whitespace trimming")
         validate_embeddings(self.embeddings)
@@ -247,14 +250,19 @@ def save_embeddings(path: str | Path, m: np.ndarray) -> None:
     validate_embeddings(m)
     rows, dim = m.shape
     payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
+    with output(path, binary=True) as f:
         f.write(_HEADER.pack(EMB_MAGIC, rows, dim))
         f.write(payload)
 
 
 def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> ConceptVocabulary:
-    """Load a TSV of ``index<TAB>name`` rows plus the matching EMB1 file."""
+    """Load a TSV of ``index<TAB>name`` rows plus the matching EMB1 file.
+
+    Each index must read as ``str(int)`` writes it; names are trimmed, and
+    a repeated index or trimmed name names its line. Empty lines are skipped.
+    """
     entries: dict[int, str] = {}
+    seen: set[str] = set()
     with open(names_path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -265,11 +273,17 @@ def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> Conc
                 raise ValueError(f"{names_path}: line {lineno}: expected 'index<TAB>name'")
             try:
                 idx = int(parts[0])
+                if parts[0] != str(idx):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{names_path}: line {lineno}: bad index {parts[0]!r}") from None
             if idx in entries:
                 raise ValueError(f"{names_path}: line {lineno}: duplicate index {idx}")
-            entries[idx] = parts[1]
+            name = parts[1].strip()
+            if name in seen:
+                raise ValueError(f"{names_path}: line {lineno}: duplicate name {name!r}")
+            seen.add(name)
+            entries[idx] = name
     if not entries:
         raise ValueError(f"{names_path}: empty vocabulary")
     size = len(entries)
@@ -282,9 +296,8 @@ def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> Conc
 def save_vocabulary(
     names_path: str | Path, embeddings_path: str | Path, vocab: ConceptVocabulary
 ) -> None:
-    with open(names_path, "w", encoding="utf-8", newline="\n") as f:
-        for i, name in enumerate(vocab.names):
-            f.write(f"{i}\t{name}\n")
+    with output(names_path) as f:
+        write_rows(f, "%d\t%s\n", vocab.size, lambda lo, hi: (range(lo, hi), vocab.names[lo:hi]))
     save_embeddings(embeddings_path, vocab.embeddings)
 
 
@@ -417,34 +430,29 @@ def _float_reprs(values: np.ndarray) -> np.ndarray:
 def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment]) -> None:
     """Write JSON Lines {"i": row, "c": [...], "s": [...]}, the bytes json.dumps would write.
 
-    Rows go out a block at a time. A block whose rows are all k wide is one
-    ``%`` of k-wide line formats over its fields; other blocks join row by row.
+    If every row is k wide, each concept and similarity is a field of its own;
+    otherwise a row's concepts are joined into one field, and so are its sims.
     """
     a = Assignments.of(assignments)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for lo in range(0, len(a), WRITE_BLOCK):
-            hi = min(lo + WRITE_BLOCK, len(a))
-            bounds = a.offsets[lo : hi + 1]
-            first, last = int(bounds[0]), int(bounds[-1])
-            cs = a.concepts[first:last]
-            ss = _float_reprs(a.sims[first:last])
-            widths = np.diff(bounds)
-            k = int(widths[0])
-            if np.all(widths == k):
-                fields = np.empty((hi - lo, 2 * k + 1), dtype=object)
-                fields[:, 0] = range(lo, hi)
-                fields[:, 1 : k + 1] = cs.reshape(-1, k)
-                fields[:, k + 1 :] = ss.reshape(-1, k)
-                fields = fields.ravel().tolist()
-                line = '{"i":%%d,"c":[%s],"s":[%s]}\n' % ((",".join(["%s"] * k),) * 2)
-                f.write((line * (hi - lo)) % tuple(fields))
-                continue
-            cs, ss, starts = cs.tolist(), ss.tolist(), (bounds - first).tolist()
-            f.writelines(
-                '{"i":%d,"c":[%s],"s":[%s]}\n'
-                % (i, ",".join(map(str, cs[b0:b1])), ",".join(ss[b0:b1]))
-                for i, b0, b1 in zip(range(lo, hi), starts, starts[1:])
-            )
+    o, cs = a.offsets, a.concepts
+    k = int(o[1]) if len(a) else 1
+    if np.all(np.diff(o) == k):
+        line = '{"i":%%d,"c":[%s],"s":[%s]}\n' % ((",".join(["%s"] * k),) * 2)
+
+        def columns(lo: int, hi: int) -> tuple:
+            rows = slice(lo * k, hi * k)
+            return range(lo, hi), cs[rows].reshape(-1, k), _float_reprs(a.sims[rows]).reshape(-1, k)
+
+    else:
+        line = '{"i":%d,"c":[%s],"s":[%s]}\n'
+
+        def columns(lo: int, hi: int) -> tuple:
+            rows, b = slice(o[lo], o[hi]), (o[lo : hi + 1] - o[lo]).tolist()
+            strs = cs[rows].astype(str).tolist(), _float_reprs(a.sims[rows]).tolist()
+            return range(lo, hi), *([",".join(x[i:j]) for i, j in zip(b, b[1:])] for x in strs)
+
+    with output(path) as f:
+        write_rows(f, line, len(a), columns)
 
 
 def load_assignments(path: str | Path) -> Assignments:

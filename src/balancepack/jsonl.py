@@ -1,23 +1,55 @@
-"""The toolkit's one JSON Lines reader, strict field access, and the
-writers' block size.
+"""The toolkit's one JSON Lines reader, its one writer, and strict field access.
 
 ``json_lines`` streams a file and parses each line once. In its ``with``
 block a ValueError from the reader or from the caller's checks on the
 current record reads ``{path}: line N: ...``. A blank line (skipped in
 manifests) is ``blank line``, broken or too deeply nested JSON ``malformed
 JSON``. A ``UnicodeDecodeError`` passes through: the file decodes in bulk.
+Every file the toolkit writes is opened by ``output``, and every block of
+rows is formatted by ``write_rows``.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
+from typing import IO
 
-# Rows per write of the line writers: each formats one block of rows from
-# its columns, so a writer's temporaries do not grow with the file.
+import numpy as np
+
+# Rows per write of ``write_rows``: one block of rows is formatted at a
+# time, so a writer's temporaries do not grow with the file.
 WRITE_BLOCK = 8192
+
+
+@contextmanager
+def output(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """``path`` for writing (UTF-8 with "\\n" line ends, or bytes), written as
+    ``.{name}.partial`` beside it and ``os.replace``d onto it only when the
+    block ends cleanly; on an exception the temp file is removed. No fsync:
+    this guards against a killed process, not a power cut."""
+    partial = Path(path).with_name(f".{Path(path).name}.partial")
+    mode = {"mode": "wb"} if binary else {"mode": "w", "encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(partial, **mode) as f:
+            yield f
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(f: IO, line: str, n: int, columns: Callable[[int, int], Sequence]) -> None:
+    """Write rows 0..n-1 of ``line``, one ``%`` per WRITE_BLOCK rows: ``columns(lo, hi)``
+    gives the fields of rows lo..hi-1 in ``line``'s order, a 1-D column one
+    field per row and a 2-D column consecutive fields."""
+    for lo in range(0, n, WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, n)
+        cols = [np.asarray(c, dtype=object).reshape(hi - lo, -1) for c in columns(lo, hi)]
+        f.write((line * (hi - lo)) % tuple(np.concatenate(cols, axis=1).ravel().tolist()))
 
 
 @contextmanager

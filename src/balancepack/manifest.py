@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .concepts import Assignments
-from .jsonl import WRITE_BLOCK, json_field, json_lines
+from .jsonl import json_field, json_lines, output, write_rows
 from .packing import Items, check_length, source_codes
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
@@ -327,13 +327,18 @@ def synth_corpus(cfg: SynthConfig) -> tuple[SynthRecords, Assignments]:
 def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
     """JSON Lines manifest; patch/merge are written only when non-default.
 
-    ``SynthRecords`` are written from their columns, a block of rows per
-    write, with each source tag JSON-encoded once; the bytes are those of
-    the row loop below.
+    ``SynthRecords`` are written from their columns, with each source tag
+    JSON-encoded once; the bytes are those of the row loop below.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with output(path) as f:
         if isinstance(records, SynthRecords):
-            _write_synth_lines(f, records)
+            tags = np.array([json.dumps(tag) for tag in records.tags], dtype=object)
+
+            def columns(lo: int, hi: int) -> tuple:
+                return range(lo, hi), tags[records.source[lo:hi]], records.text_tokens[lo:hi]
+
+            line = '{"id":"synth-%08d","source":%s,"text_tokens":%d}\n'
+            write_rows(f, line, len(records), columns)
             return
         for rec in records:
             obj: dict = {"id": rec.id, "source": rec.source, "text_tokens": rec.text_tokens}
@@ -344,18 +349,6 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
             if rec.merge != DEFAULT_MERGE:
                 obj["merge"] = rec.merge
             f.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _write_synth_lines(f, records: SynthRecords) -> None:
-    tags = np.array([json.dumps(tag) for tag in records.tags], dtype=object)
-    line = '{"id":"synth-%08d","source":%s,"text_tokens":%d}\n'
-    for lo in range(0, len(records), WRITE_BLOCK):
-        hi = min(lo + WRITE_BLOCK, len(records))
-        fields = np.empty((hi - lo, 3), dtype=object)
-        fields[:, 0] = range(lo, hi)
-        fields[:, 1] = tags[records.source[lo:hi]]
-        fields[:, 2] = records.text_tokens[lo:hi]
-        f.write((line * (hi - lo)) % tuple(fields.ravel().tolist()))
 
 
 def _record_fields(obj) -> tuple[str, str, int, tuple[int, int] | None, int, int]:

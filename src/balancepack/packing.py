@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import _REQUIRED, json_field, json_lines
+from .jsonl import _REQUIRED, json_field, json_lines, output, write_rows
 from .rng import shards_of
 
 DEFAULT_CAPACITY = 8192
@@ -509,17 +509,14 @@ def _pack_shard(
     return np.argsort(pack_of, kind="stable"), np.bincount(pack_of, minlength=num_packs)
 
 
-def pack_bucketed(
-    items: Iterable[PackItem] | Items, config: PackingConfig, threads: int = 1
-) -> PackPlan:
+def pack_bucketed(items: Iterable[PackItem] | Items, config: PackingConfig) -> PackPlan:
     """Hash-sharded, length-bucketed packing with a residual refill pass.
 
     Shards are independent: each is bucketed, FFD-packed under the
     configured caps, and refilled; outputs concatenate in shard-index
     order. The plan is a pure function of the item set and config. Shards
     run one after another: packing is pure Python and holds the
-    interpreter lock, so worker threads gave no speedup. ``threads`` is
-    accepted for interface compatibility and has no effect.
+    interpreter lock, so worker threads gave no speedup.
     """
     items = Items.of(items)
     length, source = items.length, items.source
@@ -680,23 +677,6 @@ def packing_stats(plan: PackPlan, config: PackingConfig) -> PackingStats:
     )
 
 
-def _item_fragments(items: Items, lo: int, hi: int, offsets: np.ndarray | None) -> list[str]:
-    """Items lo..hi-1 as ``json.dumps`` writes them without spaces:
-    {"id","len","off","src"}, or {"id","len","src"} without offsets."""
-    ids = map(encode_basestring_ascii, items.ids[lo:hi])
-    tags = [encode_basestring_ascii(tag) for tag in items.tags]
-    sources = [tags[c] for c in items.source[lo:hi].tolist()]
-    lengths = items.length[lo:hi].tolist()
-    if offsets is None:
-        return list(map('{"id":%s,"len":%d,"src":%s}'.__mod__, zip(ids, lengths, sources)))
-    fields = zip(ids, lengths, offsets[lo:hi].tolist(), sources)
-    return list(map('{"id":%s,"len":%d,"off":%d,"src":%s}'.__mod__, fields))
-
-
-# Packs formatted per write in emit_plan; bounds its temporary strings.
-_EMIT_BLOCK = 2048
-
-
 def emit_plan(
     plan: PackPlan, path: str | Path, config: PackingConfig | None = None
 ) -> PackingStats:
@@ -706,32 +686,39 @@ def emit_plan(
     padding count so downstream loaders can build attention-segment
     boundaries. The trailer holds overflow items and summary stats, which
     are also returned. Every line is what ``json.dumps`` with separators
-    (",", ":") writes for the record. A plan whose row views were edited
-    is refused, since the columns, not the views, are written.
+    (",", ":") writes for the record; a pack's first item carries the text
+    that opens it and its last item the text that closes it. A plan with an
+    empty pack, which ``load_plan`` rejects, is refused, and so is one whose
+    row views were edited, since the columns, not the views, are written.
     """
     plan._check_views()
-    cfg = config if config is not None else PackingConfig(capacity=plan.capacity)
-    stats = packing_stats(plan, cfg)
     bounds, cap, packed = plan.bounds, plan.capacity, plan.packed
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if empty.size:
+        raise ValueError(f"pack {empty[0]} is empty")
+    stats = packing_stats(plan, config or PackingConfig(capacity=cap))
     before = np.concatenate(([0], np.cumsum(packed.length)))  # tokens before each item
-    offsets = before[:-1] - np.repeat(before[bounds[:-1]], np.diff(bounds))
-    b = bounds.tolist()
-    pads = (cap - plan.fills).tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for first in range(0, plan.num_packs, _EMIT_BLOCK):
-            last = min(first + _EMIT_BLOCK, plan.num_packs)
-            base = b[first]
-            fragments = _item_fragments(packed, base, b[last], offsets)
-            f.writelines(
-                '{"pack":%d,"capacity":%d,"items":[%s],"pad":%d}\n'
-                % (p, cap, ",".join(fragments[b[p] - base : b[p + 1] - base]), pads[p])
-                for p in range(first, last)
-            )
-        overflow = _item_fragments(plan.overflowed, 0, len(plan.overflowed), None)
-        f.write(
-            '{"capacity":%d,"overflow":[%s],"stats":%s}\n'
-            % (cap, ",".join(overflow), json.dumps(stats.to_dict(), separators=(",", ":")))
-        )
+    tags = np.array([encode_basestring_ascii(tag) for tag in packed.tags], dtype=object)
+
+    def columns(lo: int, hi: int) -> tuple:
+        rows = np.arange(lo, hi)
+        p = np.searchsorted(bounds, rows, side="right") - 1
+        opens, closes = bounds[p] == rows, bounds[p + 1] == rows + 1
+        head = np.full(hi - lo, ",", dtype=object)
+        head[opens] = ['{"pack":%d,"capacity":%d,"items":[' % (q, cap) for q in p[opens].tolist()]
+        tail = np.full(hi - lo, "", dtype=object)
+        tail[closes] = ['],"pad":%d}\n' % pad for pad in (cap - plan.fills[p[closes]]).tolist()]
+        ids = list(map(encode_basestring_ascii, packed.ids[lo:hi]))
+        offsets = before[lo:hi] - before[bounds[p]]
+        return head, ids, packed.length[lo:hi], offsets, tags[packed.source[lo:hi]], tail
+
+    with output(path) as f:
+        write_rows(f, '%s{"id":%s,"len":%d,"off":%d,"src":%s}%s', len(packed), columns)
+        ov = plan.overflowed
+        fields = zip(ov.ids, ov.length.tolist(), ov.source.tolist())
+        overflow = [dict(id=i, len=n, src=ov.tags[c]) for i, n, c in fields]
+        trailer = {"capacity": cap, "overflow": overflow, "stats": stats.to_dict()}
+        f.write(json.dumps(trailer, separators=(",", ":")) + "\n")
     return stats
 
 

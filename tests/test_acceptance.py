@@ -58,7 +58,7 @@ def test_criterion_1_compression_ratio_reproduction():
     records, _ = synth_corpus(cfg)
     items = records_to_pack_items(records)
     pack_cfg = PackingConfig(capacity=8192, strategy="bucket", seed=1001)
-    plan = pack_bucketed(items, pack_cfg, threads=1)
+    plan = pack_bucketed(items, pack_cfg)
     stats = packing_stats(plan, pack_cfg)
     elapsed = time.time() - start
     detail = (

@@ -414,6 +414,7 @@ def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
                  "sampled_uniform.txt"):
         assert (out / name).is_file(), name
     assert not (out / "config.json").exists()
+    assert not list(out.glob(".*.partial"))
 
     out = tmp_path / "packed"
     (out / "stats.json").mkdir(parents=True)
@@ -424,6 +425,7 @@ def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     assert json.loads(err)["command"] == "pack"
     assert (out / "plan.jsonl").is_file()
     assert not (out / "config.json").exists()
+    assert not list(out.glob(".*.partial"))
 
 
 def test_pipeline_with_replacement_writes_a_plan_stats_can_read(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,27 @@ def test_vocabulary_tsv_round_trip(tmp_path):
     loaded = load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
     assert loaded.names == vocab.names
     assert np.array_equal(loaded.embeddings, vocab.embeddings)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb"])
+def test_vocabulary_rejects_a_name_that_breaks_the_tsv(name):
+    with pytest.raises(ValueError, match=r"^concept 1 name .* holds a tab or a line break$"):
+        ConceptVocabulary(names=["x", name], embeddings=np.eye(2, dtype=np.float32))
+
+
+@pytest.mark.parametrize("index", ["+0", "00", " 0", "0 ", "0_0", "\u0660", "-0"])
+def test_vocabulary_index_must_read_as_str_int_writes_it(tmp_path, index):
+    save_embeddings(tmp_path / "v.emb", np.eye(2, dtype=np.float32))
+    (tmp_path / "v.tsv").write_text(f"{index}\ta\n1\tb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"v.tsv: line 1: bad index {index!r}") + "$"):
+        load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
+
+
+def test_vocabulary_duplicate_name_names_its_line(tmp_path):
+    save_embeddings(tmp_path / "v.emb", np.eye(3, dtype=np.float32))
+    (tmp_path / "v.tsv").write_text("0\ta\n1\tb\n2\t a \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="v.tsv: line 3: duplicate name 'a'$"):
+        load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
 
 
 def test_vocabulary_rejects_size_mismatch():

@@ -1,12 +1,13 @@
-"""Seeded fuzz tests of the sampled-index and embedding readers.
+"""Seeded fuzz tests of the sampled-index, vocabulary and embedding readers.
 
-Files written by ``save_sampled_indices`` are mutated by truncation,
-character flips, and duplicated, dropped, swapped or blank lines; files
-written by ``save_embeddings`` by header and payload byte flips,
-truncation and appended bytes. On every mutant the reader must either
-raise a ValueError that names the faulty line or byte, or load exactly
-what a plain reference parse of the mutant gives: ``int`` per index line,
-or ``np.frombuffer`` of the payload.
+Files written by ``save_sampled_indices`` and the names TSV of
+``save_vocabulary`` are mutated by truncation, character flips, and
+duplicated, dropped, swapped or blank lines; files written by
+``save_embeddings`` by header and payload byte flips, truncation and
+appended bytes. On every mutant the reader must either raise a ValueError
+that names the faulty line or byte, or load exactly what a plain reference
+parse of the mutant gives: ``int`` per index line, the names of a split of
+the TSV's lines, or ``np.frombuffer`` of the payload.
 """
 
 import re
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 
 from balancepack.balance import load_sampled_indices, save_sampled_indices
-from balancepack.concepts import load_embeddings, save_embeddings
+from balancepack.concepts import (
+    ConceptVocabulary,
+    load_embeddings,
+    load_vocabulary,
+    save_embeddings,
+    save_vocabulary,
+)
 
 FLIPS = "0123456789-+_ #=\r\nnx"
 # The one index-file fault that concerns the whole file: the line count.
@@ -24,7 +31,7 @@ COUNT_FAULT = re.compile(r"\d+ index lines, the header says n=\d+")
 HEADER = struct.Struct("<4sII")
 
 
-def mutate_lines(rng, lines):
+def mutate_lines(rng, lines, flips=FLIPS):
     lines = list(lines)
     for _ in range(int(rng.integers(1, 4))):
         if not lines:
@@ -37,7 +44,7 @@ def mutate_lines(rng, lines):
         if kind == 1:  # character flip
             line = lines[at]
             pos = int(rng.integers(len(line)))
-            lines[at] = line[:pos] + FLIPS[int(rng.integers(len(FLIPS)))] + line[pos + 1 :]
+            lines[at] = line[:pos] + flips[int(rng.integers(len(flips)))] + line[pos + 1 :]
         elif kind == 2:
             lines.insert(int(rng.integers(len(lines) + 1)), lines[at])
         elif kind == 3:
@@ -69,6 +76,30 @@ def reference_indices(text):
     return np.array([int(line) for line in text.splitlines()[1:]], dtype=np.int64)
 
 
+def reference_vocabulary(text, rows):
+    """("names", names), ("line", N) for a fault in line N, or ("file", fault)."""
+    entries, seen = {}, set()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not re.fullmatch(r"0|-?[1-9][0-9]*", parts[0]):
+            return "line", lineno
+        index, name = int(parts[0]), parts[1].strip()
+        if index in entries or name in seen:
+            return "line", lineno
+        seen.add(name)
+        entries[index] = name
+    if not entries:
+        return "file", "empty vocabulary"
+    if sorted(entries) != list(range(len(entries))):
+        return "file", "indices must cover"
+    if len(entries) != rows:
+        return "file", "names but"
+    return "names", [entries[i] for i in range(rows)]
+
+
 def reference_embeddings(data):
     _, rows, dim = HEADER.unpack(data[: HEADER.size])
     return np.frombuffer(data[HEADER.size :], dtype="<f4").reshape(rows, dim)
@@ -95,6 +126,34 @@ def test_sampled_index_reader_on_mutants(tmp_path, seed):
         want = reference_indices(text)
         assert got.dtype == np.int64
         assert got.tolist() == want.tolist()
+    assert 0 < loaded < 300
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_vocabulary_reader_on_mutants(tmp_path, seed):
+    rng = np.random.default_rng([31, seed])
+    names_path, emb_path = tmp_path / "v.tsv", tmp_path / "v.emb"
+    names = ["n0", "n1", "red car", "caf\u00e9", "a-b", "n10", "x\u2028y", "11"]
+    vocab = ConceptVocabulary(names, rng.standard_normal((len(names), 3)).astype(np.float32))
+    save_vocabulary(names_path, emb_path, vocab)
+    base = names_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    loaded = 0
+    for _ in range(300):
+        text = "".join(mutate_lines(rng, base, FLIPS + "\tn"))
+        names_path.write_bytes(text.encode())
+        want = reference_vocabulary(text, len(names))
+        try:
+            got = load_vocabulary(names_path, emb_path)
+        except ValueError as e:
+            line = re.match(rf"{re.escape(str(names_path))}: line (\d+): ", str(e))
+            if line:
+                assert want == ("line", int(line[1])), (str(e), want)
+            else:
+                assert want[0] == "file" and want[1] in str(e), (str(e), want)
+            continue
+        loaded += 1
+        assert want == ("names", got.names)
+        assert np.array_equal(got.embeddings, vocab.embeddings)
     assert 0 < loaded < 300
 
 

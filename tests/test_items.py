@@ -186,19 +186,6 @@ def test_emit_writes_what_the_object_writer_writes(tmp_path):
     assert load_plan(tmp_path / "new.jsonl").packs == plan.packs
 
 
-def test_emit_streams_packs_in_blocks(tmp_path, monkeypatch):
-    from balancepack import packing
-
-    monkeypatch.setattr(packing, "_EMIT_BLOCK", 3)
-    rows = [PackItem(f"b{j:03d}", 1 + j % 9, f"s{j % 4}") for j in range(200)]
-    cfg = PackingConfig(capacity=12, shards=2)
-    plan = pack_bucketed(rows, cfg)
-    assert plan.num_packs > 10
-    stats = emit_plan(plan, tmp_path / "new.jsonl", cfg)
-    oracle.emit_plan(tmp_path / "old.jsonl", 12, plan.packs, plan.overflow, stats.to_dict())
-    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
-
-
 # -------------------------------------------------------- int64 length rule
 
 

@@ -108,8 +108,8 @@ def columnar_ffd(ordered, capacity, max_samples, max_sources):
 
 def assert_engines_agree(items, cfg, rng=None):
     """``_ffd`` on the sorted order (and, given rng, a shuffled one) and
-    ``pack_bucketed`` with 1 and 2 threads, against the oracle engine over
-    both its tree bins and its linear-scan bins."""
+    ``pack_bucketed``, against the oracle engine over both its tree bins
+    and its linear-scan bins."""
     in_range = [it for it in oracle.packing_order(items) if it.length <= cfg.capacity]
     orders = [in_range]
     if rng is not None:
@@ -122,13 +122,12 @@ def assert_engines_agree(items, cfg, rng=None):
         got = columnar_ffd(ordered, *caps)
         for bins in all_bins:
             assert got == oracle.ffd(ordered, *caps, bins=bins)
-    for threads in (1, 2):
-        got = pack_bucketed(items, cfg, threads=threads)
-        for bins in all_bins:
-            want_packs, want_overflow = oracle.pack_bucketed(items, cfg, bins)
-            assert got.packs == want_packs
-            assert got.overflow == want_overflow
-        assert got.fills.tolist() == [sum(it.length for it in p) for p in want_packs]
+    got = pack_bucketed(items, cfg)
+    for bins in all_bins:
+        want_packs, want_overflow = oracle.pack_bucketed(items, cfg, bins)
+        assert got.packs == want_packs
+        assert got.overflow == want_overflow
+    assert got.fills.tolist() == [sum(it.length for it in p) for p in want_packs]
 
 
 # ------------------------------------------------------------------- tests
