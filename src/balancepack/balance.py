@@ -214,13 +214,12 @@ def load_weights(path: str | Path) -> np.ndarray:
     return out
 
 
-def save_sampled_indices(
-    path: str | Path, indices: np.ndarray, seed: int, n: int, replacement: bool
-) -> None:
-    """One index per line, with a header comment recording the draw."""
+def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:
+    """One index per line, after a header comment recording the draw; the
+    header's n is the number of indices, as load_sampled_indices checks."""
     indices = np.asarray(indices)
     with output(path) as f:
-        f.write(f"# seed={seed} n={n} replacement={str(replacement).lower()}\n")
+        f.write(f"# seed={seed} n={indices.size} replacement={str(replacement).lower()}\n")
         write_rows(f, "%d\n", indices.size, lambda lo, hi: (indices[lo:hi],))
 
 

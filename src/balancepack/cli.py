@@ -206,7 +206,7 @@ def _weigh(out: Path, assignments: concepts.Assignments, vocab_size: int, mode: 
 def _sample(path: Path, weights: np.ndarray, n: int, seed: int, replacement: bool) -> np.ndarray:
     """Draw ``n`` indices by ``weights``; write them to ``path``."""
     indices = balance.sample_balanced(weights, n, seed, replacement=replacement)
-    balance.save_sampled_indices(path, indices, seed, n, replacement)
+    balance.save_sampled_indices(path, indices, seed, replacement)
     return indices
 
 

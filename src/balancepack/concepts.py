@@ -10,9 +10,11 @@ row whose k-th value is tied beyond the selection falls back to a full
 stable sort, so ties always resolve to the lower concept index. There is
 no approximate index.
 
-Memory: finiteness checks, normalization and scoring run over blocks of
-at most ``_ROW_BLOCK`` rows, so the float64 temporaries stay at one block
-per worker, whatever the number of images.
+Memory: finiteness checks, norms, normalization and scoring run over
+blocks of at most ``_ROW_BLOCK`` rows. ``topk_concepts`` normalizes the
+images one block per pool task, just before it scores them, so no n x d
+copy of the images is made and the temporaries stay at one block per
+worker, whatever the number of images.
 
 The assignments of n samples are one ``Assignments``: offsets, concept
 and similarity columns in CSR layout, checked once with vector operations.
@@ -258,32 +260,39 @@ def save_embeddings(path: str | Path, m: np.ndarray) -> None:
 def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> ConceptVocabulary:
     """Load a TSV of ``index<TAB>name`` rows plus the matching EMB1 file.
 
-    Each index must read as ``str(int)`` writes it; names are trimmed, and
-    a repeated index or trimmed name names its line. Empty lines are skipped.
+    Lines end in ``\\n`` only, as save_vocabulary writes them: a ``\\r``
+    anywhere in a line is rejected, and so is a name with leading or
+    trailing whitespace. Each index must read as ``str(int)`` writes it. A
+    repeated index or name names its line, as does every other fault of a
+    line. Empty lines are skipped.
     """
     entries: dict[int, str] = {}
     seen: set[str] = set()
-    with open(names_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{names_path}: line {lineno}: expected 'index<TAB>name'")
-            try:
-                idx = int(parts[0])
-                if parts[0] != str(idx):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{names_path}: line {lineno}: bad index {parts[0]!r}") from None
-            if idx in entries:
-                raise ValueError(f"{names_path}: line {lineno}: duplicate index {idx}")
-            name = parts[1].strip()
-            if name in seen:
-                raise ValueError(f"{names_path}: line {lineno}: duplicate name {name!r}")
-            seen.add(name)
-            entries[idx] = name
+    with open(names_path, "r", encoding="utf-8", newline="") as f:
+        lines = f.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if "\r" in line:
+            raise ValueError(f"{names_path}: line {lineno}: carriage return in {line!r}")
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{names_path}: line {lineno}: expected 'index<TAB>name'")
+        try:
+            idx = int(parts[0])
+            if parts[0] != str(idx):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{names_path}: line {lineno}: bad index {parts[0]!r}") from None
+        if idx in entries:
+            raise ValueError(f"{names_path}: line {lineno}: duplicate index {idx}")
+        name = parts[1]
+        if name != name.strip():
+            raise ValueError(f"{names_path}: line {lineno}: whitespace around name {name!r}")
+        if name in seen:
+            raise ValueError(f"{names_path}: line {lineno}: duplicate name {name!r}")
+        seen.add(name)
+        entries[idx] = name
     if not entries:
         raise ValueError(f"{names_path}: empty vocabulary")
     size = len(entries)
@@ -309,6 +318,33 @@ def _row_norms(m32: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _check_norms(norms: np.ndarray) -> None:
+    """Reject a row with norm below NORM_EPS, naming the lowest such row."""
+    bad = np.flatnonzero(norms < NORM_EPS)
+    if bad.size:
+        raise ValueError(f"row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}")
+
+
+def _unit_rows(m32: np.ndarray, norms: np.ndarray | None, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``m32`` at unit norm: as they are if ``norms`` is None,
+    else each divided by its norm in float64 and rounded once to float32."""
+    if norms is None:
+        return m32[rows]
+    scaled = m32[rows].astype(np.float64)
+    scaled /= norms[rows, None]
+    return scaled.astype(np.float32)
+
+
+def _renorm_norms(m32: np.ndarray) -> np.ndarray | None:
+    """Row norms of ``m32`` if any row is off unit norm by more than 1e-6, so
+    that every row is renormalized; None if all rows are used as they are."""
+    norms = _row_norms(m32)
+    if not np.any(np.abs(norms - 1.0) > 1e-6):
+        return None
+    _check_norms(norms)
+    return norms
+
+
 def l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm; output stays float32.
 
@@ -318,28 +354,19 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     validate_embeddings(m)
     m32 = np.ascontiguousarray(m, dtype=np.float32)
     norms = _row_norms(m32)
-    bad = np.flatnonzero(norms < NORM_EPS)
-    if bad.size:
-        raise ValueError(f"row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}")
+    _check_norms(norms)
     out = np.empty(m32.shape, dtype=np.float32)
     for rows in _row_blocks(0, m32.shape[0]):
-        out[rows] = m32[rows].astype(np.float64) / norms[rows, None]
+        out[rows] = _unit_rows(m32, norms, rows)
     return out
-
-
-def _ensure_normalized(m: np.ndarray) -> np.ndarray:
-    """Return ``m`` as float32, renormalizing every row if any row is off unit norm."""
-    m32 = np.ascontiguousarray(m, dtype=np.float32)
-    if np.any(np.abs(_row_norms(m32) - 1.0) > 1e-6):
-        return l2_normalize(m32)
-    return m32
 
 
 def cosine_similarities(images: np.ndarray, concepts: np.ndarray) -> np.ndarray:
     """Dot products of float32 rows, accumulated in float64.
 
     Inputs are assumed L2-normalized; the result is a float64
-    (n_images, n_concepts) similarity matrix.
+    (n_images, n_concepts) similarity matrix. A float64 ``concepts`` is
+    used without a copy.
     """
     return images.astype(np.float64) @ concepts.astype(np.float64, copy=False).T
 
@@ -379,12 +406,18 @@ def topk_concepts(
     equal similarities resolved to the lower concept index. A row whose
     k-th similarity is tied with a concept outside the selection is ranked
     by a full stable sort, so the result always equals a stable descending
-    sort of every row. The pool's tasks are the near-equal blocks of
-    ``_row_blocks``, at most ``_ROW_BLOCK`` rows each, so a worker's
-    temporaries are a few ``_ROW_BLOCK`` x ``vocab.size`` arrays; each task
-    writes its rows in place, so the result does not depend on ``threads``.
-    No block holds a single row once n >= 2 (n == 1 is a matrix-vector
-    product), though BLAS may still round a small product unlike a large one.
+    sort of every row.
+
+    One serial pass over the row norms decides for all rows at once: if any
+    image is off unit norm by more than 1e-6, every image is renormalized,
+    and a near-zero row raises, naming the lowest such row. The pool's tasks
+    are the near-equal blocks of ``_row_blocks``, at most ``_ROW_BLOCK`` rows
+    each; a task normalizes its own rows, then scores them, so nothing n x d
+    is copied and a worker's temporaries are a few ``_ROW_BLOCK`` x
+    ``vocab.size`` arrays. Each task writes its rows in place, so the result
+    does not depend on ``threads``. No block holds a single row once n >= 2
+    (n == 1 is a matrix-vector product), though BLAS may still round a small
+    product unlike a large one.
     """
     validate_embeddings(images)
     if images.shape[1] != vocab.embeddings.shape[1]:
@@ -395,14 +428,17 @@ def topk_concepts(
     if not 1 <= k <= vocab.size:
         raise ValueError(f"k={k} out of range [1, {vocab.size}]")
 
-    img = _ensure_normalized(images)
-    con = _ensure_normalized(vocab.embeddings)
+    img = np.ascontiguousarray(images, dtype=np.float32)
+    img_norms = _renorm_norms(img)
+    con32 = np.ascontiguousarray(vocab.embeddings, dtype=np.float32)
+    con = _unit_rows(con32, _renorm_norms(con32), slice(None)).astype(np.float64)
     n = img.shape[0]
     order = np.empty((n, k), dtype=np.int64)
     picked = np.empty((n, k), dtype=np.float64)
 
     def score_block(rows: slice) -> None:
-        order[rows], picked[rows] = _topk_block(cosine_similarities(img[rows], con), k)
+        sims = cosine_similarities(_unit_rows(img, img_norms, rows), con)
+        order[rows], picked[rows] = _topk_block(sims, k)
 
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         list(pool.map(score_block, _row_blocks(0, n)))

@@ -258,9 +258,23 @@ def test_weights_file_round_trip(tmp_path):
 def test_sampled_indices_round_trip_with_header(tmp_path):
     idx = np.array([5, 1, 9], dtype=np.int64)
     path = tmp_path / "s.txt"
-    save_sampled_indices(path, idx, seed=3, n=3, replacement=False)
+    save_sampled_indices(path, idx, seed=3, replacement=False)
     assert path.read_text().splitlines()[0] == "# seed=3 n=3 replacement=false"
     assert np.array_equal(load_sampled_indices(path), idx)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 5000])
+def test_sampled_indices_round_trip_any_index_array(tmp_path, size):
+    # The header's n comes from the array itself, so whatever is written loads.
+    rng = np.random.default_rng(size)
+    idx = rng.integers(-(2**63), 2**63 - 1, size=size, endpoint=True)
+    idx[: size // 2] %= 1000  # small and repeated indices beside the int64 extremes
+    path = tmp_path / "s.txt"
+    save_sampled_indices(path, idx, seed=size, replacement=bool(size % 2))
+    assert path.read_text().splitlines()[0].split()[2] == f"n={size}"
+    got = load_sampled_indices(path)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, idx)
 
 
 @pytest.mark.parametrize(
@@ -374,5 +388,5 @@ def test_sampled_indices_load_rejects_what_save_never_writes(tmp_path, text, mes
 
 def test_sampled_indices_load_keeps_range_to_the_caller(tmp_path):
     path = tmp_path / "s.txt"
-    save_sampled_indices(path, np.array([-1, 400, 0]), seed=-2, n=3, replacement=True)
+    save_sampled_indices(path, np.array([-1, 400, 0]), seed=-2, replacement=True)
     assert load_sampled_indices(path).tolist() == [-1, 400, 0]

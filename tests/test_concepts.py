@@ -324,9 +324,42 @@ def test_vocabulary_index_must_read_as_str_int_writes_it(tmp_path, index):
 
 def test_vocabulary_duplicate_name_names_its_line(tmp_path):
     save_embeddings(tmp_path / "v.emb", np.eye(3, dtype=np.float32))
-    (tmp_path / "v.tsv").write_text("0\ta\n1\tb\n2\t a \n", encoding="utf-8")
+    (tmp_path / "v.tsv").write_text("0\ta\n1\tb\n2\ta\n", encoding="utf-8")
     with pytest.raises(ValueError, match="v.tsv: line 3: duplicate name 'a'$"):
         load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0\ta\r\n1\tb\r\n", 1),
+        ("0\ta\n1\tb\r", 2),
+        ("0\ta\rb\n1\tc\n", 1),  # a lone \r is not a line end either
+        ("0\ta\n1\t\rb\n", 2),
+    ],
+)
+def test_vocabulary_rejects_a_carriage_return(tmp_path, text, line):
+    save_embeddings(tmp_path / "v.emb", np.eye(2, dtype=np.float32))
+    (tmp_path / "v.tsv").write_bytes(text.encode())
+    with pytest.raises(ValueError, match=f"v.tsv: line {line}: carriage return in "):
+        load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
+
+
+@pytest.mark.parametrize("name", [" a", "a ", "\u00a0a", "a\x0c", "a\u2028"])
+def test_vocabulary_rejects_whitespace_around_a_name(tmp_path, name):
+    # save_vocabulary writes names trimmed, so padding means the file was
+    # edited; it is rejected, not trimmed away.
+    save_embeddings(tmp_path / "v.emb", np.eye(2, dtype=np.float32))
+    (tmp_path / "v.tsv").write_bytes(f"0\tb\n1\t{name}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"v.tsv: line 2: whitespace around name {name!r}")):
+        load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb")
+
+
+def test_vocabulary_inner_whitespace_round_trips(tmp_path):
+    names = ["red car", "x\u2028y", "a\x0cb", "c"]
+    vocab = ConceptVocabulary(names=names, embeddings=np.eye(4, dtype=np.float32))
+    save_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb", vocab)
+    assert load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb").names == names
 
 
 def test_vocabulary_rejects_size_mismatch():

@@ -79,15 +79,14 @@ def reference_indices(text):
 def reference_vocabulary(text, rows):
     """("names", names), ("line", N) for a fault in line N, or ("file", fault)."""
     entries, seen = {}, set()
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 2 or not re.fullmatch(r"0|-?[1-9][0-9]*", parts[0]):
+        if "\r" in line or len(parts) != 2 or not re.fullmatch(r"0|-?[1-9][0-9]*", parts[0]):
             return "line", lineno
-        index, name = int(parts[0]), parts[1].strip()
-        if index in entries or name in seen:
+        index, name = int(parts[0]), parts[1]
+        if name != name.strip() or index in entries or name in seen:
             return "line", lineno
         seen.add(name)
         entries[index] = name
@@ -109,7 +108,7 @@ def reference_embeddings(data):
 def test_sampled_index_reader_on_mutants(tmp_path, seed):
     rng = np.random.default_rng([23, seed])
     path = tmp_path / "sampled.txt"
-    save_sampled_indices(path, rng.integers(0, 5000, size=30), seed, 30, bool(seed % 2))
+    save_sampled_indices(path, rng.integers(0, 5000, size=30), seed, bool(seed % 2))
     base = path.read_text().splitlines(keepends=True)
     loaded = 0
     for _ in range(300):

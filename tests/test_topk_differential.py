@@ -250,3 +250,55 @@ def test_topk_temporaries_stay_well_below_one_chunk_matrix():
         f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; one chunk matrix "
         f"is {chunk_matrix_bytes / 1e6:.1f} MB"
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_topk_never_copies_the_image_matrix(threads):
+    # Non-unit images over many blocks make every row renormalize. Each task
+    # normalizes its own block, so the temporaries stay far below one n x d
+    # float32 copy; a whole-matrix normalized copy alone would be that copy.
+    rng = np.random.default_rng(2009)
+    images = gaussian(rng, 20_000, 256) * 3
+    vocab = make_vocab(gaussian(rng, 16, 256))
+    tracemalloc.start()
+    try:
+        result = topk_concepts(images, vocab, k=3, threads=threads)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == images.shape[0]
+    assert peak - held < images.nbytes / 2, (
+        f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; one image copy "
+        f"is {images.nbytes / 1e6:.1f} MB"
+    )
+
+
+def test_one_off_norm_row_in_the_last_block_renormalizes_every_block():
+    # Every row is within 1e-6 of unit norm but one, in the last block; the
+    # decision to renormalize is global, so the first blocks renormalize too.
+    rng = np.random.default_rng(2010)
+    n = 3 * _ROW_BLOCK + 5
+    images = l2_normalize(gaussian(rng, n, 8)) * np.float32(1 + 4e-7)
+    norms = np.linalg.norm(images.astype(np.float64), axis=1)
+    assert np.all(np.abs(norms - 1.0) <= 1e-6) and np.any(np.abs(norms - 1.0) > 1e-7)
+    images[-1] *= 2
+    vocab = make_vocab(gaussian(rng, 30, 8))
+    for threads in (1, 2):
+        assert_same_as_oracle(images, vocab, 4, threads=threads)
+    # Without the off-norm row nothing renormalizes, and the scores differ.
+    head = topk_concepts(images[:-1], vocab, 4)
+    assert sims_bytes(head) != sims_bytes(oracle_topk_concepts(images, vocab, 4)[:-1])
+
+
+def test_near_zero_rows_in_two_blocks_name_the_lower_row():
+    rng = np.random.default_rng(2011)
+    images = gaussian(rng, 4 * _ROW_BLOCK, 8)
+    images[3 * _ROW_BLOCK + 7] = 0.0
+    images[_ROW_BLOCK + 3] = 1e-14
+    vocab = make_vocab(gaussian(rng, 12, 8))
+    with pytest.raises(ValueError) as want:
+        oracle_topk_concepts(images, vocab, 2)
+    assert str(want.value).startswith(f"row {_ROW_BLOCK + 3} has near-zero norm ")
+    with pytest.raises(ValueError) as got:
+        topk_concepts(images, vocab, 2, threads=2)
+    assert str(got.value) == str(want.value)

@@ -57,7 +57,7 @@ def write_every_file(out, n):
                 f.write(json.dumps({"i": row.sample_index, "c": c, "s": s}, separators=(",", ":")))
                 f.write("\n")
     save_weights(out / "weights.jsonl", rng.uniform(0, 1, size=n))
-    save_sampled_indices(out / "sampled.txt", rng.integers(0, 9000, size=n), 3, n, False)
+    save_sampled_indices(out / "sampled.txt", rng.integers(0, 9000, size=n), 3, False)
     plan = plan_of(n)
     stats = emit_plan(plan, out / "plan.jsonl")
     oracle.emit_plan(out / "plan_oracle.jsonl", plan.capacity, plan.packs, plan.overflow,
