@@ -104,17 +104,12 @@ def sample_balanced(
 
     Without replacement the draw is sequential weighted selection with
     renormalization, realized through exponential-race keys; with
-    replacement it is n independent categorical draws. Without replacement,
-    n may not exceed the number of positive weights. Output is
-    byte-identical for identical (weights, n, seed, replacement).
+    replacement it is n independent categorical draws, under the weights
+    rules of ``_check_weights``. Without replacement, n may not exceed the
+    number of positive weights. Output is byte-identical for identical
+    (weights, n, seed, replacement).
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D vector")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {WEIGHT_SUM_TOL}")
+    w = _check_weights(weights)
     if n < 0:
         raise ValueError("n must be >= 0")
     size = w.size
@@ -178,13 +173,26 @@ def balance_report(
     )
 
 
-def save_weights(path: str | Path, weights: np.ndarray) -> None:
-    """JSON Lines: {"i": idx, "w": weight}; rejects a non-finite or negative weight."""
-    values = np.asarray(weights, dtype=np.float64)
-    bad = np.flatnonzero(~(values >= 0) | np.isinf(values))
+def _check_weights(weights: np.ndarray) -> np.ndarray:
+    """``weights`` as float64, if a non-empty 1-D vector of finite, non-negative
+    values (else the first bad index is named) that sum to 1 within WEIGHT_SUM_TOL."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weights must be a non-empty 1-D vector")
+    bad = np.flatnonzero(~(w >= 0) | np.isinf(w))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"weight {i} is {values[i].item()!r}, not finite and non-negative")
+        raise ValueError(f"weight {i} is {w[i].item()!r}, not finite and non-negative")
+    with np.errstate(over="ignore"):  # a sum past the float range reads as inf
+        total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}")
+    return w
+
+
+def save_weights(path: str | Path, weights: np.ndarray) -> None:
+    """JSON Lines: {"i": idx, "w": weight}; refuses what ``_check_weights`` rejects."""
+    values = _check_weights(weights)
     line = '{"i":%d,"w":%r}\n'  # %r of a float is what json.dumps writes for it
     with output(path) as f:
         write_rows(f, line, values.size, lambda lo, hi: (range(lo, hi), values[lo:hi]))
@@ -192,8 +200,8 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
 
 def load_weights(path: str | Path) -> np.ndarray:
     """Read what save_weights writes: record i is {"i": i, "w": float}, each
-    weight finite and non-negative, and the weights sum to 1 within
-    WEIGHT_SUM_TOL."""
+    weight finite and non-negative (the first bad line is named), and the
+    whole vector passes ``_check_weights``."""
     weights: list[float] = []
     with json_lines(path) as records:
         for rec in records:
@@ -204,14 +212,10 @@ def load_weights(path: str | Path) -> np.ndarray:
             if not 0.0 <= w < math.inf:
                 raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
             weights.append(w)
-    if not weights:
-        raise ValueError(f"{path}: empty weights file")
-    out = np.array(weights, dtype=np.float64)
-    with np.errstate(over="ignore"):  # a sum past the float range reads as inf
-        total = float(out.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"{path}: weights sum to {total!r}, not 1 within {WEIGHT_SUM_TOL}")
-    return out
+    try:
+        return _check_weights(weights)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:

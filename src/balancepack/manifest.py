@@ -328,7 +328,8 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
     """JSON Lines manifest; patch/merge are written only when non-default.
 
     ``SynthRecords`` are written from their columns, with each source tag
-    JSON-encoded once; the bytes are those of the row loop below.
+    JSON-encoded once; the bytes are those of the row loop below. Rows with
+    a repeated id, which the manifest readers reject, are refused.
     """
     with output(path) as f:
         if isinstance(records, SynthRecords):
@@ -340,7 +341,11 @@ def emit_manifest(path: str | Path, records: Iterable[SampleRecord]) -> None:
             line = '{"id":"synth-%08d","source":%s,"text_tokens":%d}\n'
             write_rows(f, line, len(records), columns)
             return
+        seen: set[str] = set()
         for rec in records:
+            if rec.id in seen:
+                raise ValueError(f"duplicate id {rec.id!r}")
+            seen.add(rec.id)
             obj: dict = {"id": rec.id, "source": rec.source, "text_tokens": rec.text_tokens}
             if rec.image is not None:
                 obj["image"] = {"w": rec.image[0], "h": rec.image[1]}

@@ -256,9 +256,9 @@ class PackPlan:
         return len(self.packed) + len(self.overflowed)
 
     def validate(self) -> None:
-        """Every pack non-empty and within capacity, and no id twice; the
-        first fault in pack order, then the overflow, is named. Edited
-        row views are refused first."""
+        """The plan rules, run by ``emit_plan`` and ``load_plan``: packs non-empty and
+        within capacity, no id twice, overflow items past the capacity. Edited row
+        views are refused first, then the first fault in pack order, then the overflow's."""
         self._check_views()
         faults = []
         empty = np.flatnonzero(self.bounds[1:] == self.bounds[:-1])
@@ -271,7 +271,11 @@ class PackPlan:
                 (p, 1, f"pack {p} holds {self.fills[p]} tokens > capacity {self.capacity}")
             )
         ids = self.packed.ids + self.overflowed.ids
-        if len(set(ids)) != len(ids):
+        # A set takes about 40 bytes an id and would set ``pack``'s peak RSS; a
+        # repeat needs equal hashes, so the set is built only when two ids hash alike.
+        hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+        hashes.sort()
+        if np.any(hashes[1:] == hashes[:-1]) and len(set(ids)) != len(ids):
             seen: set[str] = set()
             for j, sample_id in enumerate(ids):
                 if sample_id in seen:
@@ -279,6 +283,11 @@ class PackPlan:
                 seen.add(sample_id)
             pack = int(np.searchsorted(self.bounds, j, side="right")) - 1
             faults.append((pack, 2, f"partition violation: sample {sample_id!r} repeated"))
+        fits = np.flatnonzero(self.overflowed.length <= self.capacity)
+        if fits.size:
+            it = self.overflowed[int(fits[0])]
+            fault = f"overflow item {it.sample_id!r} of length {it.length} fits the capacity"
+            faults.append((self.num_packs, 3, f"{fault} {self.capacity}"))
         if faults:
             raise ValueError(min(faults)[2])
 
@@ -687,15 +696,12 @@ def emit_plan(
     boundaries. The trailer holds overflow items and summary stats, which
     are also returned. Every line is what ``json.dumps`` with separators
     (",", ":") writes for the record; a pack's first item carries the text
-    that opens it and its last item the text that closes it. A plan with an
-    empty pack, which ``load_plan`` rejects, is refused, and so is one whose
-    row views were edited, since the columns, not the views, are written.
+    that opens it and its last item the text that closes it. Nothing is
+    written unless the plan passes ``PackPlan.validate``, as ``load_plan``
+    does; edited row views fail it, because the columns are written, not the views.
     """
-    plan._check_views()
+    plan.validate()
     bounds, cap, packed = plan.bounds, plan.capacity, plan.packed
-    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
-    if empty.size:
-        raise ValueError(f"pack {empty[0]} is empty")
     stats = packing_stats(plan, config or PackingConfig(capacity=cap))
     before = np.concatenate(([0], np.cumsum(packed.length)))  # tokens before each item
     tags = np.array([encode_basestring_ascii(tag) for tag in packed.tags], dtype=object)

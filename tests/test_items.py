@@ -142,11 +142,26 @@ def test_plan_bounds_must_cover_the_packed_items():
          "pack 1 holds 13 tokens"),
         ([[PackItem("a", 3)], [PackItem("b", 4)]], [PackItem("a", 11)], "sample 'a' repeated"),
         ([[PackItem("a", 3), PackItem("a", 9)], []], [], "pack 0 holds 12 tokens"),
+        ([[PackItem("a", 3)], [PackItem("b", 4)]], [PackItem("c", 10)],
+         "overflow item 'c' of length 10 fits the capacity 10"),
     ],
 )
 def test_validate_names_the_first_fault(packs, overflow, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PackPlan.of(10, packs, overflow).validate()
+
+
+class SameHash(str):
+    def __hash__(self):
+        return 7
+
+
+def test_validate_tells_equal_hashes_from_a_repeated_id():
+    plan = PackPlan.of(10, [[PackItem(SameHash("a"), 3)], [PackItem(SameHash("b"), 4)]])
+    plan.validate()
+    plan = PackPlan.of(10, [[PackItem(SameHash("a"), 3)]], [PackItem(SameHash("a"), 11)])
+    with pytest.raises(ValueError, match="sample 'a' repeated"):
+        plan.validate()
 
 
 def test_stats_read_only_the_fills():

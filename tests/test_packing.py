@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import numpy as np
+import packing_oracle as oracle
 import pytest
 
 from balancepack.packing import (
@@ -383,7 +384,9 @@ def test_plan_load_rejects_duplicate_sample(tmp_path):
         packs=[[PackItem("x", 4)], [PackItem("x", 4)]],
     )
     path = tmp_path / "dup.jsonl"
-    emit_plan(plan, path)
+    # emit_plan refuses this plan, so the oracle writer writes it.
+    stats = packing_stats(plan, PackingConfig(capacity=10)).to_dict()
+    oracle.emit_plan(path, plan.capacity, plan.packs, plan.overflow, stats)
     with pytest.raises(ValueError, match="partition"):
         load_plan(path)
 

@@ -3,6 +3,7 @@ bytes at any block size, and a file appears under its name only once its
 writer finished."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +11,17 @@ import packing_oracle as oracle
 import pytest
 
 from balancepack import jsonl
-from balancepack.balance import save_sampled_indices, save_weights
+from balancepack.balance import load_weights, save_sampled_indices, save_weights
 from balancepack.concepts import Assignments, save_assignments
-from balancepack.manifest import SampleRecord, SynthRecords, emit_manifest
-from balancepack.packing import PackItem, PackPlan, emit_plan
+from balancepack.manifest import SampleRecord, SynthRecords, emit_manifest, ingest_manifest
+from balancepack.packing import (
+    PackingConfig,
+    PackItem,
+    PackPlan,
+    emit_plan,
+    load_plan,
+    packing_stats,
+)
 
 
 def synth_records(rng, n):
@@ -56,7 +64,12 @@ def write_every_file(out, n):
                 c, s = zip(*row.concepts)
                 f.write(json.dumps({"i": row.sample_index, "c": c, "s": s}, separators=(",", ":")))
                 f.write("\n")
-    save_weights(out / "weights.jsonl", rng.uniform(0, 1, size=n))
+    weights = rng.uniform(0, 1, size=n)
+    if n:
+        save_weights(out / "weights.jsonl", weights / weights.sum())
+    else:
+        with pytest.raises(ValueError, match="non-empty"):
+            save_weights(out / "weights.jsonl", weights)
     save_sampled_indices(out / "sampled.txt", rng.integers(0, 9000, size=n), 3, False)
     plan = plan_of(n)
     stats = emit_plan(plan, out / "plan.jsonl")
@@ -99,6 +112,64 @@ def test_emit_plan_refuses_an_empty_pack_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError, match="^pack 1 is empty$"):
         emit_plan(PackPlan.of(10, [[PackItem("a", 3)], []]), path)
     assert list(tmp_path.iterdir()) == []
+
+
+def unchecked_plan(plan, path):
+    stats = packing_stats(plan, PackingConfig(capacity=plan.capacity)).to_dict()
+    oracle.emit_plan(path, plan.capacity, plan.packs, plan.overflow, stats)
+
+
+def unchecked_weights(weights, path):
+    with open(path, "w") as f:
+        f.writelines('{"i":%d,"w":%r}\n' % (i, w) for i, w in enumerate(weights.tolist()))
+
+
+def unchecked_manifest(records, path):
+    with open(path, "w") as f:
+        f.writelines(json.dumps({"id": r.id, "source": r.source, "text_tokens": r.text_tokens})
+                     + "\n" for r in records)
+
+
+PLAN = (emit_plan, unchecked_plan, load_plan)
+WEIGHTS = (lambda w, path: save_weights(path, w), unchecked_weights, load_weights)
+MANIFEST = (lambda r, path: emit_manifest(path, r), unchecked_manifest, ingest_manifest)
+
+
+@pytest.mark.parametrize(
+    "value, files, message",
+    [
+        (PackPlan.of(10, [[PackItem("a", 6), PackItem("b", 5)]]), PLAN,
+         "pack 0 holds 11 tokens > capacity 10"),
+        (PackPlan.of(10, [[PackItem("x", 4)], [PackItem("x", 4)]]), PLAN,
+         "partition violation: sample 'x' repeated"),
+        (PackPlan.of(10, [[PackItem("a", 3)]], [PackItem("x", 5)]), PLAN,
+         "overflow item 'x' of length 5 fits the capacity 10"),
+        (np.zeros(0), WEIGHTS, "weights must be a non-empty 1-D vector"),
+        (np.array([0.5, 0.6]), WEIGHTS, "weights sum to 1.1, not 1 within 1e-09"),
+        (np.array([1.0, 0.1, 5e-324, 1.7976931348623157e308, 1.7976931348623157e308]), WEIGHTS,
+         "weights sum to inf, not 1 within 1e-09"),
+        ([SampleRecord("a", "", 1), SampleRecord("a", "", 2)], MANIFEST, "duplicate id 'a'"),
+    ],
+    ids=["over-full-pack", "repeated-id", "overflow-that-fits", "empty-weights",
+         "weights-sum-1.1", "weights-sum-inf", "manifest-repeated-id"],
+)
+def test_writers_refuse_what_their_readers_reject(tmp_path, value, files, message):
+    write, write_unchecked, read = files
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write(value, path)
+    assert list(tmp_path.iterdir()) == []
+
+    path.write_bytes(b"older\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write(value, path)
+    assert path.read_bytes() == b"older\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+    # Written without the writer's rules, the same value is what the reader rejects.
+    write_unchecked(value, path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(path)
 
 
 def rows_then_fail(count):
