@@ -19,10 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import Assignments, ConceptAssignment
-from .jsonl import json_field, json_lines, output, write_rows
+from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, json_lines, output, write_rows
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
+
+# The line form of save_weights.
+_WEIGHT_LINES = canonical(r'\{"i":%s,"w":%s\}\n' % (INT, FLOAT))
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,9 @@ def load_weights(path: str | Path) -> np.ndarray:
     """Read what save_weights writes: record i is {"i": i, "w": float}, each
     weight finite and non-negative (the first bad line is named), and the
     whole vector passes ``_check_weights``."""
+    fast = canonical_lines(path, _WEIGHT_LINES, _weights_block, _joined_weights)
+    if fast is not None:
+        return fast
     weights: list[float] = []
     with json_lines(path) as records:
         for rec in records:
@@ -216,6 +222,19 @@ def load_weights(path: str | Path) -> np.ndarray:
         return _check_weights(weights)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+
+
+def _weights_block(text: str, row: int) -> np.ndarray:
+    """The weights of a block of save_weights lines whose first is record ``row``."""
+    # Drop the first '{"i":' and the last '}\n'; then index and weight alternate.
+    flat = text[5:-2].replace('}\n{"i":', ",").replace(',"w":', ",").split(",")
+    if flat[0::2] != list(map(str, range(row, row + len(flat) // 2))):
+        raise ValueError("record index out of order")
+    return np.fromiter(map(float, flat[1::2]), np.float64, len(flat) // 2)
+
+
+def _joined_weights(blocks: list[np.ndarray]) -> np.ndarray:
+    return _check_weights(np.concatenate(blocks))
 
 
 def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:

@@ -31,11 +31,12 @@ import struct
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .jsonl import json_field, json_lines, output, write_rows
+from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, json_lines, output, write_rows
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -44,6 +45,11 @@ _HEADER = struct.Struct("<4sII")
 NORM_EPS = 1e-12
 
 CAPTION_SEPARATOR = ", "
+
+# The line form of save_assignments, whatever the row widths.
+_ASSIGNMENT_LINES = canonical(
+    r'\{"i":%s,"c":\[%s(?:,%s)*\],"s":\[%s(?:,%s)*\]\}\n' % (INT, INT, INT, FLOAT, FLOAT)
+)
 
 # Most rows per block for finiteness checks, normalization and scoring.
 # Bounds every float64 temporary to _ROW_BLOCK rows.
@@ -248,10 +254,14 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
 
 def save_embeddings(path: str | Path, m: np.ndarray) -> None:
-    """Write a float32 matrix in the EMB1 binary format."""
-    validate_embeddings(m)
-    rows, dim = m.shape
-    payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
+    """Write a float32 matrix in the EMB1 binary format. The checks run on the
+    float32 values written, so a finite value beyond the float32 range is
+    refused rather than written as inf."""
+    with np.errstate(over="ignore"):  # an overflow is reported below as non-finite
+        m32 = np.asarray(m, dtype="<f4")
+    validate_embeddings(m32)
+    rows, dim = m32.shape
+    payload = np.ascontiguousarray(m32).tobytes()
     with output(path, binary=True) as f:
         f.write(_HEADER.pack(EMB_MAGIC, rows, dim))
         f.write(payload)
@@ -494,6 +504,9 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 def load_assignments(path: str | Path) -> Assignments:
     """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
     with one similarity per concept and every row rule of ``Assignments``."""
+    fast = canonical_lines(path, _ASSIGNMENT_LINES, _assignments_block, _joined_assignments)
+    if fast is not None:
+        return fast
     offsets, cs, ss = [0], [], []
     with json_lines(path) as records:
         for rec in records:
@@ -515,3 +528,28 @@ def load_assignments(path: str | Path) -> Assignments:
         return Assignments(np.array(offsets), np.array(cs, dtype=np.int64), np.array(ss))
     except _RowError as e:
         raise ValueError(f"{path}: line {e.row + 1}: {e.reason}") from None
+
+
+def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row widths, concepts and similarities of a block of save_assignments
+    lines whose first is record ``row``."""
+    # Drop the first '{"i":' and the last ']}\n'; then index, concepts and
+    # similarities follow in turn, split at the text between the fields.
+    flat = text[5:-3].replace(']}\n{"i":', "|").replace(',"c":[', "|").replace('],"s":[', "|")
+    flat = flat.split("|")
+    index, c, s = flat[0::3], flat[1::3], flat[2::3]
+    if index != list(map(str, range(row, row + len(index)))):
+        raise ValueError("record index out of order")
+    commas = list(map(str.count, c, repeat(",")))
+    if commas != list(map(str.count, s, repeat(","))):
+        raise ValueError("concepts and similarities differ in number")
+    # The grammar holds the integers to 18 digits, which numpy parses exactly;
+    # floats go through float(), as json parses them.
+    concepts = np.fromstring(",".join(c), dtype=np.int64, sep=",")
+    sims = ",".join(s).split(",")
+    return np.array(commas) + 1, concepts, np.fromiter(map(float, sims), np.float64, len(sims))
+
+
+def _joined_assignments(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Assignments:
+    widths, concepts, sims = (np.concatenate(column) for column in zip(*blocks))
+    return Assignments(np.concatenate(([0], np.cumsum(widths))), concepts, sims)

@@ -1,4 +1,4 @@
-"""The toolkit's one JSON Lines reader, its one writer, and strict field access.
+"""The toolkit's JSON Lines readers, its one writer, and strict field access.
 
 ``json_lines`` streams a file and parses each line once. In its ``with``
 block a ValueError from the reader or from the caller's checks on the
@@ -7,16 +7,26 @@ manifests) is ``blank line``, broken or too deeply nested JSON ``malformed
 JSON``. A ``UnicodeDecodeError`` passes through: the file decodes in bulk.
 Every file the toolkit writes is opened by ``output``, and every block of
 rows is formatted by ``write_rows``.
+
+Each writer emits one fixed line form. ``canonical_lines`` reads a file in
+blocks of WRITE_BLOCK lines and parses a block by that grammar, with no
+``json.loads``, if every line of it has exactly the writer's form: the
+keys in the writer's order, no spaces, integers of at most 18 digits,
+floats with a fraction or an exponent, strings without escapes. Any other
+file, or one whose columns break a rule, is read again from the start by
+``json_lines``, so the accepted files and every error text are the same.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import IO
+from typing import IO, TypeVar
 
 import numpy as np
 
@@ -77,6 +87,56 @@ def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]
             raise
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
+
+
+# The tokens of a writer's canonical lines, as regular expressions: an
+# integer of at most 18 digits (so within int64), a JSON number with a
+# fraction or an exponent (a float to ``json``, converted with ``float``
+# as ``json`` does), and the characters of a string without escapes, so
+# that the raw text is the decoded value.
+INT = r"-?(?:0|[1-9][0-9]{0,17})"
+FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+TEXT = r'[^"\\\x00-\x1f]*'
+
+_Part = TypeVar("_Part")
+_Result = TypeVar("_Result")
+
+
+def canonical(line: str) -> re.Pattern:
+    """The block check of one writer's line form ``line`` (a regular expression
+    ending in ``\\n``): it matches any run of whole lines and never backtracks."""
+    return re.compile(f"(?:{line})*+")
+
+
+def canonical_lines(
+    path: str | Path,
+    block: re.Pattern,
+    convert: Callable[[str, int], _Part],
+    finish: Callable[[list[_Part]], _Result],
+) -> _Result | None:
+    """``finish`` of the parts ``convert`` makes of each block of ``path``,
+    or None if the file is not all writer lines.
+
+    The file is opened as ``json_lines`` opens it and read WRITE_BLOCK lines
+    at a time. Every block must match ``block`` (a ``canonical`` check) to
+    its end; ``convert(text, row)`` then gets the block's text and the
+    0-based row of its first line. A block that does not match, or a
+    ValueError from ``convert`` or ``finish``, gives None: the caller then
+    reads the file with ``json_lines``, which names the fault.
+    """
+    parts: list[_Part] = []
+    row = 0
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            while text := "".join(islice(f, WRITE_BLOCK)):
+                if block.match(text).end() != len(text):
+                    return None
+                parts.append(convert(text, row))
+                row += text.count("\n")
+                del text  # the next block is read without this one alive
+        return finish(parts)
+    except ValueError:  # a UnicodeDecodeError too: json_lines raises it again
+        return None
 
 
 class _Missing:

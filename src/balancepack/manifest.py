@@ -27,13 +27,17 @@ Both manifest readers run one loop over ``jsonl.json_lines`` that skips
 blank lines, since manifests come from outside the toolkit, and rejects
 duplicate ids. ``load_pack_items`` reads straight into a columnar
 ``packing.Items``: the record rules and the token arithmetic apply to
-the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line.
+the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line. A
+manifest of ``emit_manifest``'s compact rich records is parsed by their
+grammar a block at a time (``jsonl.canonical_lines``), the same rules
+applied to whole columns; any other manifest goes through the loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -41,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .concepts import Assignments
-from .jsonl import json_field, json_lines, output, write_rows
+from .jsonl import INT, TEXT, canonical, canonical_lines, json_field, json_lines, output, write_rows
 from .packing import Items, check_length, source_codes
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
@@ -65,6 +69,18 @@ _LENGTH_LIMIT = 2**63 - 1024
 # every length outside the window, so a window with (almost) no mass
 # would have it redraw (almost) forever.
 _MIN_WINDOW_MASS = 1e-3
+
+# The compact rich record form emit_manifest writes: id, source and
+# text_tokens, then an optional image, patch and merge.
+_RECORD_LINE = (
+    r'\{"id":"(%s)","source":"(%s)","text_tokens":(%s)' % (TEXT, TEXT, INT)
+    + r'(?:,"image":\{"w":(%s),"h":(%s)\})?(?:,"patch":(%s))?(?:,"merge":(%s))?\}\n' % ((INT,) * 4)
+)
+_RECORD_LINES = canonical(_RECORD_LINE)
+_RECORD_TOKENS = re.compile(_RECORD_LINE)
+# Image sides, patch and merge below this keep the token arithmetic of a
+# block within int64: a grid is below 2**62 cells and text_tokens below 10**18.
+_SIDE_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -417,6 +433,9 @@ def load_pack_items(path: str | Path) -> Items:
     counts JSON integers. Blank lines are skipped; no ``SampleRecord`` or
     ``PackItem`` is built.
     """
+    items = canonical_lines(path, _RECORD_LINES, _record_block, _joined_items)
+    if items is not None:
+        return items
     ids: list[str] = []
     lengths: list[int] = []
     sources: list[str] = []
@@ -425,6 +444,42 @@ def load_pack_items(path: str | Path) -> Items:
         lengths.append(length)
         sources.append(source)
     return Items.from_lists(ids, lengths, sources)
+
+
+def _ints(tokens: Sequence[str], default: str = "") -> np.ndarray:
+    """An int64 column of integer tokens of at most 18 digits, which numpy
+    parses exactly; ``default`` where a token is empty."""
+    return np.fromstring(",".join([t or default for t in tokens]), dtype=np.int64, sep=",")
+
+
+def _record_block(text: str, row: int) -> tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Ids, token lengths, source codes and source tags of a block of compact
+    rich records, under the rules of ``_pack_fields``: a record that breaks
+    one, or a size that could overflow int64, raises. (An empty record has
+    length 0, which ``Items`` rejects.)"""
+    ids, sources, text_tokens, w, h, patch, merge = zip(*_RECORD_TOKENS.findall(text))
+    image = np.fromiter(map(bool, w), bool, len(w))
+    text_tokens, w, h = _ints(text_tokens), _ints(w, "0"), _ints(h, "0")
+    patch, merge = _ints(patch, str(DEFAULT_PATCH)), _ints(merge, str(DEFAULT_MERGE))
+    if np.any(np.stack([w, h, patch, merge]) >= _SIDE_LIMIT):
+        raise ValueError("a size may overflow int64")
+    small_image = image & ((w < patch) | (h < patch))
+    if np.any((text_tokens < 0) | (patch < 1) | (merge < 1) | small_image):
+        raise ValueError("a record breaks a rule")
+    grid_w, grid_h = -(-w // patch), -(-h // patch)  # 0 x 0 without an image
+    length = text_tokens + -(-grid_w // merge) * -(-grid_h // merge)
+    return list(ids), length, *source_codes(sources)
+
+
+def _joined_items(blocks: list[tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]]) -> Items:
+    """One ``Items`` of the blocks, tags in first-seen order; a repeated id raises."""
+    ids = [sample_id for block in blocks for sample_id in block[0]]
+    if len(set(ids)) != len(ids):
+        raise ValueError("repeated id")
+    tags = tuple(dict.fromkeys(tag for block in blocks for tag in block[3]))
+    code = {tag: i for i, tag in enumerate(tags)}
+    source = [np.array([code[t] for t in block[3]], np.int32)[block[2]] for block in blocks]
+    return Items(ids, np.concatenate([block[1] for block in blocks]), np.concatenate(source), tags)
 
 
 def records_to_pack_items(records: Sequence[SampleRecord]) -> Items:

@@ -132,6 +132,15 @@ def test_save_rejects_non_finite():
         save_embeddings("/dev/null", m)
 
 
+def test_save_refuses_a_finite_value_beyond_float32(tmp_path):
+    # 1e39 is finite as float64 but overflows float32; the file would hold
+    # inf, which load_embeddings rejects. No overflow warning is raised either.
+    path = tmp_path / "m.emb"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_embeddings(path, np.array([[1e39, 0.0]]))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------- normalization
 
 

@@ -8,7 +8,10 @@ are rejected except in manifests, and a decoding error passes through as
 ``test_loader_fuzz`` does and compare each loader with an independent
 per-line reference parse: the loader raises for the line the reference
 rejects first, names the file for a fault of the whole file, or loads
-exactly what the reference reads.
+exactly what the reference reads. Each reader is fuzzed from two bases,
+the second in its writer's canonical layout (fixed-k assignments, weights,
+compact manifest records), and a loader with a canonical fast path must
+load each mutant bit for bit as it does with the fast path turned off.
 """
 
 import json
@@ -17,7 +20,8 @@ import math
 import numpy as np
 import packing_oracle as oracle
 import pytest
-from test_loader_fuzz import mutate, valid_manifest
+import test_canonical_lines as canonical
+from test_loader_fuzz import canonical_manifest, mutate, valid_manifest
 
 from balancepack import cli
 from balancepack.balance import WEIGHT_SUM_TOL, load_weights, save_weights
@@ -237,25 +241,47 @@ def manifest_lines(rng, path):
     return [line for line in valid_manifest(rng) if '"length"' not in line]
 
 
+def canonical_assignments(rng, path):
+    """Rows all k wide, as ``topk_concepts`` writes them."""
+    k = int(rng.integers(1, 6))
+    rows = []
+    for i in range(25):
+        concepts = rng.choice(40, size=k, replace=False).tolist()
+        sims = sorted(rng.uniform(-1.0, 1.0, size=k).tolist(), reverse=True)
+        rows.append(ConceptAssignment(i, tuple(zip(concepts, sims))))
+    save_assignments(path, rows)
+    return path.read_text().splitlines(keepends=True)
+
+
+# loader, base, canonical base, reference, loaded rows in the reference's terms
 FUZZED = {
-    "weights": (load_weights, valid_weights, reference_weights, lambda w: w.tolist()),
-    "assignments": (load_assignments, valid_assignments, reference_assignments, assignment_rows),
-    "manifest": (ingest_manifest, manifest_lines, reference_manifest, list),
+    "weights": (load_weights, valid_weights, valid_weights, reference_weights, lambda w: w.tolist()),
+    "assignments": (
+        load_assignments,
+        valid_assignments,
+        canonical_assignments,
+        reference_assignments,
+        assignment_rows,
+    ),
+    "manifest": (ingest_manifest, manifest_lines, canonical_manifest, reference_manifest, list),
 }
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", FUZZED)
-def test_reader_matches_a_per_line_reference_on_mutants(tmp_path, name, seed):
-    load, valid, reference, rows = FUZZED[name]
-    rng = np.random.default_rng([23, seed, list(FUZZED).index(name)])
+def fuzz_against_reference(tmp_path, monkeypatch, name, rng, valid, mutants):
+    """``mutants`` mutants of ``valid``'s base against the reference, and
+    against the loader with its fast path turned off if it has one; the
+    fast path's count."""
+    load, _, _, reference, rows = FUZZED[name]
     path = tmp_path / "f.jsonl"
-    base = valid(rng, path)
+    base = valid(rng, tmp_path / "base.jsonl")
+    paths = canonical.PathCount(monkeypatch, load) if load in canonical.FAST else None
     outcomes = {"error": 0, "file": 0, "loaded": 0}
-    for _ in range(250):
+    for _ in range(mutants):
         path.write_text("".join(mutate(rng, base)), encoding="utf-8")
         kind, want = reference(path)
         outcomes[kind] += 1
+        if paths:
+            assert canonical.outcome(load, path) == canonical.json_path(monkeypatch, load, path)
         if kind == "loaded":
             assert rows(load(path)) == want
             continue
@@ -267,3 +293,22 @@ def test_reader_matches_a_per_line_reference_on_mutants(tmp_path, name, seed):
             assert str(e.value).startswith(f"{path}: ")
             assert not str(e.value).startswith(f"{path}: line "), str(e.value)
     assert outcomes["error"] and outcomes["loaded"], outcomes
+    return paths
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", FUZZED)
+def test_reader_matches_a_per_line_reference_on_mutants(tmp_path, monkeypatch, name, seed):
+    rng = np.random.default_rng([23, seed, list(FUZZED).index(name)])
+    fuzz_against_reference(tmp_path, monkeypatch, name, rng, FUZZED[name][1], 250)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", FUZZED)
+def test_reader_matches_a_per_line_reference_on_canonical_mutants(tmp_path, monkeypatch, name, seed):
+    rng = np.random.default_rng([23, seed, list(FUZZED).index(name), 1])
+    # More mutants than above: few mutants of a weights file still sum to 1,
+    # and each loaded one is a file the fast path has to finish.
+    paths = fuzz_against_reference(tmp_path, monkeypatch, name, rng, FUZZED[name][2], 1000)
+    if paths:
+        assert paths.fast and paths.fallback, (paths.fast, paths.fallback)

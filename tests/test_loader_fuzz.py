@@ -12,8 +12,9 @@ import json
 import numpy as np
 import packing_oracle as oracle
 import pytest
+import test_canonical_lines as canonical
 
-from balancepack.manifest import load_pack_items
+from balancepack.manifest import SampleRecord, emit_manifest, load_pack_items
 from balancepack.packing import PackingConfig, PackItem, emit_plan, load_plan, pack_bucketed
 
 # Values a swap puts in place of a field: every JSON type, and integers
@@ -44,6 +45,23 @@ def valid_manifest(rng):
         lines.append(json.dumps(rec) + "\n")
     lines.insert(int(rng.integers(len(lines))), "\n")
     return lines
+
+
+def canonical_manifest(rng, path):
+    """``emit_manifest``'s compact records: text only, with an image, and
+    with a patch or merge size of their own; ids and sources in ASCII, so
+    that no line holds an escape."""
+    records = []
+    for j in range(30):
+        kind = j % 4
+        image = (int(rng.integers(16, 400)), int(rng.integers(16, 400))) if kind else None
+        patch = 16 if kind == 2 else 14
+        merge = 3 if kind == 3 else 2
+        text = int(rng.integers(0 if image else 1, 60))
+        source = ("web", "doc", "img")[j % 3]
+        records.append(SampleRecord(f"c{j:02d}", source, text, image, patch, merge))
+    emit_manifest(path, records)
+    return path.read_text().splitlines(keepends=True)
 
 
 def valid_plan(rng, path):
@@ -124,22 +142,39 @@ def outcome(load, path):
         return "error", str(e)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_manifest_reader_matches_the_oracle_on_mutants(tmp_path, seed):
-    rng = np.random.default_rng([17, seed])
+def fuzz_manifest(tmp_path, monkeypatch, rng, base):
+    """Mutants of ``base`` against the oracle and, bit for bit, against
+    ``load_pack_items`` with its fast path turned off; the fast path's count."""
     path = tmp_path / "m.jsonl"
-    base = valid_manifest(rng)
+    paths = canonical.PathCount(monkeypatch, load_pack_items)
     loaded = 0
     for _ in range(250):
         path.write_text("".join(mutate(rng, base)), encoding="utf-8")
         want = outcome(oracle.load_pack_items, path)
         got = outcome(lambda p: list(load_pack_items(p)), path)
         assert got == want
+        columns = canonical.outcome(load_pack_items, path)
+        assert columns == canonical.json_path(monkeypatch, load_pack_items, path)
         if got[0] == "error":
             assert f"{path}: line " in got[1]
         else:
             loaded += 1
     assert 0 < loaded < 250
+    return paths
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_manifest_reader_matches_the_oracle_on_mutants(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng([17, seed])
+    fuzz_manifest(tmp_path, monkeypatch, rng, valid_manifest(rng))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_manifest_reader_matches_the_oracle_on_canonical_mutants(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng([17, seed, 1])
+    base = canonical_manifest(rng, tmp_path / "base.jsonl")
+    paths = fuzz_manifest(tmp_path, monkeypatch, rng, base)
+    assert paths.fast and paths.fallback, (paths.fast, paths.fallback)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
