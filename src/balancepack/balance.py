@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import Assignments, ConceptAssignment
-from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, json_lines, output, write_rows
+from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, output, write_rows
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -176,13 +176,19 @@ def balance_report(
     )
 
 
+def _unfit(w):
+    """Where weights are not finite and non-negative: a bool for one weight,
+    a bool column for a column of them (NaN is the value unequal to itself)."""
+    return (w < 0) | (w == math.inf) | (w != w)
+
+
 def _check_weights(weights: np.ndarray) -> np.ndarray:
     """``weights`` as float64, if a non-empty 1-D vector of finite, non-negative
     values (else the first bad index is named) that sum to 1 within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D vector")
-    bad = np.flatnonzero(~(w >= 0) | np.isinf(w))
+    bad = np.flatnonzero(_unfit(w))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"weight {i} is {w[i].item()!r}, not finite and non-negative")
@@ -205,36 +211,35 @@ def load_weights(path: str | Path) -> np.ndarray:
     """Read what save_weights writes: record i is {"i": i, "w": float}, each
     weight finite and non-negative (the first bad line is named), and the
     whole vector passes ``_check_weights``."""
-    fast = canonical_lines(path, _WEIGHT_LINES, _weights_block, _joined_weights)
-    if fast is not None:
-        return fast
-    weights: list[float] = []
-    with json_lines(path) as records:
+    with canonical_lines(path, _WEIGHT_LINES, _weights_block) as (blocks, records):
+        row = sum(map(len, blocks))
+        weights: list[float] = []
         for rec in records:
             index = json_field(rec, "i", int)
-            if index != len(weights):
-                raise ValueError(f"record index {index}, expected {len(weights)}")
+            if index != row:
+                raise ValueError(f"record index {index}, expected {row}")
             w = json_field(rec, "w", float)
-            if not 0.0 <= w < math.inf:
+            if _unfit(w):
                 raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
             weights.append(w)
+            row += 1
     try:
-        return _check_weights(weights)
+        return _check_weights(np.concatenate([*blocks, np.array(weights, np.float64)]))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def _weights_block(text: str, row: int) -> np.ndarray:
-    """The weights of a block of save_weights lines whose first is record ``row``."""
+    """The weights of a block of save_weights lines whose first is record
+    ``row``; a line the loop of ``load_weights`` would refuse raises."""
     # Drop the first '{"i":' and the last '}\n'; then index and weight alternate.
     flat = text[5:-2].replace('}\n{"i":', ",").replace(',"w":', ",").split(",")
     if flat[0::2] != list(map(str, range(row, row + len(flat) // 2))):
         raise ValueError("record index out of order")
-    return np.fromiter(map(float, flat[1::2]), np.float64, len(flat) // 2)
-
-
-def _joined_weights(blocks: list[np.ndarray]) -> np.ndarray:
-    return _check_weights(np.concatenate(blocks))
+    w = np.fromiter(map(float, flat[1::2]), np.float64, len(flat) // 2)
+    if np.any(_unfit(w)):
+        raise ValueError("a weight that is not finite and non-negative")
+    return w
 
 
 def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, json_lines, output, write_rows
+from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, output, write_rows
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -504,15 +504,13 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 def load_assignments(path: str | Path) -> Assignments:
     """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
     with one similarity per concept and every row rule of ``Assignments``."""
-    fast = canonical_lines(path, _ASSIGNMENT_LINES, _assignments_block, _joined_assignments)
-    if fast is not None:
-        return fast
-    offsets, cs, ss = [0], [], []
-    with json_lines(path) as records:
+    with canonical_lines(path, _ASSIGNMENT_LINES, _assignments_block) as (blocks, records):
+        row = sum(len(widths) for widths, _, _ in blocks)
+        widths, cs, ss = [], [], []
         for rec in records:
             index = json_field(rec, "i", int)
-            if index != len(offsets) - 1:
-                raise ValueError(f"record index {index}, expected {len(offsets) - 1}")
+            if index != row:
+                raise ValueError(f"record index {index}, expected {row}")
             c = json_field(rec, "c", list)
             s = json_field(rec, "s", list)
             if not all(type(x) is int and -(2**63) <= x < 2**63 for x in c):
@@ -523,16 +521,20 @@ def load_assignments(path: str | Path) -> Assignments:
                 raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
             cs += c
             ss += s
-            offsets.append(len(cs))
+            widths.append(len(c))
+            row += 1
+    blocks.append((np.array(widths, np.int64), np.array(cs, np.int64), np.array(ss, np.float64)))
+    widths, concepts, sims = (np.concatenate(column) for column in zip(*blocks))
     try:
-        return Assignments(np.array(offsets), np.array(cs, dtype=np.int64), np.array(ss))
+        return Assignments(np.concatenate(([0], np.cumsum(widths))), concepts, sims)
     except _RowError as e:
         raise ValueError(f"{path}: line {e.row + 1}: {e.reason}") from None
 
 
 def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row widths, concepts and similarities of a block of save_assignments
-    lines whose first is record ``row``."""
+    lines whose first is record ``row``; a line the loop of
+    ``load_assignments`` would refuse raises."""
     # Drop the first '{"i":' and the last ']}\n'; then index, concepts and
     # similarities follow in turn, split at the text between the fields.
     flat = text[5:-3].replace(']}\n{"i":', "|").replace(',"c":[', "|").replace('],"s":[', "|")
@@ -548,8 +550,3 @@ def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.
     concepts = np.fromstring(",".join(c), dtype=np.int64, sep=",")
     sims = ",".join(s).split(",")
     return np.array(commas) + 1, concepts, np.fromiter(map(float, sims), np.float64, len(sims))
-
-
-def _joined_assignments(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Assignments:
-    widths, concepts, sims = (np.concatenate(column) for column in zip(*blocks))
-    return Assignments(np.concatenate(([0], np.cumsum(widths))), concepts, sims)

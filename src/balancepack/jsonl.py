@@ -12,9 +12,11 @@ Each writer emits one fixed line form. ``canonical_lines`` reads a file in
 blocks of WRITE_BLOCK lines and parses a block by that grammar, with no
 ``json.loads``, if every line of it has exactly the writer's form: the
 keys in the writer's order, no spaces, integers of at most 18 digits,
-floats with a fraction or an exponent, strings without escapes. Any other
-file, or one whose columns break a rule, is read again from the start by
-``json_lines``, so the accepted files and every error text are the same.
+floats with a fraction or an exponent, strings without escapes. From the
+first block that is not, or whose rows a converter refuses, the rest of
+the file goes through ``json_lines``' per-line parse, with its line
+numbers. A loader checks the rows of both parts with the same rules, so
+the accepted files and every error text are those of ``json_lines``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Callable, Iterator, Sequence
+import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, TypeVar
 
@@ -33,6 +36,8 @@ import numpy as np
 # Rows per write of ``write_rows``: one block of rows is formatted at a
 # time, so a writer's temporaries do not grow with the file.
 WRITE_BLOCK = 8192
+
+_Part = TypeVar("_Part")
 
 
 @contextmanager
@@ -63,13 +68,15 @@ def write_rows(f: IO, line: str, n: int, columns: Callable[[int, int], Sequence]
 
 
 @contextmanager
-def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]:
-    """An iterator of the parsed lines of ``path``; ValueErrors name the line."""
+def _numbered_records(path: str | Path, skip_blank: bool) -> Iterator[tuple[IO, Callable]]:
+    """The open file and ``records(lines, row)``, the parsed ``lines`` of it
+    numbered from line row + 1; in the ``with`` block a ValueError names the
+    line last read."""
     lineno = 0
 
-    def records(f) -> Iterator:
+    def records(lines: Iterable[str], row: int) -> Iterator:
         nonlocal lineno
-        for lineno, line in enumerate(f, start=1):
+        for lineno, line in enumerate(lines, start=row + 1):
             if not line.strip():
                 if skip_blank:
                     continue
@@ -82,11 +89,18 @@ def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]
 
     with open(path, "r", encoding="utf-8") as f:
         try:
-            yield records(f)
+            yield f, records
         except UnicodeDecodeError:
             raise
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
+
+
+@contextmanager
+def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]:
+    """An iterator of the parsed lines of ``path``; ValueErrors name the line."""
+    with _numbered_records(path, skip_blank) as (f, records):
+        yield records(f, 0)
 
 
 # The tokens of a writer's canonical lines, as regular expressions: an
@@ -98,44 +112,61 @@ INT = r"-?(?:0|[1-9][0-9]{0,17})"
 FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 TEXT = r'[^"\\\x00-\x1f]*'
 
-_Part = TypeVar("_Part")
-_Result = TypeVar("_Result")
+# Each repeat of a line form takes one whole line, up to its "\n", and
+# nothing follows the repeat, so a possessive one (Python 3.11 on) matches
+# what a greedy one matches, without keeping a way back into each line.
+_LINES = "*+" if sys.version_info >= (3, 11) else "*"
 
 
 def canonical(line: str) -> re.Pattern:
     """The block check of one writer's line form ``line`` (a regular expression
-    ending in ``\\n``): it matches any run of whole lines and never backtracks."""
-    return re.compile(f"(?:{line})*+")
+    ending in ``\\n``): it matches any run of whole lines."""
+    return re.compile(f"(?:{line}){_LINES}")
 
 
+@contextmanager
 def canonical_lines(
     path: str | Path,
     block: re.Pattern,
     convert: Callable[[str, int], _Part],
-    finish: Callable[[list[_Part]], _Result],
-) -> _Result | None:
-    """``finish`` of the parts ``convert`` makes of each block of ``path``,
-    or None if the file is not all writer lines.
+    skip_blank: bool = False,
+) -> Iterator[tuple[list[_Part], Iterator]]:
+    """``(parts, records)`` of ``path``: ``parts`` of the leading blocks that
+    are all writer lines, then the parsed lines of the rest.
 
     The file is opened as ``json_lines`` opens it and read WRITE_BLOCK lines
-    at a time. Every block must match ``block`` (a ``canonical`` check) to
-    its end; ``convert(text, row)`` then gets the block's text and the
-    0-based row of its first line. A block that does not match, or a
-    ValueError from ``convert`` or ``finish``, gives None: the caller then
-    reads the file with ``json_lines``, which names the fault.
+    at a time. While a block matches ``block`` (a ``canonical`` check) to
+    its end, ``convert(text, row)`` gets its text and the 0-based row of
+    its first line, and what it returns joins ``parts``. From the first
+    block that does not match, or that ``convert`` refuses with a
+    ValueError, ``records`` yields the parsed lines as ``json_lines`` does,
+    numbered from that block's first line, so the file is read once.
     """
-    parts: list[_Part] = []
-    row = 0
+    with _numbered_records(path, skip_blank) as (f, records):
+        parts: list[_Part] = []
+        row, rest = 0, []
+        while lines := list(islice(f, WRITE_BLOCK)):
+            text = "".join(lines)
+            part = _converted(block, convert, text, row)
+            if part is None:
+                rest = lines
+                break
+            parts.append(part)
+            row += len(lines)
+            del lines, text  # the next block is read without this one alive
+        yield parts, records(chain(rest, f), row)
+
+
+def _converted(
+    block: re.Pattern, convert: Callable[[str, int], _Part], text: str, row: int
+) -> _Part | None:
+    """``convert(text, row)`` if ``text`` is all writer lines and ``convert``
+    takes it, else None."""
+    if block.match(text).end() != len(text):
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            while text := "".join(islice(f, WRITE_BLOCK)):
-                if block.match(text).end() != len(text):
-                    return None
-                parts.append(convert(text, row))
-                row += text.count("\n")
-                del text  # the next block is read without this one alive
-        return finish(parts)
-    except ValueError:  # a UnicodeDecodeError too: json_lines raises it again
+        return convert(text, row)
+    except ValueError:
         return None
 
 

@@ -23,14 +23,15 @@ from the columns a block of rows at a time, and ``SynthRecords.take``
 gives the pack items of chosen rows, so the pipeline never holds one
 object per sample.
 
-Both manifest readers run one loop over ``jsonl.json_lines`` that skips
-blank lines, since manifests come from outside the toolkit, and rejects
+Both manifest readers run one loop over parsed lines that skips blank
+lines, since manifests come from outside the toolkit, and rejects
 duplicate ids. ``load_pack_items`` reads straight into a columnar
 ``packing.Items``: the record rules and the token arithmetic apply to
-the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line. A
-manifest of ``emit_manifest``'s compact rich records is parsed by their
-grammar a block at a time (``jsonl.canonical_lines``), the same rules
-applied to whole columns; any other manifest goes through the loop.
+the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line.
+Blocks of ``emit_manifest``'s compact rich records are parsed by their
+grammar (``jsonl.canonical_lines``), and ``_rule_breaks`` and
+``_token_length`` apply to their columns as they do to one record's
+fields; the loop takes the file from the first block that is not.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -98,36 +100,39 @@ class SampleRecord:
         _record_rules(self.id, self.text_tokens, self.image, self.patch, self.merge)
 
 
+def _rule_breaks(text_tokens, has_image, w, h, patch, merge) -> tuple:
+    """The rules every manifest record obeys, in the order checked, as
+    (broken, reason): ``broken`` is a bool for one record's fields and a
+    bool column for columns of them. Without an image, w and h are 0."""
+    return (
+        (text_tokens < 0, "text_tokens must be >= 0"),
+        ((patch < 1) | (merge < 1), "patch and merge must be >= 1"),
+        (has_image & ((w < patch) | (h < patch)), "image {w}x{h} smaller than one {patch}px patch"),
+        ((text_tokens == 0) & (has_image == 0), "empty record (no text tokens, no image)"),
+    )
+
+
 def _record_rules(
     sample_id: str, text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int
 ) -> None:
-    """The rules every manifest record obeys, as fields."""
-    if text_tokens < 0:
-        raise ValueError(f"record {sample_id!r}: text_tokens must be >= 0")
-    if patch < 1 or merge < 1:
-        raise ValueError(f"record {sample_id!r}: patch and merge must be >= 1")
-    if image is not None:
-        w, h = image
-        if w < patch or h < patch:
-            raise ValueError(
-                f"record {sample_id!r}: image {w}x{h} smaller than one {patch}px patch"
-            )
-    if text_tokens == 0 and image is None:
-        raise ValueError(f"record {sample_id!r}: empty record (no text tokens, no image)")
+    """Raise for the first rule of ``_rule_breaks`` that a record breaks."""
+    w, h = (0, 0) if image is None else image
+    for broken, reason in _rule_breaks(text_tokens, image is not None, w, h, patch, merge):
+        if broken:
+            raise ValueError(f"record {sample_id!r}: " + reason.format(w=w, h=h, patch=patch))
 
 
-def _token_length(text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int) -> int:
-    if image is None:
-        return text_tokens
-    w, h = image
-    grid_w = -(-w // patch)
-    grid_h = -(-h // patch)
+def _token_length(text_tokens, w, h, patch, merge):
+    """Text tokens plus the merged patch grid of a w x h image (0 x 0 for
+    none), for one record's integers or for int64 columns of them."""
+    grid_w, grid_h = -(-w // patch), -(-h // patch)
     return text_tokens + -(-grid_w // merge) * -(-grid_h // merge)
 
 
 def estimate_tokens(rec: SampleRecord) -> int:
     """Total token length: text tokens plus merged patch-grid visual tokens."""
-    return _token_length(rec.text_tokens, rec.image, rec.patch, rec.merge)
+    w, h = (0, 0) if rec.image is None else rec.image
+    return _token_length(rec.text_tokens, w, h, rec.patch, rec.merge)
 
 
 @dataclass(frozen=True)
@@ -389,23 +394,22 @@ def _record_fields(obj) -> tuple[str, str, int, tuple[int, int] | None, int, int
     )
 
 
-def _parse_lines(path: str | Path, parse) -> Iterator:
-    """Yield ``parse`` of each JSON line, skipping blank lines, since manifests
-    come from outside the toolkit; errors and duplicate ids name the line."""
-    seen: set[str] = set()
-    with json_lines(path, skip_blank=True) as records:
-        for obj in records:
-            value = parse(obj)  # reads obj["id"] as a JSON string first
-            if obj["id"] in seen:
-                raise ValueError(f"duplicate id {obj['id']!r}")
-            seen.add(obj["id"])
-            yield value
+def _parse_lines(records: Iterator, parse, seen: set[str]) -> Iterator:
+    """Yield ``parse`` of each parsed line; an id in ``seen`` raises, and
+    each new one joins it."""
+    for obj in records:
+        value = parse(obj)  # reads obj["id"] as a JSON string first
+        if obj["id"] in seen:
+            raise ValueError(f"duplicate id {obj['id']!r}")
+        seen.add(obj["id"])
+        yield value
 
 
 def ingest_manifest(path: str | Path) -> list[SampleRecord]:
     """Parse and validate a manifest; rejects duplicate ids and any field
     whose JSON type differs from what emit_manifest writes."""
-    return list(_parse_lines(path, lambda obj: SampleRecord(*_record_fields(obj))))
+    with json_lines(path, skip_blank=True) as records:
+        return list(_parse_lines(records, lambda obj: SampleRecord(*_record_fields(obj)), set()))
 
 
 def _pack_fields(obj) -> tuple[str, int, str]:
@@ -419,7 +423,8 @@ def _pack_fields(obj) -> tuple[str, int, str]:
     else:
         sample_id, source, text_tokens, image, patch, merge = _record_fields(obj)
         _record_rules(sample_id, text_tokens, image, patch, merge)
-        length = _token_length(text_tokens, image, patch, merge)
+        w, h = (0, 0) if image is None else image
+        length = _token_length(text_tokens, w, h, patch, merge)
     check_length(sample_id, length)
     return sample_id, length, source
 
@@ -433,17 +438,17 @@ def load_pack_items(path: str | Path) -> Items:
     counts JSON integers. Blank lines are skipped; no ``SampleRecord`` or
     ``PackItem`` is built.
     """
-    items = canonical_lines(path, _RECORD_LINES, _record_block, _joined_items)
-    if items is not None:
-        return items
-    ids: list[str] = []
-    lengths: list[int] = []
-    sources: list[str] = []
-    for sample_id, length, source in _parse_lines(path, _pack_fields):
-        ids.append(sample_id)
-        lengths.append(length)
-        sources.append(source)
-    return Items.from_lists(ids, lengths, sources)
+    seen: set[str] = set()
+    convert = partial(_record_block, seen=seen)
+    with canonical_lines(path, _RECORD_LINES, convert, skip_blank=True) as (blocks, records):
+        ids: list[str] = []
+        lengths: list[int] = []
+        sources: list[str] = []
+        for sample_id, length, source in _parse_lines(records, _pack_fields, seen):
+            ids.append(sample_id)
+            lengths.append(length)
+            sources.append(source)
+    return _joined_items([*blocks, (ids, np.array(lengths, np.int64), *source_codes(sources))])
 
 
 def _ints(tokens: Sequence[str], default: str = "") -> np.ndarray:
@@ -452,33 +457,36 @@ def _ints(tokens: Sequence[str], default: str = "") -> np.ndarray:
     return np.fromstring(",".join([t or default for t in tokens]), dtype=np.int64, sep=",")
 
 
-def _record_block(text: str, row: int) -> tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]:
+def _record_block(
+    text: str, row: int, seen: set[str]
+) -> tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]:
     """Ids, token lengths, source codes and source tags of a block of compact
-    rich records, under the rules of ``_pack_fields``: a record that breaks
-    one, or a size that could overflow int64, raises. (An empty record has
-    length 0, which ``Items`` rejects.)"""
+    rich records, whose ids join ``seen``. A record that breaks a rule of
+    ``_rule_breaks``, an id already seen, or a size that could overflow
+    int64 raises, with ``seen`` left as it was."""
     ids, sources, text_tokens, w, h, patch, merge = zip(*_RECORD_TOKENS.findall(text))
-    image = np.fromiter(map(bool, w), bool, len(w))
+    has_image = np.fromiter(map(bool, w), bool, len(w))
     text_tokens, w, h = _ints(text_tokens), _ints(w, "0"), _ints(h, "0")
     patch, merge = _ints(patch, str(DEFAULT_PATCH)), _ints(merge, str(DEFAULT_MERGE))
     if np.any(np.stack([w, h, patch, merge]) >= _SIDE_LIMIT):
         raise ValueError("a size may overflow int64")
-    small_image = image & ((w < patch) | (h < patch))
-    if np.any((text_tokens < 0) | (patch < 1) | (merge < 1) | small_image):
+    rules = _rule_breaks(text_tokens, has_image, w, h, patch, merge)
+    if any(np.any(broken) for broken, _ in rules):
         raise ValueError("a record breaks a rule")
-    grid_w, grid_h = -(-w // patch), -(-h // patch)  # 0 x 0 without an image
-    length = text_tokens + -(-grid_w // merge) * -(-grid_h // merge)
-    return list(ids), length, *source_codes(sources)
+    new = set(ids)
+    if len(new) != len(ids) or not seen.isdisjoint(new):
+        raise ValueError("repeated id")
+    seen |= new
+    return list(ids), _token_length(text_tokens, w, h, patch, merge), *source_codes(sources)
 
 
 def _joined_items(blocks: list[tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]]) -> Items:
-    """One ``Items`` of the blocks, tags in first-seen order; a repeated id raises."""
-    ids = [sample_id for block in blocks for sample_id in block[0]]
-    if len(set(ids)) != len(ids):
-        raise ValueError("repeated id")
+    """One ``Items`` of blocks of ids, lengths, source codes and their tags,
+    tags in first-seen order."""
     tags = tuple(dict.fromkeys(tag for block in blocks for tag in block[3]))
     code = {tag: i for i, tag in enumerate(tags)}
     source = [np.array([code[t] for t in block[3]], np.int32)[block[2]] for block in blocks]
+    ids = [sample_id for block in blocks for sample_id in block[0]]
     return Items(ids, np.concatenate([block[1] for block in blocks]), np.concatenate(source), tags)
 
 

@@ -1,14 +1,18 @@
 """The canonical-line fast path of the JSON Lines loaders.
 
-``load_assignments``, ``load_weights`` and ``load_pack_items`` parse a file
-by their writer's line grammar when every line has the writer's exact form,
-and read it with ``json_lines`` otherwise. These tests check that writer
+``load_assignments``, ``load_weights`` and ``load_pack_items`` parse a
+block of a file by their writer's line grammar when every line of it has
+the writer's exact form, and read the file from the first block that does
+not with ``json_lines``' per-line parse. These tests check that writer
 output loads without ``json.loads``, that a file leaving the grammar in its
-second block reads exactly as ``json_lines`` reads it, and that edge values
-load bit for bit as ``json.loads`` reads them, or fail with its text.
+second block reads exactly as ``json_lines`` reads it, and only its lines
+from that block on, and that edge values load bit for bit as ``json.loads``
+reads them, or fail with its text.
 """
 
 import json
+import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +25,9 @@ from balancepack.manifest import SampleRecord, emit_manifest, load_pack_items
 
 # The module whose ``canonical_lines`` each loader calls.
 FAST = {load_assignments: concepts, load_weights: balance, load_pack_items: manifest}
+
+# A block check that no text passes, so that every line is parsed by json.loads.
+NEVER = re.compile("")
 
 
 def bits(result):
@@ -43,27 +50,57 @@ def outcome(load, path):
 
 def json_path(monkeypatch, load, path):
     """The outcome of ``load`` with the fast path turned off."""
+    module = FAST[load]
+    real = module.canonical_lines
+
+    def per_line(path, block, *args, **kwargs):
+        return real(path, NEVER, *args, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(FAST[load], "canonical_lines", lambda *args: None)
+        m.setattr(module, "canonical_lines", per_line)
         return outcome(load, path)
 
 
 class PathCount:
-    """Counts the loads of ``load`` that the fast path finished and those
-    that fell back to ``json_lines``."""
+    """Counts the loads of ``load`` in which the fast path took a block, and
+    those in which it handed a block to the per-line parse."""
 
     def __init__(self, monkeypatch, load):
         self.fast = self.fallback = 0
         module = FAST[load]
         real = module.canonical_lines
+        count = self
 
-        def counted(*args):
-            result = real(*args)
-            if result is None:
-                self.fallback += 1
-            else:
-                self.fast += 1
-            return result
+        class Check:
+            def __init__(self, block):
+                self.block, self.took, self.handed = block, False, False
+
+            def match(self, text):
+                found = self.block.match(text)
+                self.handed |= found.end() != len(text)
+                return found
+
+            def converter(self, convert):
+                def counted(text, row):
+                    try:
+                        part = convert(text, row)
+                    except ValueError:
+                        self.handed = True
+                        raise
+                    self.took = True
+                    return part
+
+                return counted
+
+        @contextmanager
+        def counted(path, block, convert, **kwargs):
+            check = Check(block)
+            try:
+                with real(path, check, check.converter(convert), **kwargs) as result:
+                    yield result
+            finally:
+                count.fast += check.took
+                count.fallback += check.handed
 
         monkeypatch.setattr(module, "canonical_lines", counted)
 
@@ -125,16 +162,20 @@ def repeat_first_concept(line):
     return f'{head}"c":[{first},{first},{tail}'
 
 
-# A fault ``edit`` makes in line 9000 of each file (in the second block), and its error.
+# A fault ``edit`` makes in line 9000 of each file (in the second block), its
+# error, and whether the fast path hands that block to the per-line parse
+# (a duplicate concept breaks a rule of ``Assignments``, which both parts share).
 FAULTS = {
-    load_assignments: (repeat_first_concept, "line 9000: duplicate concept index"),
+    load_assignments: (repeat_first_concept, "line 9000: duplicate concept index", False),
     load_weights: (
         lambda line: line.replace('"i":8999', '"i":9'),
         "line 9000: record index 9, expected 8999",
+        True,
     ),
     load_pack_items: (
         lambda line: line.replace('"id":"m8999"', '"id":"m0"'),
         "line 9000: duplicate id 'm0'",
+        True,
     ),
 }
 
@@ -149,7 +190,7 @@ def test_a_second_block_off_the_fast_path_reads_as_json_lines(
     WRITERS[load](path)
     clean = outcome(load, path)
     lines = path.read_text().splitlines(keepends=True)
-    edit, message = FAULTS[load]
+    edit, message, handed = FAULTS[load]
     if faulty:
         lines[8999] = edit(lines[8999])
     if spaced:
@@ -158,11 +199,33 @@ def test_a_second_block_off_the_fast_path_reads_as_json_lines(
     want = json_path(monkeypatch, load, path)
     paths = PathCount(monkeypatch, load)
     assert outcome(load, path) == want
-    assert (paths.fast, paths.fallback) == ((0, 1) if faulty or spaced else (1, 0))
+    assert (paths.fast, paths.fallback) == (1, int(spaced or faulty and handed))
     if faulty:
         assert want == ("error", f"{path}: {message}")
     else:
         assert want == clean
+
+
+@pytest.mark.parametrize("load", WRITERS, ids=lambda f: f.__name__)
+def test_a_file_is_parsed_by_json_loads_only_from_the_block_that_leaves_the_grammar(
+    tmp_path, monkeypatch, load
+):
+    path = tmp_path / "f.jsonl"
+    WRITERS[load](path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[8999] = lines[8999].replace(":", ": ", 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    parsed = []
+    real = json.loads
+
+    def counted(text, *args, **kwargs):
+        parsed.append(text)
+        return real(text, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "loads", counted)
+        assert outcome(load, path)[0] == "loaded"
+    assert parsed == lines[WRITE_BLOCK:]
 
 
 def weights_text(value):
@@ -187,20 +250,20 @@ def image_text(side, patch=1, merge=1, text_tokens=5):
     return manifest_text(text_tokens=text_tokens, image=image)
 
 
-# (loader, file text, whether the fast path finishes it)
+# (loader, file text, whether the fast path takes its one block)
 EDGES = {
     "w=-0.0": (load_weights, weights_text("-0.0"), True),
     "w=5e-324": (load_weights, weights_text("5e-324"), True),
     "w=1e-300": (load_weights, weights_text("1e-300"), True),
     "w=0.1": (load_weights, '{"i":0,"w":0.1}\n{"i":1,"w":0.9}\n', True),
-    "w=max": (load_weights, weights_text("1.7976931348623157e308"), False),
+    "w=max": (load_weights, weights_text("1.7976931348623157e308"), True),
     "w=1e999": (load_weights, weights_text("1e999"), False),
     "s=-0.0": (load_assignments, sims_text("-0.0"), True),
     "s=5e-324": (load_assignments, sims_text("5e-324"), True),
     "s=1e-300": (load_assignments, sims_text("1e-300"), True),
     "s=0.1": (load_assignments, sims_text("0.1"), True),
-    "s=max": (load_assignments, sims_text("1.7976931348623157e308"), False),
-    "s=1e999": (load_assignments, sims_text("1e999"), False),
+    "s=max": (load_assignments, sims_text("1.7976931348623157e308"), True),
+    "s=1e999": (load_assignments, sims_text("1e999"), True),
     "c and s counts differ": (
         load_assignments, '{"i":0,"c":[1,2],"s":[0.5]}\n{"i":1,"c":[3],"s":[0.5,0.25]}\n', False
     ),
@@ -240,3 +303,23 @@ def test_edge_values_load_bit_for_bit_as_json_loads_reads_them(tmp_path, monkeyp
         assert want[0] == "error" and want[1].endswith("beyond the int64 range")
     if name == "id=escape":
         assert load(path).ids[0] == "café"
+
+
+@pytest.mark.parametrize("load", WRITERS, ids=lambda f: f.__name__)
+def test_the_block_check_ends_where_a_greedy_repeat_ends(tmp_path, load):
+    # Python 3.10 has no possessive repeat and checks blocks with a greedy one.
+    block = {
+        load_assignments: concepts._ASSIGNMENT_LINES,
+        load_weights: balance._WEIGHT_LINES,
+        load_pack_items: manifest._RECORD_LINES,
+    }[load]
+    greedy = re.compile(block.pattern.removesuffix("+"))
+    assert greedy.pattern.endswith(")*")
+    path = tmp_path / "f.jsonl"
+    WRITERS[load](path, n=200)
+    text = path.read_text(encoding="utf-8")
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        at = int(rng.integers(len(text)))
+        edited = text[:at] + '0 ",:{}[]e-.\n'[int(rng.integers(13))] + text[at + 1 :]
+        assert block.match(edited).end() == greedy.match(edited).end()
