@@ -92,6 +92,23 @@ class ConceptAssignment:
         return tuple(c for c, _ in self.concepts)
 
 
+def _repeat_rows(row: np.ndarray, concepts: np.ndarray) -> np.ndarray:
+    """Ascending rows that hold a concept twice, for rows ``row`` (ascending)
+    of ``concepts``: a repeat is a pair of equal neighbours once each row's
+    concepts are sorted. That is one sort of row * span + concept, where
+    span is the range of the concepts, if the product fits int64 (as it
+    does for any vocabulary that fits memory), else a two-key sort."""
+    if concepts.size == 0:
+        return row
+    low = int(concepts.min())
+    span = int(concepts.max()) - low + 1
+    if int(row[-1] + 1) * span <= 2**63 - 1:
+        key = np.sort(row * span + (concepts - low))
+        return key[1:][key[1:] == key[:-1]] // span
+    by_row = concepts[np.lexsort((concepts, row))]
+    return row[1:][(row[1:] == row[:-1]) & (by_row[1:] == by_row[:-1])]
+
+
 class _RowError(ValueError):
     """A row that breaks a rule of ``Assignments``; readers map ``row`` to a line."""
 
@@ -120,11 +137,10 @@ class Assignments(Sequence[ConceptAssignment]):
             raise ValueError("offsets must rise from 0 to len(concepts) == len(sims)")
         row = np.repeat(np.arange(o.size - 1), np.diff(o))
         same = row[1:] == row[:-1]
-        by_row = c[np.lexsort((c, row))]  # each row's concepts sorted, rows in place
         outside = np.flatnonzero(~((s >= -1.0 - 1e-6) & (s <= 1.0 + 1e-6)))
         rules = (
             (np.flatnonzero(o[1:] == o[:-1]), "assignment must contain at least one concept"),
-            (row[1:][same & (by_row[1:] == by_row[:-1])], "duplicate concept index"),
+            (_repeat_rows(row, c), "duplicate concept index"),
             (row[outside], f"similarity {s[outside[0]] if outside.size else 0} outside [-1, 1]"),
             (row[1:][same & (s[1:] > s[:-1])], "similarities must be non-increasing in rank order"),
         )
@@ -535,18 +551,18 @@ def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.
     """Row widths, concepts and similarities of a block of save_assignments
     lines whose first is record ``row``; a line the loop of
     ``load_assignments`` would refuse raises."""
-    # Drop the first '{"i":' and the last ']}\n'; then index, concepts and
-    # similarities follow in turn, split at the text between the fields.
-    flat = text[5:-3].replace(']}\n{"i":', "|").replace(',"c":[', "|").replace('],"s":[', "|")
-    flat = flat.split("|")
-    index, c, s = flat[0::3], flat[1::3], flat[2::3]
-    if index != list(map(str, range(row, row + len(index)))):
+    # Split at the quotes, each line '{"i":N,"c":[C],"s":[S]}\n' gives six
+    # pieces: from the third on, every sixth is ':N,', from the fifth
+    # ':[C],' and from the seventh ':[S]}\n{' (the '{' added for the last).
+    pieces = (text + "{").split('"')
+    index, c, s = pieces[2::6], pieces[4::6], pieces[6::6]
+    if index != [f":{i}," for i in range(row, row + len(index))]:
         raise ValueError("record index out of order")
-    commas = list(map(str.count, c, repeat(",")))
-    if commas != list(map(str.count, s, repeat(","))):
+    widths = list(map(str.count, c, repeat(",")))  # one comma after each concept
+    if widths != [n + 1 for n in map(str.count, s, repeat(","))]:
         raise ValueError("concepts and similarities differ in number")
     # The grammar holds the integers to 18 digits, which numpy parses exactly;
     # floats go through float(), as json parses them.
-    concepts = np.fromstring(",".join(c), dtype=np.int64, sep=",")
-    sims = ",".join(s).split(",")
-    return np.array(commas) + 1, concepts, np.fromiter(map(float, sims), np.float64, len(sims))
+    concepts = np.fromstring(",".join(c)[2:-2].replace("],,:[", ","), dtype=np.int64, sep=",")
+    sims = ",".join(s)[2:-4].replace("]}\n{,:[", ",").split(",")
+    return np.array(widths), concepts, np.fromiter(map(float, sims), np.float64, len(sims))

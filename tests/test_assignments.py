@@ -85,6 +85,17 @@ def test_of_rejects_a_concept_index_that_is_not_an_integer(index):
         Assignments.of(rows)
 
 
+@pytest.mark.parametrize("low, high", [(0, 9), (-(2**63), 2**63 - 1)], ids=["narrow", "int64-wide"])
+def test_a_repeated_concept_is_found_whatever_the_span_of_the_concepts(low, high):
+    # A span of int64 width takes the two-key sort instead of one sort.
+    rows = [row(0, [(high, 0.5), (low, 0.25)]), row(1, [(low, 0.5)]), row(2, [(4, 0.5), (4, 0.25)])]
+    Assignments.of(rows[:2])
+    with pytest.raises(ValueError, match="^row 2: duplicate concept index"):
+        Assignments.of(rows)
+    with pytest.raises(ValueError, match="^row 0: duplicate concept index"):
+        Assignments.of([row(0, [(high, 0.5), (high, 0.25)]), *rows[1:]])
+
+
 @pytest.mark.parametrize(
     "offsets, concepts, sims",
     [
