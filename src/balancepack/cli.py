@@ -1,8 +1,9 @@
 """Command-line entry point: generate/ingest -> assign -> weigh -> sample -> pack -> report.
 
 Every subcommand writes its data files, then a ``config.json`` echo, into the
-output directory. Only a run that wrote all its files writes the echo, so its
-presence marks a complete run. The echo holds every parsed flag except
+output directory. A run first removes the echo an earlier run left there, and
+only a run that wrote all its files writes a new one, so its presence marks a
+complete run, in a reused directory too. The echo holds every parsed flag except
 --output and --threads, which do not determine output content, so rerunning
 a subcommand from its echo reproduces every file byte for byte. All
 randomness hangs off --seed; --threads changes wall time only, never bytes.
@@ -224,9 +225,10 @@ def cmd_synth(args: argparse.Namespace, out: Path) -> None:
 
 
 def cmd_assign(args: argparse.Namespace, out: Path) -> None:
-    images = concepts.load_embeddings(args.input)
-    vocab = concepts.load_vocabulary(args.vocab_names, args.vocab_emb)
-    assignments = concepts.topk_concepts(images, vocab, args.k, threads=args.threads)
+    # The file is checked on opening, so its faults come before the vocabulary's.
+    with concepts.EmbeddingFile(args.input) as images:
+        vocab = concepts.load_vocabulary(args.vocab_names, args.vocab_emb)
+        assignments = concepts.topk_concepts(images, vocab, args.k, threads=args.threads)
     concepts.save_assignments(out / "assignments.jsonl", assignments)
     print(f"[assign] {len(assignments)} assignments -> {out / 'assignments.jsonl'}")
 
@@ -428,6 +430,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         out = _outdir(args.output)
+        # An echo left by an earlier run would mark this one complete if it failed.
+        (out / "config.json").unlink(missing_ok=True)
         args.func(args, out)
         _write_echo(out, args)
     except (ValueError, OSError) as e:

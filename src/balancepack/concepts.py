@@ -11,17 +11,21 @@ stable sort, so ties always resolve to the lower concept index. There is
 no approximate index.
 
 Memory: finiteness checks, norms, normalization and scoring run over
-blocks of at most ``_ROW_BLOCK`` rows. ``topk_concepts`` normalizes the
-images one block per pool task, just before it scores them, so no n x d
-copy of the images is made and the temporaries stay at one block per
-worker, whatever the number of images.
+blocks of at most ``_ROW_BLOCK`` rows. ``EmbeddingFile`` reads an EMB1
+file one row block at a time, and ``topk_concepts`` reads, normalizes and
+scores the images one block per pool task, from a matrix or straight from
+such a file. Scoring a file therefore holds no n x d matrix at all: only
+the n row norms, the n x k result columns, and one block's temporaries
+per worker, whatever the number of images. ``load_embeddings`` still
+returns the whole matrix, for callers that want it.
 
 The assignments of n samples are one ``Assignments``: offsets, concept
 and similarity columns in CSR layout, checked once with vector operations.
 Rows may differ in length; a ``ConceptAssignment`` row is built on demand.
 
 Binary embedding format: magic ``EMB1``, uint32-LE rows, uint32-LE dim,
-then rows*dim float32-LE values, row-major.
+then rows*dim float32-LE values, row-major. ``EmbeddingFile`` is its one
+parser.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ def _row_blocks(start: int, stop: int) -> Iterator[slice]:
         yield slice(start + total * i // count, start + total * (i + 1) // count)
 
 
-def _first_non_finite(m: np.ndarray) -> int | None:
-    """Flat index of the first non-finite element of a 2-D matrix, or None."""
+def _first_non_finite(m: np.ndarray | EmbeddingFile) -> int | None:
+    """Flat index of the first non-finite element of a 2-D matrix or an
+    ``EmbeddingFile``, or None."""
     for rows in _row_blocks(0, m.shape[0]):
         bad = np.flatnonzero(~np.isfinite(m[rows]))
         if bad.size:
@@ -226,15 +231,39 @@ def validate_embeddings(m: np.ndarray) -> None:
         raise ValueError("embedding matrix contains non-finite values")
 
 
-def load_embeddings(path: str | Path) -> np.ndarray:
-    """Read an EMB1 file into a float32 (rows, dim) matrix.
+class EmbeddingFile:
+    """An EMB1 file, read one row block at a time.
 
-    The payload is read once, straight into the returned array. Malformed
-    input raises ValueError naming the offending byte offset.
+    Opening it runs every check of the format: the header, the file size,
+    and one pass over the payload, a block at a time, that rejects a
+    non-finite value. Malformed input raises ValueError naming the offending
+    byte offset.
+
+    ``f[a:b]`` reads rows [a, b) into a fresh float32 array with a
+    positioned read, so pool threads may read blocks at once. A read that
+    ends early, because the file shrank after it was opened, raises the
+    ``truncated payload`` ValueError; no short or stale rows are returned.
+    Close the file with ``close()`` or a ``with`` block.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(_HEADER.size)
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._file = open(path, "rb")
+        try:
+            self.shape = self._read_header()
+            bad = _first_non_finite(self)
+            if bad is not None:
+                raise ValueError(
+                    f"{path}: non-finite value at byte {_HEADER.size + bad * 4} (element {bad})"
+                )
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _read_header(self) -> tuple[int, int]:
+        path = self.path
+        size = os.fstat(self._file.fileno()).st_size
+        header = self._file.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError(
                 f"{path}: truncated header at byte {len(header)}, need {_HEADER.size}"
@@ -254,19 +283,42 @@ def load_embeddings(path: str | Path) -> np.ndarray:
             raise ValueError(
                 f"{path}: truncated payload at byte {size}, expected {expected} bytes"
             )
-        m = np.empty((rows, dim), dtype="<f4")
-        got = f.readinto(m.reshape(-1).view(np.uint8))
-        if got != expected - _HEADER.size:
-            raise ValueError(
-                f"{path}: truncated payload at byte {_HEADER.size + got}, "
-                f"expected {expected} bytes"
-            )
-    bad = _first_non_finite(m)
-    if bad is not None:
-        raise ValueError(
-            f"{path}: non-finite value at byte {_HEADER.size + bad * 4} (element {bad})"
-        )
-    return m
+        self._size = expected
+        return rows, dim
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("an EmbeddingFile reads contiguous rows only")
+        dim = self.shape[1]
+        out = np.empty((max(stop - start, 0), dim), dtype="<f4")
+        buf = memoryview(out.reshape(-1).view(np.uint8))
+        at, got = _HEADER.size + start * dim * 4, 0
+        while got < len(buf):
+            n = os.preadv(self._file.fileno(), [buf[got:]], at + got)
+            if n == 0:
+                end = os.fstat(self._file.fileno()).st_size
+                raise ValueError(
+                    f"{self.path}: truncated payload at byte {end}, expected {self._size} bytes"
+                )
+            got += n
+        return out
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> EmbeddingFile:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+def load_embeddings(path: str | Path) -> np.ndarray:
+    """Read a whole EMB1 file into a float32 (rows, dim) matrix, with the
+    checks of ``EmbeddingFile``."""
+    with EmbeddingFile(path) as f:
+        return f[:]
 
 
 def save_embeddings(path: str | Path, m: np.ndarray) -> None:
@@ -336,11 +388,17 @@ def save_vocabulary(
     save_embeddings(embeddings_path, vocab.embeddings)
 
 
-def _row_norms(m32: np.ndarray) -> np.ndarray:
-    """Float64 L2 norm of every row, computed one row block at a time."""
-    norms = np.empty(m32.shape[0], dtype=np.float64)
-    for rows in _row_blocks(0, m32.shape[0]):
-        norms[rows] = np.linalg.norm(m32[rows].astype(np.float64), axis=1)
+def _block(m: np.ndarray | EmbeddingFile, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of a matrix or an ``EmbeddingFile`` as a C-contiguous
+    float32 array, so every block reaches BLAS in one layout."""
+    return np.ascontiguousarray(m[rows], dtype=np.float32)
+
+
+def _row_norms(m: np.ndarray | EmbeddingFile) -> np.ndarray:
+    """Float64 L2 norm of every float32 row, computed one row block at a time."""
+    norms = np.empty(m.shape[0], dtype=np.float64)
+    for rows in _row_blocks(0, m.shape[0]):
+        norms[rows] = np.linalg.norm(_block(m, rows).astype(np.float64), axis=1)
     return norms
 
 
@@ -351,20 +409,21 @@ def _check_norms(norms: np.ndarray) -> None:
         raise ValueError(f"row {int(bad[0])} has near-zero norm {norms[bad[0]]:.3e}")
 
 
-def _unit_rows(m32: np.ndarray, norms: np.ndarray | None, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of ``m32`` at unit norm: as they are if ``norms`` is None,
+def _unit_rows(m: np.ndarray | EmbeddingFile, norms: np.ndarray | None, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of ``m`` at unit norm: as they are if ``norms`` is None,
     else each divided by its norm in float64 and rounded once to float32."""
+    block = _block(m, rows)
     if norms is None:
-        return m32[rows]
-    scaled = m32[rows].astype(np.float64)
+        return block
+    scaled = block.astype(np.float64)
     scaled /= norms[rows, None]
     return scaled.astype(np.float32)
 
 
-def _renorm_norms(m32: np.ndarray) -> np.ndarray | None:
-    """Row norms of ``m32`` if any row is off unit norm by more than 1e-6, so
+def _renorm_norms(m: np.ndarray | EmbeddingFile) -> np.ndarray | None:
+    """Row norms of ``m`` if any row is off unit norm by more than 1e-6, so
     that every row is renormalized; None if all rows are used as they are."""
-    norms = _row_norms(m32)
+    norms = _row_norms(m)
     if not np.any(np.abs(norms - 1.0) > 1e-6):
         return None
     _check_norms(norms)
@@ -378,12 +437,11 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     float32. Rows with norm below NORM_EPS are rejected with the row index.
     """
     validate_embeddings(m)
-    m32 = np.ascontiguousarray(m, dtype=np.float32)
-    norms = _row_norms(m32)
+    norms = _row_norms(m)
     _check_norms(norms)
-    out = np.empty(m32.shape, dtype=np.float32)
-    for rows in _row_blocks(0, m32.shape[0]):
-        out[rows] = _unit_rows(m32, norms, rows)
+    out = np.empty(m.shape, dtype=np.float32)
+    for rows in _row_blocks(0, m.shape[0]):
+        out[rows] = _unit_rows(m, norms, rows)
     return out
 
 
@@ -420,7 +478,7 @@ def _topk_block(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def topk_concepts(
-    images: np.ndarray,
+    images: np.ndarray | EmbeddingFile,
     vocab: ConceptVocabulary,
     k: int,
     threads: int = 1,
@@ -434,36 +492,39 @@ def topk_concepts(
     by a full stable sort, so the result always equals a stable descending
     sort of every row.
 
-    One serial pass over the row norms decides for all rows at once: if any
-    image is off unit norm by more than 1e-6, every image is renormalized,
-    and a near-zero row raises, naming the lowest such row. The pool's tasks
-    are the near-equal blocks of ``_row_blocks``, at most ``_ROW_BLOCK`` rows
-    each; a task normalizes its own rows, then scores them, so nothing n x d
-    is copied and a worker's temporaries are a few ``_ROW_BLOCK`` x
-    ``vocab.size`` arrays. Each task writes its rows in place, so the result
-    does not depend on ``threads``. No block holds a single row once n >= 2
-    (n == 1 is a matrix-vector product), though BLAS may still round a small
-    product unlike a large one.
+    ``images`` is a matrix or an open ``EmbeddingFile``; either is read one
+    row block at a time, as float32, and never copied whole. One serial
+    pass over the row norms decides for all rows at once: if any image is
+    off unit norm by more than 1e-6, every image is renormalized, and a
+    near-zero row raises, naming the lowest such row. The pool's tasks are
+    the near-equal blocks of ``_row_blocks``, at most ``_ROW_BLOCK`` rows
+    each; a task reads its own rows, normalizes them, then scores them, so
+    a worker's temporaries are a few ``_ROW_BLOCK`` x ``vocab.size``
+    arrays. Each task writes its rows in place, so the result does not
+    depend on ``threads``, nor on whether the images come from a matrix or
+    a file. No block holds a single row once n >= 2 (n == 1 is a
+    matrix-vector product), though BLAS may still round a small product
+    unlike a large one.
     """
-    validate_embeddings(images)
-    if images.shape[1] != vocab.embeddings.shape[1]:
+    if not isinstance(images, EmbeddingFile):  # a file was checked when it was opened
+        validate_embeddings(images)
+    n, dim = images.shape
+    if dim != vocab.embeddings.shape[1]:
         raise ValueError(
-            f"dimension mismatch: images have dim {images.shape[1]}, "
+            f"dimension mismatch: images have dim {dim}, "
             f"vocabulary has dim {vocab.embeddings.shape[1]}"
         )
     if not 1 <= k <= vocab.size:
         raise ValueError(f"k={k} out of range [1, {vocab.size}]")
 
-    img = np.ascontiguousarray(images, dtype=np.float32)
-    img_norms = _renorm_norms(img)
+    img_norms = _renorm_norms(images)
     con32 = np.ascontiguousarray(vocab.embeddings, dtype=np.float32)
     con = _unit_rows(con32, _renorm_norms(con32), slice(None)).astype(np.float64)
-    n = img.shape[0]
     order = np.empty((n, k), dtype=np.int64)
     picked = np.empty((n, k), dtype=np.float64)
 
     def score_block(rows: slice) -> None:
-        sims = cosine_similarities(_unit_rows(img, img_norms, rows), con)
+        sims = cosine_similarities(_unit_rows(images, img_norms, rows), con)
         order[rows], picked[rows] = _topk_block(sims, k)
 
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:

@@ -277,6 +277,41 @@ def test_assign_cli_roundtrip(tmp_path, capsys):
     assert len(rec["c"]) == 4
 
 
+def test_assign_names_a_late_non_finite_image_before_any_vocabulary_fault(tmp_path, capsys):
+    # The image file is read one block at a time, but all of it is checked
+    # on opening, before the vocabulary is read: a NaN in its last block is
+    # reported, not the vocabulary's other dimension.
+    from balancepack.concepts import _ROW_BLOCK
+
+    rng = np.random.default_rng(1)
+    n = 3 * _ROW_BLOCK + 5
+    save_embeddings(tmp_path / "img.emb", rng.standard_normal((n, 8)).astype(np.float32))
+    data = bytearray((tmp_path / "img.emb").read_bytes())
+    element = (n - 1) * 8 + 6
+    data[12 + element * 4 : 16 + element * 4] = np.float32(np.nan).tobytes()
+    (tmp_path / "img.emb").write_bytes(bytes(data))
+    vocab = ConceptVocabulary(
+        names=[f"c{i}" for i in range(10)],
+        embeddings=rng.standard_normal((10, 5)).astype(np.float32),
+    )
+    save_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb", vocab)
+    argv = ["assign", "--output", str(tmp_path / "out"), "--input", str(tmp_path / "img.emb"),
+            "--vocab-names", str(tmp_path / "v.tsv"), "--vocab-emb", str(tmp_path / "v.emb"),
+            "--k", "99"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == (
+        f"{tmp_path / 'img.emb'}: non-finite value at byte {12 + element * 4} (element {element})"
+    )
+    # With the NaN gone, the dimension mismatch comes before the k range.
+    data[12 + element * 4 : 16 + element * 4] = np.float32(1.0).tobytes()
+    (tmp_path / "img.emb").write_bytes(bytes(data))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(err)["error"].startswith("dimension mismatch: images have dim 8")
+    assert not (tmp_path / "out" / "assignments.jsonl").exists()
+
+
 def test_pipeline_report_and_schema(tmp_path, capsys):
     out = tmp_path / "pipe"
     code, _, _ = run_cli(
@@ -426,6 +461,29 @@ def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     assert (out / "plan.jsonl").is_file()
     assert not (out / "config.json").exists()
     assert not list(out.glob(".*.partial"))
+
+
+def test_a_failed_rerun_into_a_used_directory_leaves_no_echo(tmp_path, capsys):
+    # The echo of a complete first run must not vouch for the files a
+    # failed second run left next to it.
+    out = tmp_path / "pipe"
+    code, _, _ = run_cli(["pipeline", "--output", str(out), "--n", "2000", "--seed", "1"], capsys)
+    assert code == 0 and read_echo(out)["params"]["seed"] == 1
+    (out / "plan.jsonl").unlink()
+    (out / "plan.jsonl").mkdir()
+    code, _, err = run_cli(["pipeline", "--output", str(out), "--n", "3000", "--seed", "2"], capsys)
+    assert code == 1 and json.loads(err)["stage"] == "pack"
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 3000
+    assert not (out / "config.json").exists()
+    assert not list(out.glob(".*.partial"))
+
+
+def test_a_rerun_into_a_used_directory_keeps_every_byte(tmp_path, capsys):
+    argv = ["pipeline", "--n", "300", "--seed", "4"]
+    assert run_cli([*argv, "--output", str(tmp_path / "fresh")], capsys)[0] == 0
+    assert run_cli([*argv, "--output", str(tmp_path / "used"), "--seed", "5"], capsys)[0] == 0
+    assert run_cli([*argv, "--output", str(tmp_path / "used")], capsys)[0] == 0
+    assert dir_bytes(tmp_path / "used") == dir_bytes(tmp_path / "fresh")
 
 
 def test_pipeline_with_replacement_writes_a_plan_stats_can_read(tmp_path, capsys):

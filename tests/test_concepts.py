@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from balancepack.concepts import (
     ConceptAssignment,
     ConceptVocabulary,
+    EmbeddingFile,
     build_pseudo_caption,
     cosine_similarities,
     l2_normalize,
@@ -124,6 +128,59 @@ def test_load_names_first_non_finite_value_past_the_first_row_block(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match=rf"byte {12 + first * 4} \(element {first}\)"):
         load_embeddings(path)
+
+
+def test_embedding_file_reads_blocks_as_the_loader_does(tmp_path):
+    path = tmp_path / "m.emb"
+    m = np.arange(3000 * 4, dtype=np.float32).reshape(3000, 4)
+    save_embeddings(path, m)
+    with EmbeddingFile(path) as f:
+        assert f.shape == (3000, 4)
+        assert f[:].tobytes() == load_embeddings(path).tobytes() == m.tobytes()
+        assert f[1000:2001].tobytes() == m[1000:2001].tobytes()
+        assert f[5:5].shape == (0, 4)
+        with pytest.raises(ValueError, match="contiguous rows"):
+            f[::2]
+
+
+def test_embedding_file_truncated_after_opening_refuses_the_missing_rows(tmp_path):
+    path = tmp_path / "m.emb"
+    m = np.arange(3000 * 4, dtype=np.float32).reshape(3000, 4) + 1
+    save_embeddings(path, m)
+    end = 12 + 2000 * 16 + 6  # inside row 2000
+    with EmbeddingFile(path) as f:
+        os.truncate(path, end)
+        assert f[0:1500].tobytes() == m[0:1500].tobytes()
+        for rows in (slice(1500, 2500), slice(2000, 2001), slice(2600, 3000)):
+            with pytest.raises(ValueError) as err:
+                f[rows]
+            assert str(err.value) == f"{path}: truncated payload at byte {end}, expected 48012 bytes"
+
+
+def test_embedding_file_reads_from_many_threads_at_once(tmp_path):
+    # Reads are positioned, so threads sharing the file never see each
+    # other's rows; a short switch interval interleaves them often.
+    path = tmp_path / "m.emb"
+    m = np.random.default_rng(7).standard_normal((2000, 16)).astype(np.float32)
+    save_embeddings(path, m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with EmbeddingFile(path) as f, ThreadPoolExecutor(max_workers=8) as pool:
+
+            def read_many(seed):
+                rng = np.random.default_rng(seed)
+                for _ in range(200):
+                    a = int(rng.integers(0, 2000))
+                    b = int(rng.integers(a, 2001))
+                    if f[a:b].tobytes() != m[a:b].tobytes():
+                        return False
+                return True
+
+            futures = [pool.submit(read_many, seed) for seed in range(16)]
+            assert all(fut.result(timeout=60) for fut in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_save_rejects_non_finite():

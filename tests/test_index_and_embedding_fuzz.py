@@ -7,7 +7,9 @@ duplicated, dropped, swapped or blank lines; files written by
 appended bytes. On every mutant the reader must either raise a ValueError
 that names the faulty line or byte, or load exactly what a plain reference
 parse of the mutant gives: ``int`` per index line, the names of a split of
-the TSV's lines, or ``np.frombuffer`` of the payload.
+the TSV's lines, or ``np.frombuffer`` of the payload. ``EmbeddingFile``,
+opened on each embedding mutant and read in blocks, must raise the same
+text as ``load_embeddings`` or read the same bytes.
 """
 
 import re
@@ -19,6 +21,7 @@ import pytest
 from balancepack.balance import load_sampled_indices, save_sampled_indices
 from balancepack.concepts import (
     ConceptVocabulary,
+    EmbeddingFile,
     load_embeddings,
     load_vocabulary,
     save_embeddings,
@@ -99,6 +102,17 @@ def reference_vocabulary(text, rows):
     return "names", [entries[i] for i in range(rows)]
 
 
+def read_by_blocks(path):
+    """The payload bytes ``EmbeddingFile`` reads two rows at a time, or its
+    ValueError text."""
+    try:
+        with EmbeddingFile(path) as f:
+            rows = f.shape[0]
+            return b"".join(f[a : a + 2].tobytes() for a in range(0, rows, 2))
+    except ValueError as e:
+        return str(e)
+
+
 def reference_embeddings(data):
     _, rows, dim = HEADER.unpack(data[: HEADER.size])
     return np.frombuffer(data[HEADER.size :], dtype="<f4").reshape(rows, dim)
@@ -166,9 +180,11 @@ def test_embedding_reader_on_mutants(tmp_path, seed):
     for _ in range(300):
         data = mutate_bytes(rng, base)
         path.write_bytes(data)
+        block_read = read_by_blocks(path)
         try:
             got = load_embeddings(path)
         except ValueError as e:
+            assert block_read == str(e)
             assert re.search(r"\bbyte \d+", str(e)), str(e)
             if len(data) >= HEADER.size:
                 magic, rows, dim = HEADER.unpack(data[: HEADER.size])
@@ -179,4 +195,5 @@ def test_embedding_reader_on_mutants(tmp_path, seed):
         want = reference_embeddings(data)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+        assert block_read == want.tobytes()
     assert 0 < loaded < 300

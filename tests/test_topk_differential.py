@@ -18,7 +18,10 @@ from balancepack.concepts import (
     NORM_EPS,
     ConceptAssignment,
     ConceptVocabulary,
+    EmbeddingFile,
     l2_normalize,
+    load_embeddings,
+    save_embeddings,
     topk_concepts,
     validate_embeddings,
 )
@@ -270,6 +273,49 @@ def test_topk_never_copies_the_image_matrix(threads):
     assert peak - held < images.nbytes / 2, (
         f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; one image copy "
         f"is {images.nbytes / 1e6:.1f} MB"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
+@pytest.mark.parametrize("scale", [None, 3.0], ids=["unit", "off-unit"])
+def test_topk_over_the_file_reader_equals_topk_over_the_loaded_matrix(tmp_path, n, scale):
+    # The reader feeds the same float32 blocks to the same arithmetic, so
+    # every similarity keeps its bits.
+    rng = np.random.default_rng([2012, n])
+    images = gaussian(rng, n, 24)
+    images = l2_normalize(images) if scale is None else images * np.float32(scale)
+    vocab = make_vocab(gaussian(rng, 40, 24))
+    save_embeddings(tmp_path / "img.emb", images)
+    want = topk_concepts(load_embeddings(tmp_path / "img.emb"), vocab, 5)
+    with EmbeddingFile(tmp_path / "img.emb") as f:
+        for threads in (1, 2):
+            got = topk_concepts(f, vocab, 5, threads=threads)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.concepts, want.concepts)
+            assert got.sims.tobytes() == want.sims.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_topk_over_the_file_reader_never_holds_the_image_matrix(tmp_path, threads):
+    # Opening the file and scoring it read one block at a time; the whole
+    # n x d payload, as load_embeddings returns it, is never held.
+    rng = np.random.default_rng(2013)
+    n, d = 40_000, 256
+    save_embeddings(tmp_path / "img.emb", gaussian(rng, n, d) * 3)
+    vocab = make_vocab(gaussian(rng, 16, d))
+    tracemalloc.start()
+    try:
+        with EmbeddingFile(tmp_path / "img.emb") as f:
+            result = topk_concepts(f, vocab, k=3, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == n
+    held = result.offsets.nbytes + result.concepts.nbytes + result.sims.nbytes
+    payload = n * d * 4
+    assert peak - held < payload / 2, (
+        f"reading and scoring peaked at {(peak - held) / 1e6:.1f} MB over the result; "
+        f"the image payload is {payload / 1e6:.1f} MB"
     )
 
 
