@@ -11,13 +11,16 @@ stable sort, so ties always resolve to the lower concept index. There is
 no approximate index.
 
 Memory: finiteness checks, norms, normalization and scoring run over
-blocks of at most ``_ROW_BLOCK`` rows. ``EmbeddingFile`` reads an EMB1
-file one row block at a time, and ``topk_concepts`` reads, normalizes and
-scores the images one block per pool task, from a matrix or straight from
-such a file. Scoring a file therefore holds no n x d matrix at all: only
-the n row norms, the n x k result columns, and one block's temporaries
-per worker, whatever the number of images. ``load_embeddings`` still
-returns the whole matrix, for callers that want it.
+row blocks that start at multiples of ``_ROW_BLOCK`` (256) and hold fewer
+than twice that many rows; the alignment keeps each row's similarities
+bit-equal to one product over all rows (see ``_row_blocks``).
+``EmbeddingFile`` reads an EMB1 file one row block at a time, and
+``topk_concepts`` reads, normalizes and scores the images one block per
+pool task, from a matrix or straight from such a file. Scoring a file
+therefore holds no n x d matrix at all: only the n row norms, the n x k
+result columns, and one block's temporaries per worker, whatever the
+number of images. ``load_embeddings`` still returns the whole matrix, for
+callers that want it.
 
 The assignments of n samples are one ``Assignments``: offsets, concept
 and similarity columns in CSR layout, checked once with vector operations.
@@ -55,24 +58,34 @@ _ASSIGNMENT_LINES = canonical(
     r'\{"i":%s,"c":\[%s(?:,%s)*\],"s":\[%s(?:,%s)*\]\}\n' % (INT, INT, INT, FLOAT, FLOAT)
 )
 
-# Most rows per block for finiteness checks, normalization and scoring.
-# Bounds every float64 temporary to _ROW_BLOCK rows.
-_ROW_BLOCK = 1024
+# Row alignment and size of the blocks of finiteness checks, normalization
+# and scoring. Bounds every float64 temporary to 2 * _ROW_BLOCK - 1 rows.
+_ROW_BLOCK = 256
 
 
 def _row_blocks(start: int, stop: int) -> Iterator[slice]:
-    """Split rows [start, stop) into the fewest near-equal blocks of <= _ROW_BLOCK rows.
+    """Split rows [start, stop) into blocks that start at multiples of _ROW_BLOCK.
 
-    A range longer than one block never leaves a short tail block: every
-    block then holds more than _ROW_BLOCK / 2 rows. BLAS scores a 1-row
-    product as a matrix-vector product, which rounds differently from the
-    matrix-matrix product the same row gets inside a larger block, so a
-    tail sliver would change the last bit of some similarities.
+    Every block starts a multiple of _ROW_BLOCK rows after ``start`` and
+    holds _ROW_BLOCK rows, except the last, which absorbs the remainder:
+    it holds _ROW_BLOCK to 2 * _ROW_BLOCK - 1 rows, or the whole range
+    when that is shorter than _ROW_BLOCK. A GEMM micro-kernel handles
+    the rows left over after its unroll with other code, so a row's
+    similarities keep the bits they get in one product over the whole
+    range only if its block starts where that product's unroll would.
+    _ROW_BLOCK is a multiple of the row groups of every OpenBLAS kernel
+    measured (SkylakeX, Haswell, Zen, Sandybridge, Nehalem, Prescott),
+    with two exceptions, both on SkylakeX: more than 192 concepts when
+    their number is not a multiple of 8 (rows go in groups of 24), and 2
+    to 4 concepts at 64 or 256 dimensions. No block holds a single row
+    once the range holds two, since BLAS scores a 1-row product as a
+    matrix-vector product.
     """
     total = stop - start
-    count = -(-total // _ROW_BLOCK)
+    count = total // _ROW_BLOCK or min(total, 1)  # an empty range has no block
     for i in range(count):
-        yield slice(start + total * i // count, start + total * (i + 1) // count)
+        lo = start + i * _ROW_BLOCK
+        yield slice(lo, stop if i == count - 1 else lo + _ROW_BLOCK)
 
 
 def _first_non_finite(m: np.ndarray | EmbeddingFile) -> int | None:
@@ -497,14 +510,16 @@ def topk_concepts(
     pass over the row norms decides for all rows at once: if any image is
     off unit norm by more than 1e-6, every image is renormalized, and a
     near-zero row raises, naming the lowest such row. The pool's tasks are
-    the near-equal blocks of ``_row_blocks``, at most ``_ROW_BLOCK`` rows
-    each; a task reads its own rows, normalizes them, then scores them, so
-    a worker's temporaries are a few ``_ROW_BLOCK`` x ``vocab.size``
-    arrays. Each task writes its rows in place, so the result does not
-    depend on ``threads``, nor on whether the images come from a matrix or
-    a file. No block holds a single row once n >= 2 (n == 1 is a
-    matrix-vector product), though BLAS may still round a small product
-    unlike a large one.
+    the aligned blocks of ``_row_blocks``, ``_ROW_BLOCK`` rows each but
+    the last, which holds fewer than 2 * ``_ROW_BLOCK``; a task reads its
+    own rows, normalizes them, then scores them, so a worker's temporaries
+    are a few such blocks x ``vocab.size`` arrays. Each task writes its
+    rows in place, so the result does not depend on ``threads``, nor on
+    whether the images come from a matrix or a file. Because every block
+    starts at a multiple of ``_ROW_BLOCK``, a row's similarities have the
+    bits of that row in one product over all n rows, but for the kernel
+    exceptions named in ``_row_blocks``. n == 1 stays a matrix-vector
+    product, which may round unlike the same row among others.
     """
     if not isinstance(images, EmbeddingFile):  # a file was checked when it was opened
         validate_embeddings(images)

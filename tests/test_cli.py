@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -546,19 +548,78 @@ def test_missing_input_is_structured_error(tmp_path, capsys):
     assert obj["command"] == "weigh"
 
 
+def child_env():
+    """Environment of a CLI child that imports the same balancepack sources
+    as this test, also when pytest put them on sys.path itself rather than
+    via PYTHONPATH."""
+    src = str(Path(balancepack.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "script"
-    # The child imports the same balancepack sources as this test, also
-    # when pytest put them on sys.path itself rather than via PYTHONPATH.
-    src = str(Path(balancepack.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "balancepack.cli", "synth", "--output", str(out),
          "--n", "50", "--vocab-size", "10", "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.jsonl").exists()
     assert "[synth]" in proc.stdout
+
+
+def start_pipeline(out):
+    return subprocess.Popen(
+        [sys.executable, "-m", "balancepack.cli", "pipeline", "--output", str(out),
+         "--n", "20000", "--seed", "1", "--threads", "1"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=child_env(),
+    )
+
+
+def wait_for(proc, ready):
+    while proc.poll() is None and not ready():
+        time.sleep(0.001)
+
+
+def test_a_killed_pipeline_leaves_only_complete_files_and_no_early_echo(tmp_path):
+    # SIGKILL a pipeline at seeded delays spread over the span in which a
+    # complete run writes its files: from the first entry in the output
+    # directory to its config.json. Every file left under its real name
+    # must be the complete run's, byte for byte; config.json may stand only
+    # beside all of them; a hidden .{name}.partial may remain.
+    def started(out):
+        return lambda: out.is_dir() and any(out.iterdir())
+
+    complete = tmp_path / "complete"
+    with start_pipeline(complete) as proc:
+        wait_for(proc, started(complete))
+        first = time.perf_counter()
+        wait_for(proc, (complete / "config.json").exists)
+        span = time.perf_counter() - first
+        assert proc.wait() == 0
+    want = dir_bytes(complete)
+    partial = re.compile(r"\.(.+)\.partial")
+    kills, cut = 8, 0
+    for i, u in enumerate(np.random.default_rng(10).random(kills)):
+        out = tmp_path / f"killed{i}"
+        with start_pipeline(out) as proc:
+            wait_for(proc, started(out))
+            time.sleep(span * (i + u) / kills)
+            proc.kill()
+            proc.wait()
+        got = dir_bytes(out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(got)  # files only
+        left = {name for name in got if partial.fullmatch(name)}
+        assert {partial.fullmatch(name)[1] for name in left} <= set(want)
+        real = {name: data for name, data in got.items() if name not in left}
+        assert set(real) <= set(want)
+        assert all(data == want[name] for name, data in real.items()), f"kill {i}"
+        if "config.json" in real:
+            assert set(real) == set(want), f"kill {i}: config.json before every file"
+        else:
+            cut += 1
+    assert cut > 0, "every run finished before its kill"

@@ -19,6 +19,8 @@ from balancepack.concepts import (
     ConceptAssignment,
     ConceptVocabulary,
     EmbeddingFile,
+    _row_blocks,
+    cosine_similarities,
     l2_normalize,
     load_embeddings,
     save_embeddings,
@@ -144,6 +146,38 @@ def assert_same_as_oracle(images, vocab, k, threads=1):
 # ------------------------------------------------------------------ tests
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 511, 512, 513, 50_000])
+@pytest.mark.parametrize("start", [0, 7])
+def test_row_blocks_are_aligned_and_never_hold_a_lone_row(n, start):
+    blocks = list(_row_blocks(start, start + n))
+    assert [r for b in blocks for r in range(b.start, b.stop)] == list(range(start, start + n))
+    assert all((b.start - start) % _ROW_BLOCK == 0 for b in blocks)
+    assert all(b.stop - b.start == _ROW_BLOCK for b in blocks[:-1])
+    if n >= 2:
+        assert all(b.stop - b.start >= 2 for b in blocks)
+    if n >= _ROW_BLOCK:
+        assert _ROW_BLOCK <= blocks[-1].stop - blocks[-1].start < 2 * _ROW_BLOCK
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [2, 257, 513, 2 * 256 + 80, 8192 + 1])
+def test_each_rows_scores_are_those_of_one_product_over_all_rows(n, threads):
+    # Every block starts where one product over all n rows would start a
+    # micro-kernel tile, so a row's "s" has that product's bits and does
+    # not depend on which block it falls in. Unit-norm inputs are scored
+    # as they are, so the whole product is the reference itself. (40
+    # concepts at 16 dimensions is none of the SkylakeX exceptions that
+    # concepts._row_blocks names.)
+    rng = np.random.default_rng([2015, n])
+    images = l2_normalize(gaussian(rng, n, 16))
+    vocab = make_vocab(l2_normalize(gaussian(rng, 40, 16)))
+    full = cosine_similarities(images, vocab.embeddings)
+    got = topk_concepts(images, vocab, 5, threads=threads)
+    want = np.argsort(-full, axis=1, kind="stable")[:, :5]
+    assert np.array_equal(got.concepts.reshape(n, 5), want)
+    assert got.sims.tobytes() == np.take_along_axis(full, want, axis=1).tobytes()
+
+
 def test_tie_heavy_inputs_hit_the_selection_boundary():
     rng = np.random.default_rng(2001)
     images = small_ints(rng, 300, 3)
@@ -252,6 +286,30 @@ def test_topk_temporaries_stay_well_below_one_chunk_matrix():
     assert peak - held < chunk_matrix_bytes / 2, (
         f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; one chunk matrix "
         f"is {chunk_matrix_bytes / 1e6:.1f} MB"
+    )
+
+
+# Most bytes top-k's temporaries may take over its result, at threads 2,
+# on 20,000 x 64 images against 1,000 concepts. A figure, not derived from
+# _ROW_BLOCK: two workers' aligned blocks take about 10 MB, where the
+# earlier near-equal 1024-row blocks took about 35 MB.
+_TOPK_TEMPORARIES_MB = 12
+
+
+def test_topk_temporaries_of_two_workers_stay_under_a_fixed_bound():
+    rng = np.random.default_rng(2014)
+    images = gaussian(rng, 20_000, 64)
+    vocab = make_vocab(gaussian(rng, 1000, 64))
+    tracemalloc.start()
+    try:
+        result = topk_concepts(images, vocab, k=5, threads=2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == images.shape[0]
+    assert peak - held < _TOPK_TEMPORARIES_MB * 1e6, (
+        f"top-k temporaries peaked at {(peak - held) / 1e6:.1f} MB; "
+        f"the bound is {_TOPK_TEMPORARIES_MB} MB"
     )
 
 
