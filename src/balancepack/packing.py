@@ -36,6 +36,7 @@ through ``jsonl.json_lines``, which rejects blank lines.
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -310,12 +311,14 @@ class PackingStats:
 def _id_rank(ids: list[str]) -> np.ndarray:
     """Rank of each id in Python string order; a repeated id is refused.
 
-    Python's ``sorted`` orders the ids: a numpy "<U" array would drop
-    trailing NUL characters and tie "a" with "a\\x00".
+    The ids sort as an object column, which compares them with Python's
+    ``<``: a numpy "<U" array would drop trailing NUL characters and tie
+    "a" with "a\\x00".
     """
     n = len(ids)
-    order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.int64, n)
-    in_order = np.array(ids, dtype=object)[order]
+    column = np.array(ids, dtype=object)
+    order = np.argsort(column, kind="stable")
+    in_order = column[order]
     repeated = np.flatnonzero(in_order[1:] == in_order[:-1])
     if repeated.size:
         raise ValueError(f"sample {in_order[repeated[0]]!r} repeated; pack items need distinct ids")
@@ -752,6 +755,28 @@ def _plan_fields(r) -> tuple[str, int, str]:
     return sample_id, length, source
 
 
+class _PlanColumns:
+    """Items of a plan file as they are read: ids, an int64 length column
+    and int32 source codes into tags numbered in first-seen order, which is
+    the order ``source_codes`` gives."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.lengths = array("q")
+        self.codes = array("i")
+        self.tags: dict[str, int] = {}
+
+    def append(self, sample_id: str, length: int, source: str) -> None:
+        self.ids.append(sample_id)
+        self.lengths.append(length)
+        self.codes.append(self.tags.setdefault(source, len(self.tags)))
+
+    def items(self) -> Items:
+        length = np.frombuffer(self.lengths, dtype=np.int64)
+        source = np.frombuffer(self.codes, dtype=np.int32)
+        return Items(self.ids, length, source, tuple(self.tags))
+
+
 def load_plan(path: str | Path) -> PackPlan:
     """Read a plan file back, validating structure, the partition and the trailer.
 
@@ -759,13 +784,11 @@ def load_plan(path: str | Path) -> PackPlan:
     must exceed the capacity, and the trailer's capacity and stats must
     agree with the packs read before it; ``success_rate`` is not checked,
     since it depends on a min_utilization the file does not record.
-    Items go straight into columns; no ``PackItem`` is built.
+    Items go straight into columns; no ``PackItem``, per-item ``int`` or
+    per-item source ``str`` is kept.
     """
-    ids: list[str] = []
-    lengths: list[int] = []
-    sources: list[str] = []
+    packed, overflow = _PlanColumns(), _PlanColumns()
     bounds = [0]
-    overflow: tuple[list[str], list[int], list[str]] = ([], [], [])
     capacity: int | None = None
     saw_trailer = False
     tokens = 0
@@ -795,12 +818,10 @@ def load_plan(path: str | Path) -> PackPlan:
                     if item_off != off:
                         raise ValueError(f"offset {item_off} for {sample_id!r}, expected {off}")
                     off += length
-                    ids.append(sample_id)
-                    lengths.append(length)
-                    sources.append(source)
+                    packed.append(sample_id, length, source)
                 if pad != cap - off:
                     raise ValueError(f"padding {pad}, expected {cap - off}")
-                bounds.append(len(ids))
+                bounds.append(len(packed.ids))
                 tokens += off
             elif "stats" in rec:
                 saw_trailer = True
@@ -816,11 +837,10 @@ def load_plan(path: str | Path) -> PackPlan:
                             f"overflow item {sample_id!r} of length {length} "
                             f"fits the capacity {capacity}"
                         )
-                    for column, value in zip(overflow, (sample_id, length, source)):
-                        column.append(value)
+                    overflow.append(sample_id, length, source)
                 stats = json_field(rec, "stats", dict)
                 num_packs = len(bounds) - 1
-                want = _stats(num_packs, len(ids), len(overflow[0]), tokens, capacity, None)
+                want = _stats(num_packs, len(packed.ids), len(overflow.ids), tokens, capacity, None)
                 for key, value in want.to_dict().items():
                     got = stats.get(key, _REQUIRED)
                     if key != "success_rate" and (type(got) is not type(value) or got != value):
@@ -830,11 +850,6 @@ def load_plan(path: str | Path) -> PackPlan:
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None
-    plan = PackPlan(
-        capacity,
-        Items.from_lists(ids, lengths, sources),
-        np.array(bounds, dtype=np.int64),
-        Items.from_lists(*overflow),
-    )
+    plan = PackPlan(capacity, packed.items(), np.array(bounds, dtype=np.int64), overflow.items())
     plan.validate()
     return plan

@@ -4,8 +4,9 @@ This is the engine, the plan writer and the two readers as they were
 before pack items became columns: one ``PackItem`` per sample, packs as
 lists of items. ``FirstFitBins``, ``pack_shard`` and ``pack_bucketed``
 are the earlier ``packing._FirstFitBins``, ``_pack_shard`` and
-``pack_bucketed``; ``emit_plan``, ``load_pack_items`` and ``load_plan``
-the earlier plan writer and manifest and plan readers.
+``pack_bucketed``; ``id_rank`` the earlier ``packing._id_rank``, which
+sorted positions by a Python key; ``emit_plan``, ``load_pack_items`` and
+``load_plan`` the earlier plan writer and manifest and plan readers.
 ``LinearFirstFitBins`` is older still: a segment tree without a source
 cap and a left-to-right scan with one. The columnar engine, writer and
 readers must agree with these on every input.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 from operator import attrgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from balancepack.manifest import SampleRecord, estimate_tokens
 from balancepack.packing import _REQUIRED, PackingConfig, PackItem, _stats, json_field
@@ -28,6 +31,18 @@ def packing_order(items: Iterable[PackItem]) -> list[PackItem]:
     ordered = sorted(items, key=attrgetter("sample_id"))
     ordered.sort(key=attrgetter("length"), reverse=True)
     return ordered
+
+
+def id_rank(ids: list[str]) -> np.ndarray:
+    n = len(ids)
+    order = np.fromiter(sorted(range(n), key=ids.__getitem__), np.int64, n)
+    in_order = np.array(ids, dtype=object)[order]
+    repeated = np.flatnonzero(in_order[1:] == in_order[:-1])
+    if repeated.size:
+        raise ValueError(f"sample {in_order[repeated[0]]!r} repeated; pack items need distinct ids")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return rank
 
 
 def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:

@@ -570,6 +570,19 @@ def test_console_script_entry_point(tmp_path):
     assert "[synth]" in proc.stdout
 
 
+def test_importing_the_cli_maps_no_openssl():
+    # hashlib's module import loads _hashlib, which maps OpenSSL (about
+    # 3.4 MB of RSS); the keyed shard hash needs only the builtin blake2b.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, balancepack.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def start_pipeline(out):
     return subprocess.Popen(
         [sys.executable, "-m", "balancepack.cli", "pipeline", "--output", str(out),

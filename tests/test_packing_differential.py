@@ -23,10 +23,12 @@ from balancepack.packing import (
     Items,
     PackingConfig,
     PackItem,
+    PackPlan,
     _bucket_index,
     _ffd,
     _id_rank,
     emit_plan,
+    load_plan,
     pack,
     pack_bucketed,
     pack_ffd,
@@ -150,6 +152,18 @@ def test_id_rank_keeps_trailing_nul_characters():
     assert _id_rank(["a\x00", "a", "b", "a\x00\x00"]).tolist() == [1, 0, 3, 2]
     with pytest.raises(ValueError, match="sample 'a\\\\x00' repeated"):
         _id_rank(["a\x00", "a", "b", "a\x00"])
+    shuffled = [f"r{j:05d}" for j in range(10_000)]
+    np.random.default_rng(47).shuffle(shuffled)
+    odd = ["é", "e\u0301", "日本語", "\U0001f600", "\ud800", "b\udfff", "\udfff", "", "\x00", "z"]
+    for ids in ([], [""], odd, odd[::-1], shuffled, shuffled[:5000] + odd):
+        assert _id_rank(ids).tolist() == oracle.id_rank(ids).tolist()
+    for ids in (["", "a", ""], ["\ud800", "x", "\ud800"], shuffled + [shuffled[1234]]):
+        with pytest.raises(ValueError) as got:
+            _id_rank(ids)
+        with pytest.raises(ValueError) as want:
+            oracle.id_rank(ids)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"sample {ids[-1]!r} repeated; pack items need distinct ids"
 
 
 @pytest.mark.parametrize("num_buckets", [1, 2, 3, 6, 40, 70])
@@ -270,3 +284,26 @@ def test_source_index_memory_is_sparse():
         tracemalloc.stop()
     assert opened == 4000
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_load_plan_temporaries_stay_under_a_fixed_bound(tmp_path):
+    # 100k items of 5 sources in packs of 10, about 8 MB of columns, most of
+    # them id strings. Keeping an int and a source str per item until the
+    # end took 10.4 MB over the columns.
+    n = 100_000
+    rng = np.random.default_rng(49)
+    ids = [f"doc-{j:08d}" for j in range(n)]
+    sources = [("web", "docs", "images", "code", "books")[c] for c in rng.integers(0, 5, n)]
+    items = Items.from_lists(ids, rng.integers(1, 800, n).tolist(), sources)
+    path = tmp_path / "plan.jsonl"
+    emit_plan(PackPlan(8192, items, np.arange(0, n + 1, 10, dtype=np.int64)), path)
+    tracemalloc.start()
+    try:
+        plan = load_plan(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    got = plan.packed
+    assert got.ids == ids and got.length.tolist() == items.length.tolist()
+    assert got.tags == items.tags and got.source.tolist() == items.source.tolist()
+    assert peak - held < 4 * 2**20, f"load_plan peaked {(peak - held) / 2**20:.1f} MB over the plan"
