@@ -77,24 +77,30 @@ def image_weights(
 
     mode="mean" averages 1/count over a sample's concepts so samples with
     different k are comparable; mode="sum" adds them (ablation variant).
+    Rows are summed one range of ``Assignments.blocks`` at a time, so no
+    temporary holds a float per assigned concept.
     """
     if mode not in ("mean", "sum"):
         raise ValueError(f"unknown weight mode {mode!r}")
     if not assignments:
         raise ValueError("cannot weight an empty assignment list")
     a = Assignments.of(assignments)
-    counts = freqs.counts
-    flat = a.concepts
-    if np.any(counts[flat] < 1):
-        bad = flat[counts[flat] < 1][0]
+    counts, flat, o = freqs.counts, a.concepts, a.offsets
+    zero = (counts < 1)[flat]
+    if np.any(zero):
         raise ValueError(
-            f"concept {int(bad)} has zero frequency; assignments and "
+            f"concept {int(flat[np.argmax(zero)])} has zero frequency; assignments and "
             f"frequency table are inconsistent"
         )
-    raw = np.add.reduceat(1.0 / counts[flat], a.offsets[:-1])
+    with np.errstate(divide="ignore"):  # a zero count is of no assigned concept
+        inv = 1.0 / counts
+    raw = np.empty(len(a))
+    for lo, hi in a.blocks():
+        raw[lo:hi] = np.add.reduceat(inv[flat[o[lo] : o[hi]]], o[lo:hi] - o[lo])
     if mode == "mean":
-        raw = raw / np.diff(a.offsets)
-    return raw / raw.sum()
+        raw /= np.diff(o)
+    raw /= raw.sum()
+    return raw
 
 
 def sample_balanced(

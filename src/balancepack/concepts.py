@@ -23,8 +23,10 @@ number of images. ``load_embeddings`` still returns the whole matrix, for
 callers that want it.
 
 The assignments of n samples are one ``Assignments``: offsets, concept
-and similarity columns in CSR layout, checked once with vector operations.
-Rows may differ in length; a ``ConceptAssignment`` row is built on demand.
+and similarity columns in CSR layout, checked once with vector operations
+over blocks of ``_CHECK_BLOCK`` (8192) rows, so the check's temporaries
+are bounded by one block. Rows may differ in length; a
+``ConceptAssignment`` row is built on demand.
 
 Binary embedding format: magic ``EMB1``, uint32-LE rows, uint32-LE dim,
 then rows*dim float32-LE values, row-major. ``EmbeddingFile`` is its one
@@ -57,6 +59,10 @@ CAPTION_SEPARATOR = ", "
 _ASSIGNMENT_LINES = canonical(
     r'\{"i":%s,"c":\[%s(?:,%s)*\],"s":\[%s(?:,%s)*\]\}\n' % (INT, INT, INT, FLOAT, FLOAT)
 )
+
+# Rows per block of ``Assignments.blocks``: bounds the nnz-sized
+# temporaries of the row checks and of image_weights to this many rows.
+_CHECK_BLOCK = 8192
 
 # Row alignment and size of the blocks of finiteness checks, normalization
 # and scoring. Bounds every float64 temporary to 2 * _ROW_BLOCK - 1 rows.
@@ -127,6 +133,23 @@ def _repeat_rows(row: np.ndarray, concepts: np.ndarray) -> np.ndarray:
     return row[1:][(row[1:] == row[:-1]) & (by_row[1:] == by_row[:-1])]
 
 
+def _first_broken_row(o: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple[int, str] | None:
+    """The lowest row of CSR columns (offsets ``o`` from 0 to ``c.size``)
+    that breaks a row rule of ``Assignments``, with its reason, or None. Of
+    rules broken in the same row, the first listed wins."""
+    row = np.repeat(np.arange(o.size - 1), np.diff(o))
+    same = row[1:] == row[:-1]
+    outside = np.flatnonzero(~((s >= -1.0 - 1e-6) & (s <= 1.0 + 1e-6)))
+    rules = (
+        (np.flatnonzero(o[1:] == o[:-1]), "assignment must contain at least one concept"),
+        (_repeat_rows(row, c), "duplicate concept index"),
+        (row[outside], f"similarity {s[outside[0]] if outside.size else 0} outside [-1, 1]"),
+        (row[1:][same & (s[1:] > s[:-1])], "similarities must be non-increasing in rank order"),
+    )
+    broken = [(int(rows[0]), reason) for rows, reason in rules if rows.size]
+    return min(broken, key=lambda b: b[0]) if broken else None
+
+
 class _RowError(ValueError):
     """A row that breaks a rule of ``Assignments``; readers map ``row`` to a line."""
 
@@ -142,7 +165,8 @@ class Assignments(Sequence[ConceptAssignment]):
     ``offsets`` runs from 0 to ``len(concepts) == len(sims)``. Each row holds
     at least one concept, distinct indices, and non-increasing similarities
     within [-1, 1] (1e-6 slack, no NaN); the first row that breaks a rule is
-    named in the ValueError. Indexing and iteration build ``ConceptAssignment``
+    named in the ValueError. The rules run over the row ranges of
+    ``blocks`` in order. Indexing and iteration build ``ConceptAssignment``
     rows on demand; ``==`` compares rows with any sequence of rows."""
 
     offsets: np.ndarray  # int64[n + 1]
@@ -153,18 +177,11 @@ class Assignments(Sequence[ConceptAssignment]):
         o, c, s = self.offsets, self.concepts, self.sims
         if o.size < 1 or o[0] != 0 or o[-1] != c.size or c.size != s.size or np.any(o[1:] < o[:-1]):
             raise ValueError("offsets must rise from 0 to len(concepts) == len(sims)")
-        row = np.repeat(np.arange(o.size - 1), np.diff(o))
-        same = row[1:] == row[:-1]
-        outside = np.flatnonzero(~((s >= -1.0 - 1e-6) & (s <= 1.0 + 1e-6)))
-        rules = (
-            (np.flatnonzero(o[1:] == o[:-1]), "assignment must contain at least one concept"),
-            (_repeat_rows(row, c), "duplicate concept index"),
-            (row[outside], f"similarity {s[outside[0]] if outside.size else 0} outside [-1, 1]"),
-            (row[1:][same & (s[1:] > s[:-1])], "similarities must be non-increasing in rank order"),
-        )
-        broken = [(int(rows[0]), reason) for rows, reason in rules if rows.size]
-        if broken:
-            raise _RowError(*min(broken, key=lambda b: b[0]))
+        for lo, hi in self.blocks():
+            b = o[lo : hi + 1]
+            broken = _first_broken_row(b - b[0], c[b[0] : b[-1]], s[b[0] : b[-1]])
+            if broken:  # blocks run in order, so this holds the first broken row
+                raise _RowError(lo + broken[0], broken[1])
 
     @classmethod
     def of(cls, rows: Sequence[ConceptAssignment]) -> Assignments:
@@ -184,6 +201,12 @@ class Assignments(Sequence[ConceptAssignment]):
 
     def __len__(self) -> int:
         return self.offsets.size - 1
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Consecutive row ranges [lo, hi) of _CHECK_BLOCK rows, the last shorter."""
+        n = len(self)
+        for lo in range(0, n, _CHECK_BLOCK):
+            yield lo, min(lo + _CHECK_BLOCK, n)
 
     def __getitem__(self, i: int) -> ConceptAssignment:
         i = range(len(self))[i]  # a negative i counts from the end, as for lists

@@ -12,6 +12,7 @@ from balancepack.concepts import (
     ConceptAssignment,
     ConceptVocabulary,
     EmbeddingFile,
+    _row_blocks,
     build_pseudo_caption,
     cosine_similarities,
     l2_normalize,
@@ -306,15 +307,18 @@ def test_topk_thread_count_does_not_change_output():
     )
 
 
-def test_chunked_similarities_match_full():
-    # Row-chunk boundaries must not perturb the float64 accumulation.
+def test_aligned_row_blocks_match_the_whole_product():
+    # Top-k scores the blocks of _row_blocks; their boundaries must not
+    # perturb the float64 accumulation. The vocabulary size is a multiple
+    # of 8, as SkylakeX needs (ROADMAP item 4).
     rng = np.random.default_rng(10)
-    img = l2_normalize(random_matrix(rng, 100, 16))
+    img = l2_normalize(random_matrix(rng, 800, 16))
     con = l2_normalize(random_matrix(rng, 32, 16))
     full = cosine_similarities(img, con)
-    for start in range(0, 100, 17):
-        part = cosine_similarities(img[start : start + 17], con)
-        assert np.array_equal(part, full[start : start + 17])
+    blocks = list(_row_blocks(0, 800))
+    assert len(blocks) == 3
+    for rows in blocks:
+        assert np.array_equal(cosine_similarities(img[rows], con), full[rows])
 
 
 # ----------------------------------------------------------- pseudo-captions
