@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -217,9 +219,9 @@ def load_weights(path: str | Path) -> np.ndarray:
     """Read what save_weights writes: record i is {"i": i, "w": float}, each
     weight finite and non-negative (the first bad line is named), and the
     whole vector passes ``_check_weights``."""
-    with canonical_lines(path, _WEIGHT_LINES, _weights_block) as (blocks, records):
-        row = sum(map(len, blocks))
-        weights: list[float] = []
+    weights = array("d")
+    with canonical_lines(path, _WEIGHT_LINES, partial(_weights_block, weights=weights)) as records:
+        row = len(weights)
         for rec in records:
             index = json_field(rec, "i", int)
             if index != row:
@@ -230,14 +232,15 @@ def load_weights(path: str | Path) -> np.ndarray:
             weights.append(w)
             row += 1
     try:
-        return _check_weights(np.concatenate([*blocks, np.array(weights, np.float64)]))
+        return _check_weights(weights)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _weights_block(text: str, row: int) -> np.ndarray:
-    """The weights of a block of save_weights lines whose first is record
-    ``row``; a line the loop of ``load_weights`` would refuse raises."""
+def _weights_block(text: str, row: int, weights: array) -> None:
+    """Append the weights of a block of save_weights lines whose first is
+    record ``row`` to ``weights``; a line the loop of ``load_weights`` would
+    refuse raises, with nothing appended."""
     # Drop the first '{"i":' and the last '}\n'; then index and weight alternate.
     flat = text[5:-2].replace('}\n{"i":', ",").replace(',"w":', ",").split(",")
     if flat[0::2] != list(map(str, range(row, row + len(flat) // 2))):
@@ -245,7 +248,7 @@ def _weights_block(text: str, row: int) -> np.ndarray:
     w = np.fromiter(map(float, flat[1::2]), np.float64, len(flat) // 2)
     if np.any(_unfit(w)):
         raise ValueError("a weight that is not finite and non-negative")
-    return w
+    weights.frombytes(w.tobytes())
 
 
 def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:

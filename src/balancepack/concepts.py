@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -619,9 +621,10 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 def load_assignments(path: str | Path) -> Assignments:
     """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
     with one similarity per concept and every row rule of ``Assignments``."""
-    with canonical_lines(path, _ASSIGNMENT_LINES, _assignments_block) as (blocks, records):
-        row = sum(len(widths) for widths, _, _ in blocks)
-        widths, cs, ss = [], [], []
+    offsets, concepts, sims = array("q", [0]), array("q"), array("d")
+    convert = partial(_assignments_block, columns=(offsets, concepts, sims))
+    with canonical_lines(path, _ASSIGNMENT_LINES, convert) as records:
+        row = len(offsets) - 1
         for rec in records:
             index = json_field(rec, "i", int)
             if index != row:
@@ -634,22 +637,21 @@ def load_assignments(path: str | Path) -> Assignments:
                 raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
             if len(c) != len(s):
                 raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
-            cs += c
-            ss += s
-            widths.append(len(c))
+            concepts.extend(c)
+            sims.extend(s)
+            offsets.append(len(concepts))
             row += 1
-    blocks.append((np.array(widths, np.int64), np.array(cs, np.int64), np.array(ss, np.float64)))
-    widths, concepts, sims = (np.concatenate(column) for column in zip(*blocks))
+    o, c = (np.frombuffer(column, np.int64) for column in (offsets, concepts))
     try:
-        return Assignments(np.concatenate(([0], np.cumsum(widths))), concepts, sims)
+        return Assignments(o, c, np.frombuffer(sims, np.float64))
     except _RowError as e:
         raise ValueError(f"{path}: line {e.row + 1}: {e.reason}") from None
 
 
-def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row widths, concepts and similarities of a block of save_assignments
-    lines whose first is record ``row``; a line the loop of
-    ``load_assignments`` would refuse raises."""
+def _assignments_block(text: str, row: int, columns: tuple[array, array, array]) -> None:
+    """Append a block of save_assignments lines whose first is record ``row``
+    to the offsets, concepts and similarities ``columns``; a line the loop
+    of ``load_assignments`` would refuse raises, with nothing appended."""
     # Split at the quotes, each line '{"i":N,"c":[C],"s":[S]}\n' gives six
     # pieces: from the third on, every sixth is ':N,', from the fifth
     # ':[C],' and from the seventh ':[S]}\n{' (the '{' added for the last).
@@ -664,4 +666,6 @@ def _assignments_block(text: str, row: int) -> tuple[np.ndarray, np.ndarray, np.
     # floats go through float(), as json parses them.
     concepts = np.fromstring(",".join(c)[2:-2].replace("],,:[", ","), dtype=np.int64, sep=",")
     sims = ",".join(s)[2:-4].replace("]}\n{,:[", ",").split(",")
-    return np.array(widths), concepts, np.fromiter(map(float, sims), np.float64, len(sims))
+    sims = np.fromiter(map(float, sims), np.float64, len(sims))
+    for column, values in zip(columns, (columns[0][-1] + np.cumsum(widths), concepts, sims)):
+        column.frombytes(values.tobytes())

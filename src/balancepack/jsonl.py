@@ -12,11 +12,13 @@ Each writer emits one fixed line form. ``canonical_lines`` reads a file in
 blocks of WRITE_BLOCK lines and parses a block by that grammar, with no
 ``json.loads``, if every line of it has exactly the writer's form: the
 keys in the writer's order, no spaces, integers of at most 18 digits,
-floats with a fraction or an exponent, strings without escapes. From the
-first block that is not, or whose rows a converter refuses, the rest of
-the file goes through ``json_lines``' per-line parse, with its line
-numbers. A loader checks the rows of both parts with the same rules, so
-the accepted files and every error text are those of ``json_lines``.
+floats with a fraction or an exponent, strings without escapes. A
+loader's converter appends such a block to the loader's columns, or
+refuses it before appending any. From the first block that is not, or
+that is refused, the rest of the file goes through ``json_lines``'
+per-line parse into the same columns, with its line numbers. A loader
+checks the rows of both parts with the same rules, so the accepted files
+and every error text are those of ``json_lines``.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, TypeVar
+from typing import IO
 
 import numpy as np
 
 # Rows per write of ``write_rows``: one block of rows is formatted at a
 # time, so a writer's temporaries do not grow with the file.
 WRITE_BLOCK = 8192
-
-_Part = TypeVar("_Part")
 
 
 @contextmanager
@@ -126,48 +126,32 @@ def canonical(line: str) -> re.Pattern:
 
 @contextmanager
 def canonical_lines(
-    path: str | Path,
-    block: re.Pattern,
-    convert: Callable[[str, int], _Part],
-    skip_blank: bool = False,
-) -> Iterator[tuple[list[_Part], Iterator]]:
-    """``(parts, records)`` of ``path``: ``parts`` of the leading blocks that
-    are all writer lines, then the parsed lines of the rest.
+    path: str | Path, block: re.Pattern, convert: Callable, skip_blank: bool = False
+) -> Iterator[Iterator]:
+    """The parsed lines of ``path`` that follow its leading blocks of writer lines.
 
     The file is opened as ``json_lines`` opens it and read WRITE_BLOCK lines
     at a time. While a block matches ``block`` (a ``canonical`` check) to
     its end, ``convert(text, row)`` gets its text and the 0-based row of
-    its first line, and what it returns joins ``parts``. From the first
-    block that does not match, or that ``convert`` refuses with a
-    ValueError, ``records`` yields the parsed lines as ``json_lines`` does,
-    numbered from that block's first line, so the file is read once.
+    its first line, and appends the block's rows to the caller's columns,
+    or raises a ValueError before appending any. From the first block that
+    does not match, or that ``convert`` refuses, the iterator yields the
+    parsed lines as ``json_lines`` does, numbered from that block's first
+    line, so the file is read once.
     """
     with _numbered_records(path, skip_blank) as (f, records):
-        parts: list[_Part] = []
-        row, rest = 0, []
+        row = 0
         while lines := list(islice(f, WRITE_BLOCK)):
             text = "".join(lines)
-            part = _converted(block, convert, text, row)
-            if part is None:
-                rest = lines
+            try:
+                if block.match(text).end() != len(text):
+                    break
+                convert(text, row)
+            except ValueError:
                 break
-            parts.append(part)
             row += len(lines)
             del lines, text  # the next block is read without this one alive
-        yield parts, records(chain(rest, f), row)
-
-
-def _converted(
-    block: re.Pattern, convert: Callable[[str, int], _Part], text: str, row: int
-) -> _Part | None:
-    """``convert(text, row)`` if ``text`` is all writer lines and ``convert``
-    takes it, else None."""
-    if block.match(text).end() != len(text):
-        return None
-    try:
-        return convert(text, row)
-    except ValueError:
-        return None
+        yield records(chain(lines, f), row)  # from the block that broke off, if any
 
 
 class _Missing:

@@ -25,13 +25,14 @@ object per sample.
 
 Both manifest readers run one loop over parsed lines that skips blank
 lines, since manifests come from outside the toolkit, and rejects
-duplicate ids. ``load_pack_items`` reads straight into a columnar
-``packing.Items``: the record rules and the token arithmetic apply to
-the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line.
+duplicate ids. ``load_pack_items`` reads straight into one
+``packing.ItemColumns``: the record rules and the token arithmetic apply
+to the parsed fields, with no ``SampleRecord`` or ``PackItem`` per line.
 Blocks of ``emit_manifest``'s compact rich records are parsed by their
 grammar (``jsonl.canonical_lines``), and ``_rule_breaks`` and
 ``_token_length`` apply to their columns as they do to one record's
-fields; the loop takes the file from the first block that is not.
+fields; the loop takes the file from the first block that is not, and
+appends its rows to the same columns.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .concepts import Assignments
 from .jsonl import INT, TEXT, canonical, canonical_lines, json_field, json_lines, output, write_rows
-from .packing import Items, check_length, source_codes
+from .packing import ItemColumns, Items, check_length, source_codes
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
 DEFAULT_PATCH = 14
@@ -436,19 +437,14 @@ def load_pack_items(path: str | Path) -> Items:
     manifest records, whose lengths are computed as estimate_tokens does.
     Types are strict: ids and sources are JSON strings, lengths and token
     counts JSON integers. Blank lines are skipped; no ``SampleRecord`` or
-    ``PackItem`` is built.
+    ``PackItem`` is built: blocks and lines append to one ``ItemColumns``.
     """
     seen: set[str] = set()
-    convert = partial(_record_block, seen=seen)
-    with canonical_lines(path, _RECORD_LINES, convert, skip_blank=True) as (blocks, records):
-        ids: list[str] = []
-        lengths: list[int] = []
-        sources: list[str] = []
-        for sample_id, length, source in _parse_lines(records, _pack_fields, seen):
-            ids.append(sample_id)
-            lengths.append(length)
-            sources.append(source)
-    return _joined_items([*blocks, (ids, np.array(lengths, np.int64), *source_codes(sources))])
+    columns = ItemColumns()
+    convert = partial(_record_block, seen=seen, columns=columns)
+    with canonical_lines(path, _RECORD_LINES, convert, skip_blank=True) as records:
+        columns.rows(_parse_lines(records, _pack_fields, seen))
+    return columns.items()
 
 
 def _ints(tokens: Sequence[str], default: str = "") -> np.ndarray:
@@ -457,13 +453,11 @@ def _ints(tokens: Sequence[str], default: str = "") -> np.ndarray:
     return np.fromstring(",".join([t or default for t in tokens]), dtype=np.int64, sep=",")
 
 
-def _record_block(
-    text: str, row: int, seen: set[str]
-) -> tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Ids, token lengths, source codes and source tags of a block of compact
-    rich records, whose ids join ``seen``. A record that breaks a rule of
-    ``_rule_breaks``, an id already seen, or a size that could overflow
-    int64 raises, with ``seen`` left as it was."""
+def _record_block(text: str, row: int, seen: set[str], columns: ItemColumns) -> None:
+    """Append the ids, token lengths and sources of a block of compact rich
+    records to ``columns``; the ids join ``seen``. A record that breaks a
+    rule of ``_rule_breaks``, an id already seen, or a size that could
+    overflow int64 raises, with ``seen`` and ``columns`` left as they were."""
     ids, sources, text_tokens, w, h, patch, merge = zip(*_RECORD_TOKENS.findall(text))
     has_image = np.fromiter(map(bool, w), bool, len(w))
     text_tokens, w, h = _ints(text_tokens), _ints(w, "0"), _ints(h, "0")
@@ -477,20 +471,10 @@ def _record_block(
     if len(new) != len(ids) or not seen.isdisjoint(new):
         raise ValueError("repeated id")
     seen |= new
-    return list(ids), _token_length(text_tokens, w, h, patch, merge), *source_codes(sources)
-
-
-def _joined_items(blocks: list[tuple[list[str], np.ndarray, np.ndarray, tuple[str, ...]]]) -> Items:
-    """One ``Items`` of blocks of ids, lengths, source codes and their tags,
-    tags in first-seen order."""
-    tags = tuple(dict.fromkeys(tag for block in blocks for tag in block[3]))
-    code = {tag: i for i, tag in enumerate(tags)}
-    source = [np.array([code[t] for t in block[3]], np.int32)[block[2]] for block in blocks]
-    ids = [sample_id for block in blocks for sample_id in block[0]]
-    return Items(ids, np.concatenate([block[1] for block in blocks]), np.concatenate(source), tags)
+    columns.extend(list(ids), _token_length(text_tokens, w, h, patch, merge), sources)
 
 
 def records_to_pack_items(records: Sequence[SampleRecord]) -> Items:
-    return Items.from_lists(
-        [r.id for r in records], [estimate_tokens(r) for r in records], [r.source for r in records]
-    )
+    columns = ItemColumns()
+    columns.rows((r.id, estimate_tokens(r), r.source) for r in records)
+    return columns.items()

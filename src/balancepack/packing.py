@@ -5,7 +5,8 @@ ids, an int64 length column and an int32 source-code column into a tag
 table, checked once with vector operations. A ``PackPlan`` holds the
 packed items in emitted order, pack bounds and the overflow items, also
 as columns. ``PackItem`` is a row view built on demand (``Items[i]``,
-``PackPlan.packs``); ``Items.of`` turns hand-built rows into columns.
+``PackPlan.packs``). Items read from a file or built from rows grow in
+one ``ItemColumns``, which numbers source tags in first-seen order.
 
 One engine, ``pack_bucketed``, does all packing. It shards items by a
 seeded hash of sample_id, sorts each shard by length descending (ties by
@@ -13,10 +14,11 @@ sample_id ascending; a repeated id raises ValueError, so a plan never
 depends on input order), routes the items into geometric length buckets,
 first-fit packs every bucket under the per-pack sample/source caps, then
 runs one refill pass that jointly re-packs a shard's underfilled packs
-(kept only when it reduces the pack count). Shard outputs concatenate in
-shard order. Strategy "ffd" (``pack_ffd``, the baseline) is this engine
-with one bucket and one shard, which skips the refill pass (with one
-bucket it could not merge anything): plain first-fit decreasing.
+(kept only when it reduces the pack count). Only shards and buckets that
+hold items are visited. Shard outputs concatenate in shard order.
+Strategy "ffd" (``pack_ffd``, the baseline) is this engine with one
+bucket and one shard, which skips the refill pass (with one bucket it
+could not merge anything): plain first-fit decreasing.
 
 First fit is indexed under every cap by one kind of index, a dict-backed
 max-tree over remaining capacity (``_FirstFitBins``): one tree over the
@@ -40,6 +42,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -113,24 +116,17 @@ class Items(Sequence[PackItem]):
             )
 
     @classmethod
-    def from_lists(cls, ids: list[str], lengths: list[int], sources: list[str]) -> Items:
-        """Checked columns of parallel lists; ``lengths`` must hold integers."""
-        codes, tags = source_codes(sources)
-        return cls(ids, np.array(lengths, dtype=np.int64).reshape(-1), codes, tags)
-
-    @classmethod
     def of(cls, rows: Iterable[PackItem]) -> Items:
         """Checked columns of hand-built rows; an ``Items`` is returned as is.
         A length that is not an integer is rejected, not truncated."""
         if isinstance(rows, Items):
             return rows
-        rows = list(rows)
+        columns = ItemColumns()
         for i, r in enumerate(rows):
             if not isinstance(r.length, (int, np.integer)):
                 raise ValueError(f"row {i}: length {r.length!r} is not an integer")
-        return cls.from_lists(
-            [r.sample_id for r in rows], [r.length for r in rows], [r.source for r in rows]
-        )
+            columns.append(r.sample_id, r.length, r.source)
+        return columns.items()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -148,6 +144,51 @@ class Items(Sequence[PackItem]):
         """Item j of the result is item ``rows[j]``; the tag table is shared."""
         ids = [self.ids[i] for i in rows.tolist()]
         return Items(ids, self.length[rows], self.source[rows], self.tags)
+
+
+class ItemColumns:
+    """Columns of ``Items`` as they are read: ids, an int64 length column
+    and int32 source codes into tags numbered in first-seen order, which is
+    the order ``source_codes`` gives. Rows join one at a time (``append``,
+    or ``rows`` for an iterator of them) or a block at a time (``extend``);
+    ``items`` checks the columns once."""
+
+    def __init__(self) -> None:
+        self._ids: list[str] = []  # rows since the last block
+        self._id_parts: list[list[str]] = []  # earlier ids, joined once by ``items``
+        self.lengths = array("q")
+        self.codes = array("i")
+        self.tags: dict[str, int] = {}
+
+    def append(self, sample_id: str, length: int, source: str) -> None:
+        self._ids.append(sample_id)
+        self.lengths.append(length)
+        self.codes.append(self.tags.setdefault(source, len(self.tags)))
+
+    def rows(self, fields: Iterable[tuple[str, int, str]]) -> None:
+        """``append`` each (id, length, source) of ``fields``, the appends bound once."""
+        add_id, add_length, add_code = self._ids.append, self.lengths.append, self.codes.append
+        tags = self.tags
+        for sample_id, length, source in fields:
+            add_id(sample_id)
+            add_length(length)
+            add_code(tags.setdefault(source, len(tags)))
+
+    def extend(self, ids: list[str], length: np.ndarray, sources: Sequence[str]) -> None:
+        """Append a block: its ids, int64 lengths and source tags."""
+        tags = self.tags
+        for tag in dict.fromkeys(sources):
+            tags.setdefault(tag, len(tags))
+        codes = np.fromiter(map(tags.__getitem__, sources), np.int32, len(sources))
+        self._id_parts += [self._ids, ids]
+        self._ids = []
+        self.lengths.frombytes(length.tobytes())
+        self.codes.frombytes(codes.tobytes())
+
+    def items(self) -> Items:
+        ids = list(chain(*self._id_parts, self._ids)) if self._id_parts else self._ids
+        length, source = np.frombuffer(self.lengths, np.int64), np.frombuffer(self.codes, np.int32)
+        return Items(ids, length, source, tuple(self.tags))
 
 
 @dataclass(frozen=True)
@@ -176,6 +217,9 @@ class PackingConfig:
             raise ValueError("max_sources_per_pack must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        for name in ("capacity", "shards"):  # both index int64 and uint64 columns
+            if getattr(self, name) > _INT64_MAX:
+                raise ValueError(f"{name}={getattr(self, name)} is beyond the int64 range")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -467,9 +511,17 @@ def _bucket_index(length: np.ndarray, capacity: int, num_buckets: int) -> np.nda
     # Bucket b holds lengths in (capacity/2^(b+1), capacity/2^b]; the last
     # bucket also absorbs everything shorter. An item's bucket counts the
     # b in 1..num_buckets-1 with length * 2^b <= capacity, i.e. with
-    # length <= capacity >> b (the bound shrinks as b grows).
-    bounds = np.array([capacity >> b for b in range(num_buckets - 1, 0, -1)], dtype=np.int64)
+    # length <= capacity >> b (the bound shrinks as b grows). Past
+    # capacity.bit_length() every bound is 0, below any length.
+    top = min(num_buckets - 1, capacity.bit_length())
+    bounds = np.array([capacity >> b for b in range(top, 0, -1)], dtype=np.int64)
     return bounds.size - np.searchsorted(bounds, length, side="left")
+
+
+def _runs(keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of each run of equal values of a sorted column, in order."""
+    ends = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
+    return zip(ends, ends[1:]) if keys.size else iter(())
 
 
 def _pack_shard(
@@ -482,13 +534,9 @@ def _pack_shard(
     caps = (config.capacity, config.max_samples_per_pack, config.max_sources_per_pack)
     lengths, sources = length.tolist(), source.tolist()
     # In packing order the bucket index never decreases: each bucket is a run.
-    cuts = np.searchsorted(
-        _bucket_index(length, config.capacity, config.num_buckets),
-        np.arange(config.num_buckets + 1),
-    ).tolist()
     pack_of: list[int] = []
     num_packs = 0
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi in _runs(_bucket_index(length, config.capacity, config.num_buckets)):
         placed, opened = _ffd(lengths[lo:hi], sources[lo:hi], *caps)
         pack_of += [p + num_packs for p in placed] if num_packs else placed
         num_packs += opened
@@ -541,9 +589,8 @@ def pack_bucketed(items: Iterable[PackItem] | Items, config: PackingConfig) -> P
     order = np.lexsort((rank, -length, shard))
     too_long = length[order] > config.capacity
     in_range = order[~too_long]
-    cuts = np.searchsorted(shard[in_range], np.arange(config.shards + 1)).tolist()
-    emitted, sizes = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
+    emitted, sizes = [in_range[:0]], [np.zeros(0, np.int64)]  # empty if every item overflows
+    for lo, hi in _runs(shard[in_range]):
         at = in_range[lo:hi]
         shard_order, shard_sizes = _pack_shard(length[at], source[at], config)
         emitted.append(at[shard_order])
@@ -755,28 +802,6 @@ def _plan_fields(r) -> tuple[str, int, str]:
     return sample_id, length, source
 
 
-class _PlanColumns:
-    """Items of a plan file as they are read: ids, an int64 length column
-    and int32 source codes into tags numbered in first-seen order, which is
-    the order ``source_codes`` gives."""
-
-    def __init__(self) -> None:
-        self.ids: list[str] = []
-        self.lengths = array("q")
-        self.codes = array("i")
-        self.tags: dict[str, int] = {}
-
-    def append(self, sample_id: str, length: int, source: str) -> None:
-        self.ids.append(sample_id)
-        self.lengths.append(length)
-        self.codes.append(self.tags.setdefault(source, len(self.tags)))
-
-    def items(self) -> Items:
-        length = np.frombuffer(self.lengths, dtype=np.int64)
-        source = np.frombuffer(self.codes, dtype=np.int32)
-        return Items(self.ids, length, source, tuple(self.tags))
-
-
 def load_plan(path: str | Path) -> PackPlan:
     """Read a plan file back, validating structure, the partition and the trailer.
 
@@ -787,7 +812,7 @@ def load_plan(path: str | Path) -> PackPlan:
     Items go straight into columns; no ``PackItem``, per-item ``int`` or
     per-item source ``str`` is kept.
     """
-    packed, overflow = _PlanColumns(), _PlanColumns()
+    packed, overflow = ItemColumns(), ItemColumns()
     bounds = [0]
     capacity: int | None = None
     saw_trailer = False
@@ -821,7 +846,7 @@ def load_plan(path: str | Path) -> PackPlan:
                     packed.append(sample_id, length, source)
                 if pad != cap - off:
                     raise ValueError(f"padding {pad}, expected {cap - off}")
-                bounds.append(len(packed.ids))
+                bounds.append(len(packed.lengths))
                 tokens += off
             elif "stats" in rec:
                 saw_trailer = True
@@ -839,8 +864,8 @@ def load_plan(path: str | Path) -> PackPlan:
                         )
                     overflow.append(sample_id, length, source)
                 stats = json_field(rec, "stats", dict)
-                num_packs = len(bounds) - 1
-                want = _stats(num_packs, len(packed.ids), len(overflow.ids), tokens, capacity, None)
+                num_packs, num_packed = len(bounds) - 1, len(packed.lengths)
+                want = _stats(num_packs, num_packed, len(overflow.lengths), tokens, capacity, None)
                 for key, value in want.to_dict().items():
                     got = stats.get(key, _REQUIRED)
                     if key != "success_rate" and (type(got) is not type(value) or got != value):

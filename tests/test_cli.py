@@ -438,6 +438,26 @@ def test_synth_names_a_length_max_beyond_the_int64_range(tmp_path, capsys):
     assert not (out / "manifest.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--capacity", "99999999999999999999"), ("--shards", str(2**64))]
+)
+def test_pack_flags_beyond_the_int64_range_are_named(tmp_path, capsys, synth_dir, flag, value):
+    want = f"{flag[2:]}={value} is beyond the int64 range"
+    out = tmp_path / "pack"
+    code, _, err = run_cli(
+        ["pack", "--output", str(out), "--input", str(synth_dir / "manifest.jsonl"), flag, value],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(err) == {"error": want, "command": "pack"}
+    assert not (out / "plan.jsonl").exists()
+    out = tmp_path / "pipe"
+    code, _, err = run_cli(["pipeline", "--output", str(out), "--n", "20", flag, value], capsys)
+    assert code == 1
+    assert json.loads(err) == {"error": want, "command": "pipeline", "stage": "config"}
+    assert not (out / "manifest.jsonl").exists()
+
+
 def test_a_run_that_fails_part_way_writes_no_echo(tmp_path, capsys, synth_dir):
     # An output path taken by a directory makes the writer fail after the
     # files before it were written; config.json is written only after all.

@@ -17,6 +17,7 @@ from balancepack.packing import (
     pack_optimal_oracle,
     packing_stats,
 )
+from balancepack.rng import shards_of
 
 
 def items_from_lengths(lengths, prefix="s", source=""):
@@ -140,7 +141,48 @@ def test_one_bucket_skips_the_refill_pass(monkeypatch):
     assert len(plan.packs) == 4 and len(calls) == 1
     calls.clear()
     pack_bucketed(items, PackingConfig(capacity=10, num_buckets=1, shards=3))
-    assert len(calls) == 3
+    assert len(calls) == len(set(shards_of([it.sample_id for it in items], 0, 3).tolist()))
+
+
+class CallBudget:
+    """Wraps a function and raises on the call past ``limit``."""
+
+    def __init__(self, monkeypatch, module, name, limit):
+        real, self.calls = getattr(module, name), 0
+
+        def counted(*args):
+            self.calls += 1
+            if self.calls > limit:
+                raise AssertionError(f"{name} called more than {limit} times")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_only_shards_that_hold_items_are_packed(monkeypatch):
+    from balancepack import packing
+
+    items = random_items(np.random.default_rng(3), 50, 90) + items_from_lengths([500], "x")
+    held = len(set(shards_of([it.sample_id for it in items[:50]], 0, 10**6).tolist()))
+    budget = CallBudget(monkeypatch, packing, "_pack_shard", held)
+    plan = pack_bucketed(items, PackingConfig(capacity=100, shards=10**6))
+    assert budget.calls == held and plan.num_items() == 51 and len(plan.overflow) == 1
+    budget = CallBudget(monkeypatch, packing, "_pack_shard", 0)
+    plan = pack_bucketed(items[50:], PackingConfig(capacity=100, shards=10**6))
+    assert budget.calls == 0 and plan.num_packs == 0 and len(plan.overflow) == 1
+
+
+def test_only_buckets_that_hold_items_are_packed(monkeypatch):
+    # Every bucket bound past capacity.bit_length() is 0, so capacity 100
+    # packs as with 8 buckets: at most 7 runs, then one refill pass.
+    from balancepack import packing
+
+    items = random_items(np.random.default_rng(4), 50, 100, prefix="b")
+    few = pack_bucketed(items, PackingConfig(capacity=100, num_buckets=8, min_utilization=1.0))
+    budget = CallBudget(monkeypatch, packing, "_ffd", 8)
+    many = pack_bucketed(items, PackingConfig(capacity=100, num_buckets=10**6, min_utilization=1.0))
+    assert budget.calls <= 8 and many.packs == few.packs
+    assert many.bounds.tolist() == few.bounds.tolist()
 
 
 # --------------------------------------------------------------------- oracle

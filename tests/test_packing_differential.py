@@ -32,6 +32,7 @@ from balancepack.packing import (
     pack,
     pack_bucketed,
     pack_ffd,
+    source_codes,
 )
 
 # ------------------------------------------------------------------ inputs
@@ -294,7 +295,7 @@ def test_load_plan_temporaries_stay_under_a_fixed_bound(tmp_path):
     rng = np.random.default_rng(49)
     ids = [f"doc-{j:08d}" for j in range(n)]
     sources = [("web", "docs", "images", "code", "books")[c] for c in rng.integers(0, 5, n)]
-    items = Items.from_lists(ids, rng.integers(1, 800, n).tolist(), sources)
+    items = Items(ids, rng.integers(1, 800, n), *source_codes(sources))
     path = tmp_path / "plan.jsonl"
     emit_plan(PackPlan(8192, items, np.arange(0, n + 1, 10, dtype=np.int64)), path)
     tracemalloc.start()
