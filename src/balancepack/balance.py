@@ -268,11 +268,12 @@ _SAMPLED_HEADER = re.compile(
 def load_sampled_indices(path: str | Path) -> np.ndarray:
     """Read what save_sampled_indices writes: its header, then exactly n indices.
 
-    Each index line must read as ``str(int)`` writes it. The range is left
-    to the caller, which knows the corpus size.
+    Lines end at "\\n" only. Each index line must read as ``str(int)`` writes
+    it, within int64. The range is left to the caller, which knows the
+    corpus size.
     """
-    out: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    out = array("q")
+    with open(path, "r", encoding="utf-8", newline="\n") as f:
         header = _SAMPLED_HEADER.fullmatch(f.readline())
         if header is None:
             raise ValueError(f"{path}: line 1: expected the header '# seed=S n=N replacement=B'")
@@ -281,13 +282,13 @@ def load_sampled_indices(path: str | Path) -> np.ndarray:
                 value = int(line)
                 if line != f"{value}\n":
                     raise ValueError
-            except ValueError:
+                out.append(value)
+            except (ValueError, OverflowError):
                 raise ValueError(f"{path}: line {lineno}: {line!r} is not an index line") from None
-            out.append(value)
     n = int(header[1])
     if len(out) != n:
         raise ValueError(f"{path}: {len(out)} index lines, the header says n={n}")
-    return np.array(out, dtype=np.int64)
+    return np.frombuffer(out, np.int64)
 
 
 def save_sorted_counts_csv(path: str | Path, report: BalanceReport) -> None:

@@ -1,6 +1,7 @@
 """The toolkit's JSON Lines readers, its one writer, and strict field access.
 
-``json_lines`` streams a file and parses each line once. In its ``with``
+``json_lines`` streams a file and parses each line once. Lines end at "\\n"
+only: a lone "\\r" is JSON whitespace inside a line. In its ``with``
 block a ValueError from the reader or from the caller's checks on the
 current record reads ``{path}: line N: ...``. A blank line (skipped in
 manifests) is ``blank line``, broken or too deeply nested JSON ``malformed
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -87,7 +87,7 @@ def _numbered_records(path: str | Path, skip_blank: bool) -> Iterator[tuple[IO, 
                 raise ValueError(f"malformed JSON: {e}") from None
             yield rec
 
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", newline="\n") as f:  # a lone "\r" ends no line
         try:
             yield f, records
         except UnicodeDecodeError:
@@ -112,16 +112,14 @@ INT = r"-?(?:0|[1-9][0-9]{0,17})"
 FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 TEXT = r'[^"\\\x00-\x1f]*'
 
-# Each repeat of a line form takes one whole line, up to its "\n", and
-# nothing follows the repeat, so a possessive one (Python 3.11 on) matches
-# what a greedy one matches, without keeping a way back into each line.
-_LINES = "*+" if sys.version_info >= (3, 11) else "*"
-
 
 def canonical(line: str) -> re.Pattern:
     """The block check of one writer's line form ``line`` (a regular expression
-    ending in ``\\n``): it matches any run of whole lines."""
-    return re.compile(f"(?:{line}){_LINES}")
+    ending in ``\\n``): it matches any run of whole lines. Each repeat takes
+    one whole line, up to its "\\n", and nothing follows the repeat, so the
+    possessive ``*+`` matches what a greedy one matches, without keeping a
+    way back into each line."""
+    return re.compile(f"(?:{line})*+")
 
 
 @contextmanager

@@ -443,7 +443,8 @@ def load_pack_items(path: str | Path) -> Items:
     columns = ItemColumns()
     convert = partial(_record_block, seen=seen, columns=columns)
     with canonical_lines(path, _RECORD_LINES, convert, skip_blank=True) as records:
-        columns.rows(_parse_lines(records, _pack_fields, seen))
+        for fields in _parse_lines(records, _pack_fields, seen):
+            columns.append(*fields)
     return columns.items()
 
 
@@ -471,10 +472,11 @@ def _record_block(text: str, row: int, seen: set[str], columns: ItemColumns) -> 
     if len(new) != len(ids) or not seen.isdisjoint(new):
         raise ValueError("repeated id")
     seen |= new
-    columns.extend(list(ids), _token_length(text_tokens, w, h, patch, merge), sources)
+    columns.extend(ids, _token_length(text_tokens, w, h, patch, merge), sources)
 
 
 def records_to_pack_items(records: Sequence[SampleRecord]) -> Items:
     columns = ItemColumns()
-    columns.rows((r.id, estimate_tokens(r), r.source) for r in records)
+    for r in records:
+        columns.append(r.id, estimate_tokens(r), r.source)
     return columns.items()

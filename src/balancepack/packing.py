@@ -42,7 +42,6 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -141,54 +140,43 @@ class Items(Sequence[PackItem]):
         return map(PackItem, self.ids, self.length.tolist(), sources)
 
     def take(self, rows: np.ndarray) -> Items:
-        """Item j of the result is item ``rows[j]``; the tag table is shared."""
-        ids = [self.ids[i] for i in rows.tolist()]
+        """Item j of the result is item ``rows[j]``; the tag table is shared.
+        The ids are gathered as an object column, with no Python int per row."""
+        ids = np.array(self.ids, dtype=object)[rows].tolist()
         return Items(ids, self.length[rows], self.source[rows], self.tags)
 
 
 class ItemColumns:
-    """Columns of ``Items`` as they are read: ids, an int64 length column
-    and int32 source codes into tags numbered in first-seen order, which is
-    the order ``source_codes`` gives. Rows join one at a time (``append``,
-    or ``rows`` for an iterator of them) or a block at a time (``extend``);
-    ``items`` checks the columns once."""
+    """Columns of ``Items`` as they are read: one id list, an int64 length
+    column and int32 source codes into tags numbered in first-seen order,
+    which is the order ``source_codes`` gives. Rows join one at a time
+    (``append``) or a block at a time (``extend``); ``items`` checks the
+    columns once and hands the id list to the ``Items``."""
 
     def __init__(self) -> None:
-        self._ids: list[str] = []  # rows since the last block
-        self._id_parts: list[list[str]] = []  # earlier ids, joined once by ``items``
+        self.ids: list[str] = []
         self.lengths = array("q")
         self.codes = array("i")
         self.tags: dict[str, int] = {}
 
     def append(self, sample_id: str, length: int, source: str) -> None:
-        self._ids.append(sample_id)
+        self.ids.append(sample_id)
         self.lengths.append(length)
         self.codes.append(self.tags.setdefault(source, len(self.tags)))
 
-    def rows(self, fields: Iterable[tuple[str, int, str]]) -> None:
-        """``append`` each (id, length, source) of ``fields``, the appends bound once."""
-        add_id, add_length, add_code = self._ids.append, self.lengths.append, self.codes.append
-        tags = self.tags
-        for sample_id, length, source in fields:
-            add_id(sample_id)
-            add_length(length)
-            add_code(tags.setdefault(source, len(tags)))
-
-    def extend(self, ids: list[str], length: np.ndarray, sources: Sequence[str]) -> None:
+    def extend(self, ids: Sequence[str], length: np.ndarray, sources: Sequence[str]) -> None:
         """Append a block: its ids, int64 lengths and source tags."""
         tags = self.tags
         for tag in dict.fromkeys(sources):
             tags.setdefault(tag, len(tags))
         codes = np.fromiter(map(tags.__getitem__, sources), np.int32, len(sources))
-        self._id_parts += [self._ids, ids]
-        self._ids = []
+        self.ids += ids
         self.lengths.frombytes(length.tobytes())
         self.codes.frombytes(codes.tobytes())
 
     def items(self) -> Items:
-        ids = list(chain(*self._id_parts, self._ids)) if self._id_parts else self._ids
         length, source = np.frombuffer(self.lengths, np.int64), np.frombuffer(self.codes, np.int32)
-        return Items(ids, length, source, tuple(self.tags))
+        return Items(self.ids, length, source, tuple(self.tags))
 
 
 @dataclass(frozen=True)
@@ -371,15 +359,16 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:
-    """Set heap position ``pos`` of a dict-backed max-tree and its ancestors.
+def _sparse_set(tree: dict[int, int], root: int, pos: int, value: int) -> None:
+    """Set heap position ``pos`` of a dict-backed max-tree and its ancestors
+    up to ``root``.
 
     Absent nodes read as -1, so the tree holds only the root paths of the
     leaves ever set.
     """
     tree[pos] = value
     get = tree.get
-    while pos > 1:
+    while pos > root:
         sibling = get(pos ^ 1, -1)
         if sibling > value:
             value = sibling
@@ -387,17 +376,18 @@ def _sparse_set(tree: dict[int, int], pos: int, value: int) -> None:
         tree[pos] = value
 
 
-def _sparse_find(tree: dict[int, int], size: int, need: int) -> int:
-    """Leftmost leaf of a dict-backed max-tree with value >= need, or -1."""
+def _sparse_find(tree: dict[int, int], root: int, base: int, need: int) -> int:
+    """Leftmost leaf under ``root`` of a dict-backed max-tree, whose leaves
+    start at heap position ``base``, with value >= need, or -1."""
     get = tree.get
-    if get(1, -1) < need:
+    if get(root, -1) < need:
         return -1
-    pos = 1
-    while pos < size:
+    pos = root
+    while pos < base:
         pos *= 2
         if get(pos, -1) < need:
             pos += 1
-    return pos - size
+    return pos - base
 
 
 class _FirstFitBins:
@@ -406,7 +396,11 @@ class _FirstFitBins:
     Every index is a dict-backed max-tree over per-pack remaining capacity
     (``_sparse_set``/``_sparse_find``) that answers "leftmost pack with
     room"; a pack that reaches the sample cap is closed by setting its
-    leaf to -1.
+    leaf to -1. Leaf p of every tree sits at heap position ``base + p``,
+    with ``base`` the power of two >= ``items``, since no more packs open
+    than there are items. The trees answer from ``_root``, the node over
+    leaves 0 to ``base // _root - 1``, which climbs one level when the open
+    packs outgrow it; no node is ever re-keyed.
 
     Under a source cap, a pack takes an item of source ``s`` when it has a
     free source slot or already holds ``s``. Packs with a free slot stay in
@@ -421,6 +415,7 @@ class _FirstFitBins:
     def __init__(
         self,
         capacity: int,
+        items: int,
         max_samples: int | None = None,
         max_sources: int | None = None,
     ) -> None:
@@ -430,7 +425,7 @@ class _FirstFitBins:
         self._count: list[int] = []
         self._remaining: list[int] = []
         self._sources: list[set[int]] = []
-        self._size = 1
+        self._base = self._root = 1 << max(items - 1, 0).bit_length()
         self._tree: dict[int, int] = {}
         self._full: dict[int, dict[int, int]] = {}
 
@@ -438,35 +433,26 @@ class _FirstFitBins:
     def num_packs(self) -> int:
         return len(self._remaining)
 
-    def _grow(self) -> None:
-        # Doubling the leaf count makes each old tree the left subtree of a
-        # new root: a node at depth d moves from heap position p to p + 2^d.
-        def shifted(tree: dict[int, int]) -> dict[int, int]:
-            out = {pos + (1 << (pos.bit_length() - 1)): value for pos, value in tree.items()}
-            if out:
-                out[1] = out[2]
-            return out
-
-        self._size *= 2
-        self._tree = shifted(self._tree)
-        self._full = {src: shifted(tree) for src, tree in self._full.items()}
-
     def place(self, length: int, source: int) -> int:
         """Put an item of ``length`` tokens and source code ``source`` in the
         first pack with room, opening one if none has; returns its index."""
         need = length
         max_sources = self.max_sources
-        idx = _sparse_find(self._tree, self._size, need)
+        root, base = self._root, self._base
+        idx = _sparse_find(self._tree, root, base, need)
         if max_sources is not None:
             sparse = self._full.get(source)
             if sparse is not None:
-                hit = _sparse_find(sparse, self._size, need)
+                hit = _sparse_find(sparse, root, base, need)
                 if hit != -1 and (idx == -1 or hit < idx):
                     idx = hit
         if idx == -1:
             idx = len(self._remaining)
-            if idx >= self._size:
-                self._grow()
+            if idx >= base // root:
+                # The new root's right subtree holds no open pack yet.
+                root = self._root = root >> 1
+                for tree in (self._tree, *self._full.values()):
+                    tree[root] = tree.get(2 * root, -1)
             self._count.append(0)
             self._remaining.append(self.capacity)
             self._sources.append(set())
@@ -478,18 +464,18 @@ class _FirstFitBins:
         sources = self._sources[idx]
         was_full = len(sources) == max_sources
         sources.add(source)
-        pos = self._size + idx
+        pos = base + idx
         if max_sources is None or len(sources) < max_sources:
-            _sparse_set(self._tree, pos, value)
+            _sparse_set(self._tree, root, pos, value)
             return idx
         if not was_full:
-            _sparse_set(self._tree, pos, -1)
+            _sparse_set(self._tree, root, pos, -1)
         full = self._full
         for src in sources:
             sparse = full.get(src)
             if sparse is None:
                 sparse = full[src] = {}
-            _sparse_set(sparse, pos, value)
+            _sparse_set(sparse, root, pos, value)
         return idx
 
 
@@ -502,7 +488,7 @@ def _ffd(
 ) -> tuple[list[int], int]:
     """First fit of items in the given order: each item's pack index, and
     the number of packs opened."""
-    bins = _FirstFitBins(capacity, max_samples, max_sources)
+    bins = _FirstFitBins(capacity, len(lengths), max_samples, max_sources)
     placed = list(map(bins.place, lengths, sources))
     return placed, bins.num_packs
 

@@ -377,6 +377,15 @@ def test_weights_load_rejects_records_out_of_order(tmp_path):
         ("# seed=3 n=2 replacement=false\n06\n3\n", "line 2: '06\\\\n' is not an index"),
         ("# seed=3 n=2 replacement=false\n3\n\n", "line 3: '\\\\n' is not an index"),
         ("# seed=3 n=1 replacement=false\n3", "line 2: '3' is not an index"),
+        ("# seed=3 n=2 replacement=false\n3\r4\n", "line 2: '3\\\\r4\\\\n' is not an index"),
+        (
+            "# seed=3 n=1 replacement=false\n99999999999999999999\n",
+            "line 2: '99999999999999999999\\\\n' is not an index",
+        ),
+        (
+            "# seed=3 n=1 replacement=false\n-9223372036854775809\n",
+            "line 2: '-9223372036854775809\\\\n' is not an index",
+        ),
     ],
 )
 def test_sampled_indices_load_rejects_what_save_never_writes(tmp_path, text, message):
@@ -384,6 +393,12 @@ def test_sampled_indices_load_rejects_what_save_never_writes(tmp_path, text, mes
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_sampled_indices(path)
+
+
+def test_sampled_indices_load_the_int64_limits(tmp_path):
+    path = tmp_path / "s.txt"
+    save_sampled_indices(path, np.array([2**63 - 1, -(2**63)]), seed=0, replacement=True)
+    assert load_sampled_indices(path).tolist() == [2**63 - 1, -(2**63)]
 
 
 def test_sampled_indices_load_keeps_range_to_the_caller(tmp_path):

@@ -197,6 +197,21 @@ def test_coverage_subset_rejects_out_of_range_index(tmp_path, capsys, synth_dir,
     assert f"sampled index {bad} out of range [0, 400)" in err
 
 
+def test_coverage_subset_index_beyond_int64_is_one_json_error(tmp_path, capsys, synth_dir):
+    subset = tmp_path / "subset.txt"
+    subset.write_text("# seed=0 n=2 replacement=false\n3\n99999999999999999999\n")
+    code, _, err = run_cli(
+        ["coverage", "--output", str(tmp_path / "cov"), "--input",
+         str(synth_dir / "assignments.jsonl"), "--vocab-size", "50", "--subset", str(subset)],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": f"{subset}: line 3: '99999999999999999999\\n' is not an index line",
+        "command": "coverage",
+    }
+
+
 def test_sample_n_too_large_names_bound(tmp_path, capsys, synth_dir):
     weigh_dir = tmp_path / "weigh"
     run_cli(

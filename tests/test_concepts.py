@@ -405,6 +405,7 @@ def test_vocabulary_duplicate_name_names_its_line(tmp_path):
         ("0\ta\r\n1\tb\r\n", 1),
         ("0\ta\n1\tb\r", 2),
         ("0\ta\rb\n1\tc\n", 1),  # a lone \r is not a line end either
+        ("0\ta\r1\tb\n", 1),
         ("0\ta\n1\t\rb\n", 2),
     ],
 )

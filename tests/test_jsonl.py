@@ -27,7 +27,14 @@ from balancepack import cli
 from balancepack.balance import WEIGHT_SUM_TOL, load_weights, save_weights
 from balancepack.concepts import ConceptAssignment, load_assignments, save_assignments
 from balancepack.manifest import ingest_manifest, load_pack_items
-from balancepack.packing import PackingConfig, PackItem, emit_plan, load_plan, pack_bucketed
+from balancepack.packing import (
+    PackingConfig,
+    PackItem,
+    PackPlan,
+    emit_plan,
+    load_plan,
+    pack_bucketed,
+)
 
 
 def plan_lines(tmp_path):
@@ -107,6 +114,32 @@ def test_every_loader_keeps_the_line_contract(tmp_path, name):
     path.write_bytes("".join(lines).replace("\n", "\xff\n", 2).encode("latin-1"))
     with pytest.raises(UnicodeDecodeError):
         load(path)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_loader_ends_lines_at_newline_only(tmp_path, name):
+    load, lines, wrong, message, _ = LOADERS[name]
+    lines = lines(tmp_path) if callable(lines) else lines
+    path = tmp_path / "f.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    want = load(path)
+
+    def rows(loaded):
+        return (loaded.packs, loaded.overflow) if isinstance(loaded, PackPlan) else list(loaded)
+
+    # A lone "\r" ends no line: lines 1 and 2 joined by one are two records on line 1.
+    path.write_bytes("".join(lines).replace("\n", "\r", 1).encode())
+    with pytest.raises(ValueError) as e:
+        load(path)
+    assert str(e.value).startswith(f"{path}: line 1: malformed JSON: ")
+    # Inside a record it is JSON whitespace, and the next line is still line 2.
+    path.write_bytes((lines[0].replace(",", ",\r", 1) + wrong + "".join(lines[2:])).encode())
+    with pytest.raises(ValueError) as e:
+        load(path)
+    assert str(e.value) == f"{path}: line 2: {message}"
+    # So a file with "\r\n" line ends loads as written.
+    path.write_bytes("".join(lines).replace("\n", "\r\n").encode())
+    assert rows(load(path)) == rows(want)
 
 
 def test_sample_reports_a_deeply_nested_line_as_one_json_error(tmp_path, capsys):

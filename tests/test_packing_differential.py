@@ -259,7 +259,7 @@ def test_differential_one_sample_per_pack():
 
 
 def test_differential_many_packs_past_tree_growth():
-    # Enough packs that both trees are rebuilt several times mid-run.
+    # Enough packs that the root of both trees climbs several levels mid-run.
     rng = np.random.default_rng(46)
     items = [
         PackItem(f"g{j:05d}", int(rng.integers(20, 101)), f"s{int(rng.integers(6))}")
