@@ -38,7 +38,6 @@ from .packing import (
     pack,
     pack_bucketed,
     pack_ffd,
-    pack_optimal_oracle,
     packing_stats,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "pack",
     "pack_bucketed",
     "pack_ffd",
-    "pack_optimal_oracle",
     "packing_stats",
     "sample_balanced",
     "save_embeddings",

@@ -20,8 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import Assignments, ConceptAssignment
-from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, output, write_rows
+from .concepts import Assignments, ConceptAssignment, _float_reprs
+from .jsonl import (
+    FLOAT,
+    INT,
+    canonical,
+    canonical_lines,
+    json_field,
+    output,
+    refuse_unknown,
+    write_rows,
+)
 from .rng import STREAM_SAMPLING, philox
 
 WEIGHT_SUM_TOL = 1e-9
@@ -210,15 +219,18 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
 def save_weights(path: str | Path, weights: np.ndarray) -> None:
     """JSON Lines: {"i": idx, "w": weight}; refuses what ``_check_weights`` rejects."""
     values = _check_weights(weights)
-    line = '{"i":%d,"w":%r}\n'  # %r of a float is what json.dumps writes for it
+
+    def columns(lo: int, hi: int) -> tuple:
+        return range(lo, hi), _float_reprs(values[lo:hi])
+
     with output(path) as f:
-        write_rows(f, line, values.size, lambda lo, hi: (range(lo, hi), values[lo:hi]))
+        write_rows(f, '{"i":%d,"w":%s}\n', values.size, columns)
 
 
 def load_weights(path: str | Path) -> np.ndarray:
-    """Read what save_weights writes: record i is {"i": i, "w": float}, each
-    weight finite and non-negative (the first bad line is named), and the
-    whole vector passes ``_check_weights``."""
+    """Read what save_weights writes: record i is {"i": i, "w": float} and
+    nothing else, each weight finite and non-negative (the first bad line is
+    named), and the whole vector passes ``_check_weights``."""
     weights = array("d")
     with canonical_lines(path, _WEIGHT_LINES, partial(_weights_block, weights=weights)) as records:
         row = len(weights)
@@ -229,6 +241,7 @@ def load_weights(path: str | Path) -> np.ndarray:
             w = json_field(rec, "w", float)
             if _unfit(w):
                 raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
+            refuse_unknown(rec, ("i", "w"))
             weights.append(w)
             row += 1
     try:

@@ -126,19 +126,18 @@ def _write_echo(outdir: Path, args: argparse.Namespace) -> None:
 
 
 def echo_to_argv(echo: dict, output: str, threads: int | None = None) -> list[str]:
-    """Rebuild the argv that reproduces a run from its config echo."""
-    argv = [echo["command"], "--output", output]
+    """Rebuild the argv that reproduces a run from its config echo.
+
+    A flag that takes a value is written ``--flag=value``, so a value that
+    starts with "-" is not read as a flag; a true bool flag is bare.
+    """
+    argv = [echo["command"], f"--output={output}"]
     for key, value in echo["params"].items():
-        flag = f"--{key}"
-        if value is None:
+        if value is None or value is False:
             continue
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
+        argv.append(f"--{key}" if value is True else f"--{key}={value}")
     if threads is not None:
-        argv.extend(["--threads", str(threads)])
+        argv.append(f"--threads={threads}")
     return argv
 
 

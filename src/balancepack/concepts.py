@@ -47,7 +47,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import FLOAT, INT, canonical, canonical_lines, json_field, output, write_rows
+from .jsonl import (
+    FLOAT,
+    INT,
+    canonical,
+    canonical_lines,
+    json_field,
+    output,
+    refuse_unknown,
+    write_rows,
+)
 
 EMB_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -619,8 +628,8 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 
 
 def load_assignments(path: str | Path) -> Assignments:
-    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]},
-    with one similarity per concept and every row rule of ``Assignments``."""
+    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]}
+    and nothing else, with one similarity per concept and every row rule of ``Assignments``."""
     offsets, concepts, sims = array("q", [0]), array("q"), array("d")
     convert = partial(_assignments_block, columns=(offsets, concepts, sims))
     with canonical_lines(path, _ASSIGNMENT_LINES, convert) as records:
@@ -637,6 +646,7 @@ def load_assignments(path: str | Path) -> Assignments:
                 raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
             if len(c) != len(s):
                 raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
+            refuse_unknown(rec, ("i", "c", "s"))
             concepts.extend(c)
             sims.extend(s)
             offsets.append(len(concepts))

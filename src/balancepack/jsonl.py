@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
@@ -181,3 +181,10 @@ def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     if type(value) is not kind:
         raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def refuse_unknown(obj: dict, fields: Collection[str]) -> None:
+    """Refuse a key of ``obj`` outside ``fields``, the keys its writer writes."""
+    for key in obj:
+        if key not in fields:
+            raise ValueError(f"unknown field {key!r}")

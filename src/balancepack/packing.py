@@ -20,11 +20,11 @@ Strategy "ffd" (``pack_ffd``, the baseline) is this engine with one
 bucket and one shard, which skips the refill pass (with one bucket it
 could not merge anything): plain first-fit decreasing.
 
-First fit is indexed under every cap by one kind of index, a dict-backed
-max-tree over remaining capacity (``_FirstFitBins``): one tree over the
-packs that can take any source, and, under a source cap, one per source
-over the packs whose source slots are all used and that hold it. The
-leftmost hit of the two is the pack a left-to-right scan would pick, at
+First fit (``_ffd``) is indexed under every cap by one kind of index, a
+dict-backed max-tree over remaining capacity: one tree over the packs
+that can take any source, and, under a source cap, one per source over
+the packs whose source slots are all used and that hold it. The leftmost
+hit of the two is the pack a left-to-right scan would pick, at
 O(log P) per item. Sorting, bucketing, fills and the assembly of the
 plan run as numpy operations over the columns; only the placement loop
 is per item.
@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import _REQUIRED, json_field, json_lines, output, write_rows
+from .jsonl import _REQUIRED, json_field, json_lines, output, refuse_unknown, write_rows
 from .rng import shards_of
 
 DEFAULT_CAPACITY = 8192
@@ -236,6 +236,8 @@ class PackPlan:
             raise ValueError("bounds must rise from 0 to the number of packed items")
         if np.any(b[1:] < b[:-1]):
             raise ValueError("bounds must rise from 0 to the number of packed items")
+        if self.capacity < 1:
+            raise ValueError("capacity must be >= 1")
 
     @classmethod
     def of(
@@ -390,95 +392,6 @@ def _sparse_find(tree: dict[int, int], root: int, base: int, need: int) -> int:
     return pos - base
 
 
-class _FirstFitBins:
-    """First-fit placement over an ordered pack list, O(log P) per item.
-
-    Every index is a dict-backed max-tree over per-pack remaining capacity
-    (``_sparse_set``/``_sparse_find``) that answers "leftmost pack with
-    room"; a pack that reaches the sample cap is closed by setting its
-    leaf to -1. Leaf p of every tree sits at heap position ``base + p``,
-    with ``base`` the power of two >= ``items``, since no more packs open
-    than there are items. The trees answer from ``_root``, the node over
-    leaves 0 to ``base // _root - 1``, which climbs one level when the open
-    packs outgrow it; no node is ever re-keyed.
-
-    Under a source cap, a pack takes an item of source ``s`` when it has a
-    free source slot or already holds ``s``. Packs with a free slot stay in
-    the any-source tree ``_tree``. A pack that fills its last slot leaves
-    it and enters, for each source it holds, that source's tree in
-    ``_full``. The first fit is the leftmost hit of the any-source tree and
-    the item's source tree, which is the pack a left-to-right scan picks.
-    Trees hold only their members' root paths, so memory is
-    O(P * max_sources * log P) however many sources there are.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        items: int,
-        max_samples: int | None = None,
-        max_sources: int | None = None,
-    ) -> None:
-        self.capacity = capacity
-        self.max_samples = max_samples
-        self.max_sources = max_sources
-        self._count: list[int] = []
-        self._remaining: list[int] = []
-        self._sources: list[set[int]] = []
-        self._base = self._root = 1 << max(items - 1, 0).bit_length()
-        self._tree: dict[int, int] = {}
-        self._full: dict[int, dict[int, int]] = {}
-
-    @property
-    def num_packs(self) -> int:
-        return len(self._remaining)
-
-    def place(self, length: int, source: int) -> int:
-        """Put an item of ``length`` tokens and source code ``source`` in the
-        first pack with room, opening one if none has; returns its index."""
-        need = length
-        max_sources = self.max_sources
-        root, base = self._root, self._base
-        idx = _sparse_find(self._tree, root, base, need)
-        if max_sources is not None:
-            sparse = self._full.get(source)
-            if sparse is not None:
-                hit = _sparse_find(sparse, root, base, need)
-                if hit != -1 and (idx == -1 or hit < idx):
-                    idx = hit
-        if idx == -1:
-            idx = len(self._remaining)
-            if idx >= base // root:
-                # The new root's right subtree holds no open pack yet.
-                root = self._root = root >> 1
-                for tree in (self._tree, *self._full.values()):
-                    tree[root] = tree.get(2 * root, -1)
-            self._count.append(0)
-            self._remaining.append(self.capacity)
-            self._sources.append(set())
-        self._count[idx] += 1
-        self._remaining[idx] -= need
-        value = self._remaining[idx]
-        if self.max_samples is not None and self._count[idx] >= self.max_samples:
-            value = -1
-        sources = self._sources[idx]
-        was_full = len(sources) == max_sources
-        sources.add(source)
-        pos = base + idx
-        if max_sources is None or len(sources) < max_sources:
-            _sparse_set(self._tree, root, pos, value)
-            return idx
-        if not was_full:
-            _sparse_set(self._tree, root, pos, -1)
-        full = self._full
-        for src in sources:
-            sparse = full.get(src)
-            if sparse is None:
-                sparse = full[src] = {}
-            _sparse_set(sparse, root, pos, value)
-        return idx
-
-
 def _ffd(
     lengths: list[int],
     sources: list[int],
@@ -486,11 +399,79 @@ def _ffd(
     max_samples: int | None,
     max_sources: int | None,
 ) -> tuple[list[int], int]:
-    """First fit of items in the given order: each item's pack index, and
-    the number of packs opened."""
-    bins = _FirstFitBins(capacity, len(lengths), max_samples, max_sources)
-    placed = list(map(bins.place, lengths, sources))
-    return placed, bins.num_packs
+    """First fit of items in the given order, O(log P) per item: each
+    item's pack index, and the number of packs opened.
+
+    Every index is a dict-backed max-tree over per-pack remaining capacity
+    (``_sparse_set``/``_sparse_find``) that answers "leftmost pack with
+    room"; a pack that reaches the sample cap is closed by setting its
+    leaf to -1. Leaf p of every tree sits at heap position ``base + p``,
+    with ``base`` the power of two >= the number of items, since no more
+    packs open than there are items. The trees answer from ``root``, the
+    node over leaves 0 to ``base // root - 1``, which climbs one level when
+    the open packs outgrow it; no node is ever re-keyed.
+
+    Under a source cap, a pack takes an item of source ``s`` when it has a
+    free source slot or already holds ``s``. Packs with a free slot stay in
+    the any-source tree ``tree``. A pack that fills its last slot leaves
+    it and enters, for each source it holds, that source's tree in
+    ``full``. The first fit is the leftmost hit of the any-source tree and
+    the item's source tree, which is the pack a left-to-right scan picks.
+    Trees hold only their members' root paths, so memory is
+    O(P * max_sources * log P) however many sources there are.
+    """
+    remaining: list[int] = []
+    count: list[int] = []  # items per pack, kept under a sample cap
+    held: list[set[int]] = []  # sources per pack, kept under a source cap
+    tree: dict[int, int] = {}
+    full: dict[int, dict[int, int]] = {}
+    base = root = 1 << max(len(lengths) - 1, 0).bit_length()
+    placed: list[int] = []
+    find, put = _sparse_find, _sparse_set
+    for need, source in zip(lengths, sources):
+        idx = find(tree, root, base, need)
+        if max_sources is not None:
+            sparse = full.get(source)
+            if sparse is not None:
+                hit = find(sparse, root, base, need)
+                if hit != -1 and (idx == -1 or hit < idx):
+                    idx = hit
+        if idx == -1:
+            idx = len(remaining)
+            if idx >= base // root:
+                # The new root's right subtree holds no open pack yet.
+                root >>= 1
+                for t in (tree, *full.values()):
+                    t[root] = t.get(2 * root, -1)
+            remaining.append(capacity)
+            if max_samples is not None:
+                count.append(0)
+            if max_sources is not None:
+                held.append(set())
+        placed.append(idx)
+        value = remaining[idx] = remaining[idx] - need
+        if max_samples is not None:
+            count[idx] = n = count[idx] + 1
+            if n >= max_samples:
+                value = -1
+        pos = base + idx
+        if max_sources is None:
+            put(tree, root, pos, value)
+            continue
+        held_sources = held[idx]
+        was_full = len(held_sources) == max_sources
+        held_sources.add(source)
+        if len(held_sources) < max_sources:
+            put(tree, root, pos, value)
+            continue
+        if not was_full:
+            put(tree, root, pos, -1)
+        for src in held_sources:
+            sparse = full.get(src)
+            if sparse is None:
+                sparse = full[src] = {}
+            put(sparse, root, pos, value)
+    return placed, len(remaining)
 
 
 def _bucket_index(length: np.ndarray, capacity: int, num_buckets: int) -> np.ndarray:
@@ -620,63 +601,6 @@ def pack_ffd(
     return pack(items, config)
 
 
-def pack_optimal_oracle(items: Sequence[PackItem], capacity: int) -> int:
-    """Provably minimal pack count for up to 16 items (test oracle).
-
-    Exact DP over item subsets tracking (packs used, fill of the last
-    pack) with lexicographic minimization; O(2^n * n). A greedy upper
-    bound short-circuits instances where the volume lower bound is tight.
-    """
-    n = len(items)
-    if n > 16:
-        raise ValueError(f"instance too large for the exhaustive oracle: {n} items > 16")
-    if n == 0:
-        return 0
-    lengths = [it.length for it in items]
-    if max(lengths) > capacity:
-        raise ValueError("an item exceeds the capacity; no packing exists")
-
-    total = sum(lengths)
-    lower = -(-total // capacity)
-
-    # Greedy first-fit on descending lengths, independent of pack_ffd.
-    desc = sorted(lengths, reverse=True)
-    fills: list[int] = []
-    for length in desc:
-        for i in range(len(fills)):
-            if fills[i] + length <= capacity:
-                fills[i] += length
-                break
-        else:
-            fills.append(length)
-    if len(fills) == lower:
-        return lower
-
-    full = 1 << n
-    inf = n + 1
-    packs_used = [inf] * full
-    last_fill = [0] * full
-    packs_used[0] = 1
-    last_fill[0] = 0
-    for mask in range(full):
-        base_packs = packs_used[mask]
-        if base_packs == inf:
-            continue
-        base_fill = last_fill[mask]
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            if base_fill + lengths[i] <= capacity:
-                cand = (base_packs, base_fill + lengths[i])
-            else:
-                cand = (base_packs + 1, lengths[i])
-            nxt = mask | bit
-            if cand < (packs_used[nxt], last_fill[nxt]):
-                packs_used[nxt], last_fill[nxt] = cand
-    return packs_used[full - 1]
-
-
 def _stats(
     num_packs: int,
     packed: int,
@@ -764,42 +688,64 @@ def emit_plan(
     return stats
 
 
-def _plan_fields(r) -> tuple[str, int, str]:
+# The keys emit_plan writes in a pack record, a trailer and their items.
+_PACK_FIELDS = ("pack", "capacity", "items", "pad")
+_TRAILER_FIELDS = ("capacity", "overflow", "stats")
+_ITEM_FIELDS = ("id", "len", "off", "src")
+_OVERFLOW_FIELDS = ("id", "len", "src")
+
+
+def _plan_fields(r, fields: tuple[str, ...], unwritten: list[dict]) -> tuple[str, int, str]:
     """id, length and source of one plan item, with strict JSON types.
 
-    A well-formed item passes one inline test; anything else goes through
-    ``json_field`` and ``check_length``, which decide and name the fault.
+    A well-formed item, with the keys ``fields`` the writer writes, passes
+    one inline test; anything else goes through ``json_field`` and
+    ``check_length``, which decide and name a type or length fault. An item
+    that passes those has another key or no "src": it joins ``unwritten``,
+    for ``_refuse_unwritten`` to refuse after the other checks of its line.
     """
     try:
-        sample_id, length, source = r["id"], r["len"], r.get("src", "")
+        sample_id, length, source = r["id"], r["len"], r["src"]
         if (
             type(sample_id) is str
             and type(length) is int
             and type(source) is str
             and 0 < length <= _INT64_MAX
+            and len(r) == len(fields)
         ):
             return sample_id, length, source
-    except (TypeError, KeyError, AttributeError):
+    except (TypeError, KeyError):
         pass
     sample_id = json_field(r, "id", str)
     length = json_field(r, "len", int)
     source = json_field(r, "src", str, "")
     check_length(sample_id, length)
+    unwritten.append(r)
     return sample_id, length, source
+
+
+def _refuse_unwritten(unwritten: list[dict], fields: tuple[str, ...]) -> None:
+    """Refuse the first item held by ``_plan_fields``: a key outside
+    ``fields``, else the missing "src"."""
+    for r in unwritten:
+        refuse_unknown(r, fields)
+        json_field(r, "src", str)
 
 
 def load_plan(path: str | Path) -> PackPlan:
     """Read a plan file back, validating structure, the partition and the trailer.
 
-    Every field must have the JSON type emit_plan writes. Overflow items
-    must exceed the capacity, and the trailer's capacity and stats must
-    agree with the packs read before it; ``success_rate`` is not checked,
-    since it depends on a min_utilization the file does not record.
-    Items go straight into columns; no ``PackItem``, per-item ``int`` or
-    per-item source ``str`` is kept.
+    Every record holds exactly the keys emit_plan writes, each of the JSON
+    type it writes. Overflow items must exceed the capacity, and the
+    trailer's capacity and stats must agree with the packs read before it.
+    ``success_rate`` depends on a min_utilization the file does not record,
+    so it is only checked to be a float in [0, 1], or null for a plan with
+    no packs. Items go straight into columns; no ``PackItem``, per-item
+    ``int`` or per-item source ``str`` is kept.
     """
     packed, overflow = ItemColumns(), ItemColumns()
     bounds = [0]
+    unwritten: list[dict] = []  # items held for ``_refuse_unwritten``
     capacity: int | None = None
     saw_trailer = False
     tokens = 0
@@ -822,7 +768,7 @@ def load_plan(path: str | Path) -> PackPlan:
                     raise ValueError(f"capacity {cap} != {capacity}")
                 off = 0
                 for r in raw_items:
-                    sample_id, length, source = _plan_fields(r)
+                    sample_id, length, source = _plan_fields(r, _ITEM_FIELDS, unwritten)
                     item_off = r.get("off")
                     if type(item_off) is not int:
                         item_off = json_field(r, "off", int)
@@ -832,6 +778,10 @@ def load_plan(path: str | Path) -> PackPlan:
                     packed.append(sample_id, length, source)
                 if pad != cap - off:
                     raise ValueError(f"padding {pad}, expected {cap - off}")
+                if len(rec) != len(_PACK_FIELDS):  # every field was read above
+                    refuse_unknown(rec, _PACK_FIELDS)
+                if unwritten:
+                    _refuse_unwritten(unwritten, _ITEM_FIELDS)
                 bounds.append(len(packed.lengths))
                 tokens += off
             elif "stats" in rec:
@@ -841,8 +791,9 @@ def load_plan(path: str | Path) -> PackPlan:
                     capacity = cap
                 elif cap != capacity:
                     raise ValueError(f"trailer capacity {cap} != pack capacity {capacity}")
-                for r in json_field(rec, "overflow", list):
-                    sample_id, length, source = _plan_fields(r)
+                raw_overflow = json_field(rec, "overflow", list)
+                for r in raw_overflow:
+                    sample_id, length, source = _plan_fields(r, _OVERFLOW_FIELDS, unwritten)
                     if length <= capacity:
                         raise ValueError(
                             f"overflow item {sample_id!r} of length {length} "
@@ -852,10 +803,19 @@ def load_plan(path: str | Path) -> PackPlan:
                 stats = json_field(rec, "stats", dict)
                 num_packs, num_packed = len(bounds) - 1, len(packed.lengths)
                 want = _stats(num_packs, num_packed, len(overflow.lengths), tokens, capacity, None)
-                for key, value in want.to_dict().items():
+                written = want.to_dict()
+                for key, value in written.items():
                     got = stats.get(key, _REQUIRED)
                     if key != "success_rate" and (type(got) is not type(value) or got != value):
                         raise ValueError(f"trailer stats {key} is {got!r}, the plan gives {value!r}")
+                rate = stats.get("success_rate", _REQUIRED)
+                if num_packs == 0 and rate is not None:
+                    raise ValueError(f"trailer stats success_rate is {rate!r}, the plan has no packs")
+                if num_packs and not (type(rate) is float and 0.0 <= rate <= 1.0):
+                    raise ValueError(f"trailer stats success_rate is {rate!r}, not a float in [0, 1]")
+                refuse_unknown(stats, written)
+                refuse_unknown(rec, _TRAILER_FIELDS)
+                _refuse_unwritten(unwritten, _OVERFLOW_FIELDS)
             else:
                 raise ValueError("unrecognized record")
     if not saw_trailer:

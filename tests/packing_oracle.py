@@ -6,10 +6,14 @@ lists of items. ``FirstFitBins``, ``pack_shard`` and ``pack_bucketed``
 are the earlier ``packing._FirstFitBins``, ``_pack_shard`` and
 ``pack_bucketed``; ``id_rank`` the earlier ``packing._id_rank``, which
 sorted positions by a Python key; ``emit_plan``, ``load_pack_items`` and
-``load_plan`` the earlier plan writer and manifest and plan readers.
+``load_plan`` the earlier plan writer and manifest and plan readers,
+``load_plan`` with the later rules that a plan holds only the keys the
+writer writes, "src" in every item, a ``success_rate`` in [0, 1] (null
+with no packs) and a capacity of at least 1.
 ``LinearFirstFitBins`` is older still: a segment tree without a source
 cap and a left-to-right scan with one. The columnar engine, writer and
-readers must agree with these on every input.
+readers must agree with these on every input. ``pack_optimal_oracle``
+is the exhaustive optimum that first fit is measured against.
 """
 
 from __future__ import annotations
@@ -233,6 +237,63 @@ def ffd(
     return placer.packs
 
 
+def pack_optimal_oracle(items: Sequence[PackItem], capacity: int) -> int:
+    """Provably minimal pack count for up to 16 items (test oracle).
+
+    Exact DP over item subsets tracking (packs used, fill of the last
+    pack) with lexicographic minimization; O(2^n * n). A greedy upper
+    bound short-circuits instances where the volume lower bound is tight.
+    """
+    n = len(items)
+    if n > 16:
+        raise ValueError(f"instance too large for the exhaustive oracle: {n} items > 16")
+    if n == 0:
+        return 0
+    lengths = [it.length for it in items]
+    if max(lengths) > capacity:
+        raise ValueError("an item exceeds the capacity; no packing exists")
+
+    total = sum(lengths)
+    lower = -(-total // capacity)
+
+    # Greedy first-fit on descending lengths, independent of pack_ffd.
+    desc = sorted(lengths, reverse=True)
+    fills: list[int] = []
+    for length in desc:
+        for i in range(len(fills)):
+            if fills[i] + length <= capacity:
+                fills[i] += length
+                break
+        else:
+            fills.append(length)
+    if len(fills) == lower:
+        return lower
+
+    full = 1 << n
+    inf = n + 1
+    packs_used = [inf] * full
+    last_fill = [0] * full
+    packs_used[0] = 1
+    last_fill[0] = 0
+    for mask in range(full):
+        base_packs = packs_used[mask]
+        if base_packs == inf:
+            continue
+        base_fill = last_fill[mask]
+        for i in range(n):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            if base_fill + lengths[i] <= capacity:
+                cand = (base_packs, base_fill + lengths[i])
+            else:
+                cand = (base_packs + 1, lengths[i])
+            nxt = mask | bit
+            if cand < (packs_used[nxt], last_fill[nxt]):
+                packs_used[nxt], last_fill[nxt] = cand
+    return packs_used[full - 1]
+
+
 def bucket_index(length: int, capacity: int, num_buckets: int) -> int:
     b = 0
     while b < num_buckets - 1 and length * (1 << (b + 1)) <= capacity:
@@ -365,6 +426,18 @@ def _plan_item(rec: dict) -> PackItem:
     )
 
 
+def _written_keys_only(rec: dict, keys: Sequence[str]) -> None:
+    extra = [key for key in rec if key not in keys]
+    if extra:
+        raise ValueError(f"unknown field {extra[0]!r}")
+
+
+def _written_item(rec: dict, keys: Sequence[str]) -> None:
+    _written_keys_only(rec, keys)
+    if "src" not in rec:
+        raise ValueError("missing field 'src'")
+
+
 def _validate(capacity: int, packs: list[list[PackItem]], overflow: list[PackItem]) -> None:
     seen: set[str] = set()
     for i, pack in enumerate(packs):
@@ -427,6 +500,9 @@ def load_plan(path) -> tuple[int, list[list[PackItem]], list[PackItem]]:
                         items.append(it)
                     if pad != cap - off:
                         raise ValueError(f"padding {pad}, expected {cap - off}")
+                    _written_keys_only(rec, ("pack", "capacity", "items", "pad"))
+                    for r in raw_items:
+                        _written_item(r, ("id", "len", "off", "src"))
                     packs.append(items)
                     packed += len(items)
                     tokens += off
@@ -453,6 +529,20 @@ def load_plan(path) -> tuple[int, list[list[PackItem]], list[PackItem]]:
                             raise ValueError(
                                 f"trailer stats {key} is {got!r}, the plan gives {value!r}"
                             )
+                    rate = stats.get("success_rate", _REQUIRED)
+                    if not packs:
+                        if rate is not None:
+                            raise ValueError(
+                                f"trailer stats success_rate is {rate!r}, the plan has no packs"
+                            )
+                    elif type(rate) is not float or not 0.0 <= rate <= 1.0:
+                        raise ValueError(
+                            f"trailer stats success_rate is {rate!r}, not a float in [0, 1]"
+                        )
+                    _written_keys_only(stats, want.to_dict())
+                    _written_keys_only(rec, ("capacity", "overflow", "stats"))
+                    for r in rec["overflow"]:
+                        _written_item(r, ("id", "len", "src"))
                 else:
                     raise ValueError("unrecognized record")
             except ValueError as e:
@@ -460,5 +550,7 @@ def load_plan(path) -> tuple[int, list[list[PackItem]], list[PackItem]]:
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None
+    if capacity < 1:
+        raise ValueError("capacity must be >= 1")
     _validate(capacity, packs, overflow)
     return capacity, packs, overflow

@@ -6,6 +6,7 @@ import time
 from collections import Counter
 
 import numpy as np
+from packing_oracle import pack_optimal_oracle
 
 from balancepack import cli
 from balancepack.balance import (
@@ -41,7 +42,6 @@ from balancepack.packing import (
     load_plan,
     pack_bucketed,
     pack_ffd,
-    pack_optimal_oracle,
     packing_stats,
 )
 
@@ -171,6 +171,8 @@ def test_criterion_4_determinism_echo_and_threads(tmp_path):
     first_runs = {
         "synth": ["synth", "--output", "", "--n", "2000", "--vocab-size", "100",
                   "--k", "4", "--seed", "11"],
+        # a value that starts with "-" must rerun from the echo as it ran
+        "synth-dash": ["synth", "--output", "", "--sources=-web=0.5,docs=0.5", "--n", "50"],
         "assign": ["assign", "--output", "", "--input", str(tmp_path / "img.emb"),
                    "--vocab-names", str(tmp_path / "v.tsv"),
                    "--vocab-emb", str(tmp_path / "v.emb"), "--k", "5"],

@@ -291,6 +291,7 @@ def test_sampled_indices_round_trip_any_index_array(tmp_path, size):
         ('{"i":1,"w":Infinity}', "weight 1 is inf"),
         ('{"i":1,"w":1e400}', "weight 1 is inf"),
         ('{"i":1,"w":-0.5}', "weight 1 is -0.5"),
+        ('{"i":1,"w":0.5,"x":1}', "unknown field 'x'"),
         ("", "blank line"),
         ("   ", "blank line"),
     ],

@@ -469,6 +469,7 @@ def test_assignments_jsonl_round_trip(tmp_path):
         ('{"i":1,"c":"12","s":[0.5,0.25]}', "field 'c' must be a JSON array"),
         ('{"i":0,"c":[1,2],"s":[0.5,0.25]}', "record index 0, expected 1"),
         ('{"i":1,"c":[1,2]}', "missing field 's'"),
+        ('{"i":1,"c":[1,2],"s":[0.5,0.25],"extra":true}', "unknown field 'extra'"),
         ("", "blank line"),
         (" \t", "blank line"),
     ],

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import packing_oracle as oracle
 import pytest
+from packing_oracle import pack_optimal_oracle
 
 from balancepack.packing import (
     PackingConfig,
@@ -14,7 +15,6 @@ from balancepack.packing import (
     pack,
     pack_bucketed,
     pack_ffd,
-    pack_optimal_oracle,
     packing_stats,
 )
 from balancepack.rng import shards_of
@@ -553,6 +553,79 @@ def test_plan_load_checks_stats_of_empty_plan(tmp_path):
 def test_plan_load_rejects_coercible_types(tmp_path, line, edit, field):
     with pytest.raises(ValueError, match=f"line {line + 1}: field '{field}' must be a JSON"):
         load_plan(_tampered_plan(tmp_path, edit, line))
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [
+        (0, lambda r: r.update(x=1)),
+        (0, lambda r: r["items"][1].update(x=1)),
+        (2, lambda r: r.update(x=1)),
+        (2, lambda r: r["overflow"][0].update(x=1)),
+        (2, lambda r: r["stats"].update(x=1)),
+    ],
+    ids=["pack", "item", "trailer", "overflow-item", "stats"],
+)
+def test_plan_load_rejects_a_key_the_writer_never_writes(tmp_path, line, edit):
+    with pytest.raises(ValueError, match=f"line {line + 1}: unknown field 'x'"):
+        load_plan(_tampered_plan(tmp_path, edit, line))
+
+
+@pytest.mark.parametrize(
+    "line, edit",
+    [(1, lambda r: r["items"][0].pop("src")), (2, lambda r: r["overflow"][0].pop("src"))],
+    ids=["item", "overflow-item"],
+)
+def test_plan_load_requires_the_source_of_every_item(tmp_path, line, edit):
+    with pytest.raises(ValueError, match=f"line {line + 1}: missing field 'src'"):
+        load_plan(_tampered_plan(tmp_path, edit, line))
+
+
+def test_plan_load_runs_the_writer_key_rules_after_the_other_checks_of_a_line(tmp_path):
+    def edit(rec):
+        rec["items"][0].pop("src")
+        rec["items"][1]["off"] = 5
+
+    with pytest.raises(ValueError, match="line 1: offset 5 for 'b', expected 6"):
+        load_plan(_tampered_plan(tmp_path, edit, 0))
+
+    def edit(rec):
+        rec["x"] = 1
+        rec["pad"] = 1
+
+    with pytest.raises(ValueError, match="line 2: padding 1, expected 3"):
+        load_plan(_tampered_plan(tmp_path, edit, 1))
+
+
+@pytest.mark.parametrize("rate", ["missing", "lots", 1, 1.5, -0.25, None])
+def test_plan_load_rejects_a_success_rate_outside_0_to_1(tmp_path, rate):
+    def edit(rec):
+        if rate == "missing":
+            del rec["stats"]["success_rate"]
+        else:
+            rec["stats"]["success_rate"] = rate
+
+    with pytest.raises(ValueError, match="line 3: trailer stats success_rate is"):
+        load_plan(_tampered_plan(tmp_path, edit))
+
+
+def test_plan_load_rejects_a_success_rate_without_packs(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    emit_plan(PackPlan.of(capacity=10), path)
+    path.write_text(path.read_text().replace('"success_rate":null', '"success_rate":0.5'))
+    with pytest.raises(ValueError, match="line 1: trailer stats success_rate is 0.5, the plan"):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("capacity", [0, -7])
+def test_plan_capacity_must_be_at_least_one(tmp_path, capacity):
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        PackPlan(capacity)
+    path = tmp_path / "empty.jsonl"
+    emit_plan(PackPlan.of(capacity=10), path)
+    path.write_text(path.read_text().replace('"capacity":10', f'"capacity":{capacity}'))
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        load_plan(path)
 
 
 def test_plan_validate_rejects_overfull_pack():
