@@ -20,15 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .concepts import Assignments, ConceptAssignment, _float_reprs
+from .concepts import Assignments, ConceptAssignment
 from .jsonl import (
     FLOAT,
     INT,
     canonical,
     canonical_lines,
+    float_reprs,
     json_field,
     output,
     refuse_unknown,
+    text_input,
     write_rows,
 )
 from .rng import STREAM_SAMPLING, philox
@@ -221,7 +223,7 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
     values = _check_weights(weights)
 
     def columns(lo: int, hi: int) -> tuple:
-        return range(lo, hi), _float_reprs(values[lo:hi])
+        return range(lo, hi), float_reprs(values[lo:hi])
 
     with output(path) as f:
         write_rows(f, '{"i":%d,"w":%s}\n', values.size, columns)
@@ -244,10 +246,7 @@ def load_weights(path: str | Path) -> np.ndarray:
             refuse_unknown(rec, ("i", "w"))
             weights.append(w)
             row += 1
-    try:
         return _check_weights(weights)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
 
 
 def _weights_block(text: str, row: int, weights: array) -> None:
@@ -281,26 +280,24 @@ _SAMPLED_HEADER = re.compile(
 def load_sampled_indices(path: str | Path) -> np.ndarray:
     """Read what save_sampled_indices writes: its header, then exactly n indices.
 
-    Lines end at "\\n" only. Each index line must read as ``str(int)`` writes
-    it, within int64. The range is left to the caller, which knows the
-    corpus size.
+    Each index line must read as ``str(int)`` writes it, within int64. The
+    range is left to the caller, which knows the corpus size.
     """
     out = array("q")
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
+    with text_input(path) as (f, numbered):
         header = _SAMPLED_HEADER.fullmatch(f.readline())
         if header is None:
-            raise ValueError(f"{path}: line 1: expected the header '# seed=S n=N replacement=B'")
-        for lineno, line in enumerate(f, start=2):
+            raise ValueError("expected the header '# seed=S n=N replacement=B'")
+        for line in numbered(f, 1):
             try:
                 value = int(line)
                 if line != f"{value}\n":
                     raise ValueError
                 out.append(value)
             except (ValueError, OverflowError):
-                raise ValueError(f"{path}: line {lineno}: {line!r} is not an index line") from None
-    n = int(header[1])
-    if len(out) != n:
-        raise ValueError(f"{path}: {len(out)} index lines, the header says n={n}")
+                raise ValueError(f"{line!r} is not an index line") from None
+        if len(out) != (n := int(header[1])):
+            raise ValueError(f"{len(out)} index lines, the header says n={n}")
     return np.frombuffer(out, np.int64)
 
 

@@ -125,7 +125,7 @@ def _write_echo(outdir: Path, args: argparse.Namespace) -> None:
         f.write("\n")
 
 
-def echo_to_argv(echo: dict, output: str, threads: int | None = None) -> list[str]:
+def echo_to_argv(echo: dict, output: str) -> list[str]:
     """Rebuild the argv that reproduces a run from its config echo.
 
     A flag that takes a value is written ``--flag=value``, so a value that
@@ -136,8 +136,6 @@ def echo_to_argv(echo: dict, output: str, threads: int | None = None) -> list[st
         if value is None or value is False:
             continue
         argv.append(f"--{key}" if value is True else f"--{key}={value}")
-    if threads is not None:
-        argv.append(f"--threads={threads}")
     return argv
 
 

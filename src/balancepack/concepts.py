@@ -52,9 +52,11 @@ from .jsonl import (
     INT,
     canonical,
     canonical_lines,
+    float_reprs,
     json_field,
     output,
     refuse_unknown,
+    text_input,
     write_rows,
 )
 
@@ -387,43 +389,40 @@ def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> Conc
 
     Lines end in ``\\n`` only, as save_vocabulary writes them: a ``\\r``
     anywhere in a line is rejected, and so is a name with leading or
-    trailing whitespace. Each index must read as ``str(int)`` writes it. A
-    repeated index or name names its line, as does every other fault of a
-    line. Empty lines are skipped.
+    trailing whitespace. Each index must read as ``str(int)`` writes it, and
+    no index or name may repeat. Empty lines are skipped.
     """
     entries: dict[int, str] = {}
     seen: set[str] = set()
-    with open(names_path, "r", encoding="utf-8", newline="") as f:
-        lines = f.read().split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        if "\r" in line:
-            raise ValueError(f"{names_path}: line {lineno}: carriage return in {line!r}")
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{names_path}: line {lineno}: expected 'index<TAB>name'")
-        try:
-            idx = int(parts[0])
-            if parts[0] != str(idx):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{names_path}: line {lineno}: bad index {parts[0]!r}") from None
-        if idx in entries:
-            raise ValueError(f"{names_path}: line {lineno}: duplicate index {idx}")
-        name = parts[1]
-        if name != name.strip():
-            raise ValueError(f"{names_path}: line {lineno}: whitespace around name {name!r}")
-        if name in seen:
-            raise ValueError(f"{names_path}: line {lineno}: duplicate name {name!r}")
-        seen.add(name)
-        entries[idx] = name
-    if not entries:
-        raise ValueError(f"{names_path}: empty vocabulary")
-    size = len(entries)
-    if set(entries) != set(range(size)):
-        raise ValueError(f"{names_path}: indices must cover 0..{size - 1} exactly")
-    names = [entries[i] for i in range(size)]
+    with text_input(names_path) as (f, numbered):
+        for line in numbered(f.read().split("\n")):
+            if not line:
+                continue
+            if "\r" in line:
+                raise ValueError(f"carriage return in {line!r}")
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError("expected 'index<TAB>name'")
+            try:
+                idx = int(parts[0])
+                if parts[0] != str(idx):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"bad index {parts[0]!r}") from None
+            if idx in entries:
+                raise ValueError(f"duplicate index {idx}")
+            name = parts[1]
+            if name != name.strip():
+                raise ValueError(f"whitespace around name {name!r}")
+            if name in seen:
+                raise ValueError(f"duplicate name {name!r}")
+            seen.add(name)
+            entries[idx] = name
+        if not entries:
+            raise ValueError("empty vocabulary")
+        if set(entries) != set(range(len(entries))):
+            raise ValueError(f"indices must cover 0..{len(entries) - 1} exactly")
+    names = [entries[i] for i in range(len(entries))]
     return ConceptVocabulary(names=names, embeddings=load_embeddings(embeddings_path))
 
 
@@ -589,16 +588,6 @@ def build_pseudo_caption(assignment: ConceptAssignment, vocab: ConceptVocabulary
     return CAPTION_SEPARATOR.join(vocab.names[idx] for idx, _ in assignment.concepts)
 
 
-def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64, as an object array of str, formatting each
-    distinct value once. The table is keyed on the bit pattern, not the
-    value, so -0.0 keeps its sign next to 0.0."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    table = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    return table[inverse]
-
-
 def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment]) -> None:
     """Write JSON Lines {"i": row, "c": [...], "s": [...]}, the bytes json.dumps would write.
 
@@ -613,14 +602,14 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 
         def columns(lo: int, hi: int) -> tuple:
             rows = slice(lo * k, hi * k)
-            return range(lo, hi), cs[rows].reshape(-1, k), _float_reprs(a.sims[rows]).reshape(-1, k)
+            return range(lo, hi), cs[rows].reshape(-1, k), float_reprs(a.sims[rows]).reshape(-1, k)
 
     else:
         line = '{"i":%d,"c":[%s],"s":[%s]}\n'
 
         def columns(lo: int, hi: int) -> tuple:
             rows, b = slice(o[lo], o[hi]), (o[lo : hi + 1] - o[lo]).tolist()
-            strs = cs[rows].astype(str).tolist(), _float_reprs(a.sims[rows]).tolist()
+            strs = cs[rows].astype(str).tolist(), float_reprs(a.sims[rows]).tolist()
             return range(lo, hi), *([",".join(x[i:j]) for i, j in zip(b, b[1:])] for x in strs)
 
     with output(path) as f:
@@ -651,11 +640,11 @@ def load_assignments(path: str | Path) -> Assignments:
             sims.extend(s)
             offsets.append(len(concepts))
             row += 1
-    o, c = (np.frombuffer(column, np.int64) for column in (offsets, concepts))
-    try:
-        return Assignments(o, c, np.frombuffer(sims, np.float64))
-    except _RowError as e:
-        raise ValueError(f"{path}: line {e.row + 1}: {e.reason}") from None
+        o, c = (np.frombuffer(column, np.int64) for column in (offsets, concepts))
+        try:
+            return Assignments(o, c, np.frombuffer(sims, np.float64))
+        except _RowError as e:
+            raise ValueError(f"line {e.row + 1}: {e.reason}") from None
 
 
 def _assignments_block(text: str, row: int, columns: tuple[array, array, array]) -> None:

@@ -1,25 +1,25 @@
-"""The toolkit's JSON Lines readers, its one writer, and strict field access.
+"""The toolkit's one reader and one writer of text files, and strict field access.
 
-``json_lines`` streams a file and parses each line once. Lines end at "\\n"
-only: a lone "\\r" is JSON whitespace inside a line. In its ``with``
-block a ValueError from the reader or from the caller's checks on the
-current record reads ``{path}: line N: ...``. A blank line (skipped in
-manifests) is ``blank line``, broken or too deeply nested JSON ``malformed
-JSON``. A ``UnicodeDecodeError`` passes through: the file decodes in bulk.
+Every text file the toolkit reads is opened by ``text_input``, which numbers
+its lines. Lines end at "\\n" only: a lone "\\r" is JSON whitespace inside
+a line. In its ``with`` block a ValueError reads ``{path}: line N: ...``
+while line N is the last line read, and ``{path}: ...`` once every line
+has been read, so checks of the whole file name the file too. A
+``UnicodeDecodeError`` passes through: the file decodes in bulk.
+``json_lines`` parses each line once: a blank line (skipped in manifests)
+is ``blank line``, broken or too deeply nested JSON ``malformed JSON``.
 Every file the toolkit writes is opened by ``output``, and every block of
-rows is formatted by ``write_rows``.
+rows is formatted by ``write_rows``, its floats by ``float_reprs``.
 
 Each writer emits one fixed line form. ``canonical_lines`` reads a file in
-blocks of WRITE_BLOCK lines and parses a block by that grammar, with no
-``json.loads``, if every line of it has exactly the writer's form: the
-keys in the writer's order, no spaces, integers of at most 18 digits,
-floats with a fraction or an exponent, strings without escapes. A
-loader's converter appends such a block to the loader's columns, or
-refuses it before appending any. From the first block that is not, or
-that is refused, the rest of the file goes through ``json_lines``'
-per-line parse into the same columns, with its line numbers. A loader
-checks the rows of both parts with the same rules, so the accepted files
-and every error text are those of ``json_lines``.
+blocks of WRITE_BLOCK lines and parses a block with no ``json.loads`` if
+every line of it has exactly the writer's form: the keys in the writer's
+order, no spaces, integers of at most 18 digits, floats with a fraction or
+an exponent, strings without escapes. A loader's converter appends such a
+block to its columns, or refuses it whole. From the first block that is
+not, or that is refused, the rest of the file goes through ``json_lines``'
+per-line parse into the same columns, under the same rules, so the accepted
+files and every error text are those of ``json_lines``.
 """
 
 from __future__ import annotations
@@ -67,40 +67,56 @@ def write_rows(f: IO, line: str, n: int, columns: Callable[[int, int], Sequence]
         f.write((line * (hi - lo)) % tuple(np.concatenate(cols, axis=1).ravel().tolist()))
 
 
-@contextmanager
-def _numbered_records(path: str | Path, skip_blank: bool) -> Iterator[tuple[IO, Callable]]:
-    """The open file and ``records(lines, row)``, the parsed ``lines`` of it
-    numbered from line row + 1; in the ``with`` block a ValueError names the
-    line last read."""
-    lineno = 0
+def float_reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64, as an object array of str, formatting each
+    distinct value once. The table is keyed on the bit pattern, not the
+    value, so -0.0 keeps its sign next to 0.0."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    table = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return table[inverse]
 
-    def records(lines: Iterable[str], row: int) -> Iterator:
+
+@contextmanager
+def text_input(path: str | Path) -> Iterator[tuple[IO, Callable]]:
+    """``path`` open for reading, and ``numbered(lines, row=0)``, which yields
+    ``lines`` as lines row + 1 on; a ValueError in the block names the file and,
+    until ``numbered`` runs out, the last line read (line 1 before any)."""
+    lineno = 1  # 0 once every line has been read
+
+    def numbered(lines: Iterable[str], row: int = 0) -> Iterator[str]:
         nonlocal lineno
         for lineno, line in enumerate(lines, start=row + 1):
-            if not line.strip():
-                if skip_blank:
-                    continue
-                raise ValueError("blank line")
-            try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
-                raise ValueError(f"malformed JSON: {e}") from None
-            yield rec
+            yield line
+        lineno = 0
 
     with open(path, "r", encoding="utf-8", newline="\n") as f:  # a lone "\r" ends no line
         try:
-            yield f, records
+            yield f, numbered
         except UnicodeDecodeError:
             raise
         except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from None
+            raise ValueError(f"{path}: line {lineno}: {e}" if lineno else f"{path}: {e}") from None
+
+
+def _records(lines: Iterable[str], skip_blank: bool) -> Iterator:
+    """The parsed JSON of each of ``lines``; a blank line is skipped or refused."""
+    for line in lines:
+        if not line.strip():
+            if skip_blank:
+                continue
+            raise ValueError("blank line")
+        try:
+            yield json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ValueError(f"malformed JSON: {e}") from None
 
 
 @contextmanager
 def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]:
-    """An iterator of the parsed lines of ``path``; ValueErrors name the line."""
-    with _numbered_records(path, skip_blank) as (f, records):
-        yield records(f, 0)
+    """An iterator of the parsed lines of ``path``, read by ``text_input``."""
+    with text_input(path) as (f, numbered):
+        yield _records(numbered(f), skip_blank)
 
 
 # The tokens of a writer's canonical lines, as regular expressions: an
@@ -137,7 +153,7 @@ def canonical_lines(
     parsed lines as ``json_lines`` does, numbered from that block's first
     line, so the file is read once.
     """
-    with _numbered_records(path, skip_blank) as (f, records):
+    with text_input(path) as (f, numbered):
         row = 0
         while lines := list(islice(f, WRITE_BLOCK)):
             text = "".join(lines)
@@ -149,7 +165,7 @@ def canonical_lines(
                 break
             row += len(lines)
             del lines, text  # the next block is read without this one alive
-        yield records(chain(lines, f), row)  # from the block that broke off, if any
+        yield _records(numbered(chain(lines, f), row), skip_blank)  # from the block that broke off
 
 
 class _Missing:

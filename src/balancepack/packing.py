@@ -818,9 +818,9 @@ def load_plan(path: str | Path) -> PackPlan:
                 _refuse_unwritten(unwritten, _OVERFLOW_FIELDS)
             else:
                 raise ValueError("unrecognized record")
-    if not saw_trailer:
-        raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
-    assert capacity is not None
-    plan = PackPlan(capacity, packed.items(), np.array(bounds, dtype=np.int64), overflow.items())
-    plan.validate()
+        if not saw_trailer:
+            raise ValueError("plan file is missing its stats trailer (truncated?)")
+        assert capacity is not None
+        plan = PackPlan(capacity, packed.items(), np.array(bounds, np.int64), overflow.items())
+        plan.validate()
     return plan

@@ -550,7 +550,10 @@ def load_plan(path) -> tuple[int, list[list[PackItem]], list[PackItem]]:
     if not saw_trailer:
         raise ValueError(f"{path}: plan file is missing its stats trailer (truncated?)")
     assert capacity is not None
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    _validate(capacity, packs, overflow)
+    try:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        _validate(capacity, packs, overflow)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return capacity, packs, overflow

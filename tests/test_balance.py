@@ -367,6 +367,7 @@ def test_weights_load_rejects_records_out_of_order(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("", "line 1: expected the header"),
         ("3\n", "line 1: expected the header"),
         ("# seed=3 n=1\n3\n", "line 1: expected the header"),
         ("# seed=3 n=01 replacement=false\n3\n", "line 1: expected the header"),

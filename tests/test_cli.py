@@ -8,13 +8,14 @@ import time
 from pathlib import Path
 
 import numpy as np
+import packing_oracle as oracle
 import pytest
 
 import balancepack
 from balancepack import cli
 from balancepack.balance import load_sampled_indices
 from balancepack.concepts import ConceptVocabulary, save_embeddings, save_vocabulary
-from balancepack.packing import load_plan
+from balancepack.packing import PackingConfig, PackItem, PackPlan, load_plan, packing_stats
 
 
 def run_cli(argv, capsys):
@@ -209,6 +210,21 @@ def test_coverage_subset_index_beyond_int64_is_one_json_error(tmp_path, capsys, 
     assert json.loads(err) == {
         "error": f"{subset}: line 3: '99999999999999999999\\n' is not an index line",
         "command": "coverage",
+    }
+
+
+def test_stats_names_the_plan_of_a_repeated_id_in_its_one_json_error(tmp_path, capsys):
+    plan = tmp_path / "dup.jsonl"
+    packs = [[PackItem("a", 4)], [PackItem("a", 4)]]
+    stats = packing_stats(PackPlan.of(10, packs), PackingConfig(capacity=10)).to_dict()
+    oracle.emit_plan(plan, 10, packs, [], stats)  # emit_plan refuses this plan
+    code, _, err = run_cli(
+        ["stats", "--output", str(tmp_path / "stats"), "--input", str(plan)], capsys
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": f"{plan}: partition violation: sample 'a' repeated",
+        "command": "stats",
     }
 
 

@@ -433,6 +433,36 @@ def test_plan_load_rejects_duplicate_sample(tmp_path):
         load_plan(path)
 
 
+@pytest.mark.parametrize(
+    "capacity, packs, fault",
+    [
+        (10, [[PackItem("a", 4)], [PackItem("a", 4)]], "partition violation: sample 'a' repeated"),
+        (10, [[PackItem("a", 4)], []], "pack 1 is empty"),
+        (10, [[PackItem("a", 6), PackItem("b", 6)]], "pack 0 holds 12 tokens > capacity 10"),
+        (0, [], "capacity must be >= 1"),
+    ],
+)
+def test_plan_load_names_the_file_for_a_fault_of_the_whole_plan(tmp_path, capacity, packs, fault):
+    # emit_plan refuses these plans, so the oracle writer writes them; an
+    # empty plan's stats do not depend on its capacity.
+    plan = PackPlan.of(capacity=10, packs=packs)
+    path = tmp_path / "plan.jsonl"
+    stats = packing_stats(plan, PackingConfig(capacity=10)).to_dict()
+    oracle.emit_plan(path, capacity, plan.packs, plan.overflow, stats)
+    with pytest.raises(ValueError) as e:
+        load_plan(path)
+    assert str(e.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("line", ["[1]", "3", '"x"'])
+def test_plan_load_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "plan.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError) as e:
+        load_plan(path)
+    assert str(e.value) == f"{path}: line 1: unrecognized record"
+
+
 def test_plan_load_rejects_bad_offsets(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
