@@ -263,18 +263,23 @@ def _weights_block(text: str, row: int, weights: array) -> None:
     weights.frombytes(w.tobytes())
 
 
-def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:
-    """One index per line, after a header comment recording the draw; the
-    header's n is the number of indices, as load_sampled_indices checks."""
-    indices = np.asarray(indices)
-    with output(path) as f:
-        f.write(f"# seed={seed} n={indices.size} replacement={str(replacement).lower()}\n")
-        write_rows(f, "%d\n", indices.size, lambda lo, hi: (indices[lo:hi],))
-
-
 _SAMPLED_HEADER = re.compile(
     r"# seed=(?:0|-?[1-9][0-9]*) n=(0|[1-9][0-9]*) replacement=(?:true|false)\n"
 )
+
+
+def save_sampled_indices(path: str | Path, indices: np.ndarray, seed: int, replacement: bool) -> None:
+    """One index per line, after a header comment recording the draw (n is the number
+    of indices); refuses a header or indices that load_sampled_indices would not read."""
+    indices = np.asarray(indices)
+    header = f"# seed={seed} n={indices.size} replacement={str(replacement).lower()}\n"
+    if not _SAMPLED_HEADER.fullmatch(header):
+        raise ValueError(f"seed must be an int and replacement a bool, not header {header!r}")
+    if indices.ndim != 1 or not np.can_cast(indices.dtype, np.int64):
+        raise ValueError(f"indices must be one int64 column, not {indices.dtype} {indices.shape}")
+    with output(path) as f:
+        f.write(header)
+        write_rows(f, "%d\n", indices.size, lambda lo, hi: (indices[lo:hi],))
 
 
 def load_sampled_indices(path: str | Path) -> np.ndarray:

@@ -297,7 +297,7 @@ def cmd_pipeline(args: argparse.Namespace, out: Path) -> None:
     with _stage("sample"):
         draw = (sample_n, args.seed, args.replacement)
         balanced_idx = _sample(out / "sampled.txt", weights, *draw)
-        uniform = np.full(len(records), 1.0 / len(records))
+        uniform = np.broadcast_to(1.0 / len(records), (len(records),))
         uniform_idx = _sample(out / "sampled_uniform.txt", uniform, *draw)
         print(f"[pipeline/sample] {sample_n} balanced + {sample_n} uniform indices")
 

@@ -429,6 +429,8 @@ def load_vocabulary(names_path: str | Path, embeddings_path: str | Path) -> Conc
 def save_vocabulary(
     names_path: str | Path, embeddings_path: str | Path, vocab: ConceptVocabulary
 ) -> None:
+    with np.errstate(over="ignore"):  # fields can change after construction: check as written
+        vocab = ConceptVocabulary(vocab.names, np.asarray(vocab.embeddings, dtype="<f4"))
     with output(names_path) as f:
         write_rows(f, "%d\t%s\n", vocab.size, lambda lo, hi: (range(lo, hi), vocab.names[lo:hi]))
     save_embeddings(embeddings_path, vocab.embeddings)

@@ -115,12 +115,14 @@ def _rule_breaks(text_tokens, has_image, w, h, patch, merge) -> tuple:
 
 def _record_rules(
     sample_id: str, text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int
-) -> None:
-    """Raise for the first rule of ``_rule_breaks`` that a record breaks."""
+) -> int:
+    """Raise for the first rule of ``_rule_breaks`` that a record breaks, then
+    for a token length beyond int64 (``check_length``); return that length."""
     w, h = (0, 0) if image is None else image
     for broken, reason in _rule_breaks(text_tokens, image is not None, w, h, patch, merge):
         if broken:
             raise ValueError(f"record {sample_id!r}: " + reason.format(w=w, h=h, patch=patch))
+    return check_length(sample_id, _token_length(text_tokens, w, h, patch, merge))
 
 
 def _token_length(text_tokens, w, h, patch, merge):
@@ -132,8 +134,7 @@ def _token_length(text_tokens, w, h, patch, merge):
 
 def estimate_tokens(rec: SampleRecord) -> int:
     """Total token length: text tokens plus merged patch-grid visual tokens."""
-    w, h = (0, 0) if rec.image is None else rec.image
-    return _token_length(rec.text_tokens, w, h, rec.patch, rec.merge)
+    return _record_rules(rec.id, rec.text_tokens, rec.image, rec.patch, rec.merge)
 
 
 @dataclass(frozen=True)
@@ -241,11 +242,11 @@ def _distinct_weighted_rows(
     weights).
     """
     m = weights.size
-    if k == m:
-        return np.broadcast_to(np.arange(m, dtype=np.int64), (rows, m)).copy()
     positive = int(np.count_nonzero(weights))
     if positive < k:
         raise ValueError(f"only {positive} of {m} concept weights are positive, fewer than k={k}")
+    if k == m:
+        return np.broadcast_to(np.arange(m, dtype=np.int64), (rows, m)).copy()
     suffix = np.zeros(m + 1)
     suffix[:m] = np.cumsum(weights[::-1])[::-1]
     neg_suffix = -suffix
@@ -415,18 +416,16 @@ def ingest_manifest(path: str | Path) -> list[SampleRecord]:
 
 def _pack_fields(obj) -> tuple[str, int, str]:
     """(id, token length, source) of one packing-manifest line: the plain
-    form's ``length``, or a rich record's, under the rules of
-    ``SampleRecord`` and the arithmetic of ``estimate_tokens``."""
+    form's ``length`` under ``check_length``, or a rich record's under the
+    rules of ``SampleRecord``."""
     if type(obj) is dict and "length" in obj:
         sample_id = json_field(obj, "id", str)
         length = json_field(obj, "length", int)
         source = json_field(obj, "source", str, "")
+        check_length(sample_id, length)
     else:
         sample_id, source, text_tokens, image, patch, merge = _record_fields(obj)
-        _record_rules(sample_id, text_tokens, image, patch, merge)
-        w, h = (0, 0) if image is None else image
-        length = _token_length(text_tokens, w, h, patch, merge)
-    check_length(sample_id, length)
+        length = _record_rules(sample_id, text_tokens, image, patch, merge)
     return sample_id, length, source
 
 

@@ -54,12 +54,13 @@ DEFAULT_CAPACITY = 8192
 _INT64_MAX = 2**63 - 1
 
 
-def check_length(sample_id: str, length: int) -> None:
-    """An item length must be at least 1 and fit an int64 column."""
+def check_length(sample_id: str, length: int) -> int:
+    """``length``, if at least 1 and within an int64 column."""
     if length < 1:
         raise ValueError(f"item {sample_id!r} has length {length}, must be >= 1")
     if length > _INT64_MAX:
         raise ValueError(f"item {sample_id!r} has length {length}, beyond the int64 range")
+    return length
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,10 @@ class PackPlan:
 
     def __post_init__(self) -> None:
         b = self.bounds
-        if b.ndim != 1 or b.size < 1 or b[0] != 0 or b[-1] != len(self.packed):
+        rising = b.ndim == 1 and b.size >= 1 and b[0] == 0 and not np.any(b[1:] < b[:-1])
+        if not rising or b[-1] != len(self.packed):
             raise ValueError("bounds must rise from 0 to the number of packed items")
-        if np.any(b[1:] < b[:-1]):
-            raise ValueError("bounds must rise from 0 to the number of packed items")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        PackingConfig(capacity=self.capacity)  # its capacity rule: >= 1 and within int64
 
     @classmethod
     def of(

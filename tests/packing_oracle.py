@@ -553,6 +553,8 @@ def load_plan(path) -> tuple[int, list[list[PackItem]], list[PackItem]]:
     try:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if capacity > 2**63 - 1:
+            raise ValueError(f"capacity={capacity} is beyond the int64 range")
         _validate(capacity, packs, overflow)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -397,6 +397,31 @@ def test_sampled_indices_load_rejects_what_save_never_writes(tmp_path, text, mes
         load_sampled_indices(path)
 
 
+@pytest.mark.parametrize(
+    "indices, seed, replacement, fault",
+    [
+        ([1, 2], 0, 1, "seed must be an int and replacement a bool, not header "
+         "'# seed=0 n=2 replacement=1\\n'"),
+        ([1, 2], 1.5, False, "seed must be an int and replacement a bool, not header "
+         "'# seed=1.5 n=2 replacement=false\\n'"),
+        (np.array([0.7, 2.2]), 0, False, "indices must be one int64 column, not float64 (2,)"),
+        (
+            np.array([1, 2**63], dtype=np.uint64), 0, False,
+            "indices must be one int64 column, not uint64 (2,)",
+        ),
+    ],
+)
+def test_sampled_indices_save_refuses_what_load_would_not_read(
+    tmp_path, indices, seed, replacement, fault
+):
+    # A header the loader rejects, or indices it would read back changed
+    # (truncated floats) or not at all (beyond int64), are never published.
+    with pytest.raises(ValueError) as e:
+        save_sampled_indices(tmp_path / "s.txt", indices, seed=seed, replacement=replacement)
+    assert str(e.value) == fault
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sampled_indices_load_the_int64_limits(tmp_path):
     path = tmp_path / "s.txt"
     save_sampled_indices(path, np.array([2**63 - 1, -(2**63)]), seed=0, replacement=True)

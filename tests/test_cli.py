@@ -213,19 +213,25 @@ def test_coverage_subset_index_beyond_int64_is_one_json_error(tmp_path, capsys, 
     }
 
 
-def test_stats_names_the_plan_of_a_repeated_id_in_its_one_json_error(tmp_path, capsys):
-    plan = tmp_path / "dup.jsonl"
-    packs = [[PackItem("a", 4)], [PackItem("a", 4)]]
+@pytest.mark.parametrize(
+    "capacity, packs, fault",
+    [
+        (10, [[PackItem("a", 4)], [PackItem("a", 4)]], "partition violation: sample 'a' repeated"),
+        (2**70, [], f"capacity={2**70} is beyond the int64 range"),
+    ],
+)
+def test_stats_names_the_plan_of_a_whole_plan_fault_in_its_one_json_error(
+    tmp_path, capsys, capacity, packs, fault
+):
+    # emit_plan refuses these plans; an empty plan's stats do not depend on its capacity.
+    plan = tmp_path / "bad.jsonl"
     stats = packing_stats(PackPlan.of(10, packs), PackingConfig(capacity=10)).to_dict()
-    oracle.emit_plan(plan, 10, packs, [], stats)  # emit_plan refuses this plan
+    oracle.emit_plan(plan, capacity, packs, [], stats)
     code, _, err = run_cli(
         ["stats", "--output", str(tmp_path / "stats"), "--input", str(plan)], capsys
     )
     assert code == 1
-    assert json.loads(err) == {
-        "error": f"{plan}: partition violation: sample 'a' repeated",
-        "command": "stats",
-    }
+    assert json.loads(err) == {"error": f"{plan}: {fault}", "command": "stats"}
 
 
 def test_sample_n_too_large_names_bound(tmp_path, capsys, synth_dir):
@@ -452,6 +458,21 @@ def test_pipeline_names_the_synth_stage_when_synth_fails(tmp_path, capsys):
     obj = json.loads(err.strip())
     assert obj["stage"] == "synth"
     assert "fewer than k=30" in obj["error"]
+    assert not (out / "manifest.jsonl").exists()
+
+
+def test_synth_refuses_k_beyond_the_positive_concept_weights_at_k_equal_to_the_vocabulary(
+    tmp_path, capsys
+):
+    # Zipf(400) weights underflow to 0 past rank 6, so no draw of all 20 concepts exists.
+    out = tmp_path / "synth"
+    code, _, err = run_cli(
+        ["synth", "--output", str(out), "--n", "10", "--k", "20", "--vocab-size", "20",
+         "--zipf", "400"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "only 6 of 20 concept weights are positive, fewer than k=20"
     assert not (out / "manifest.jsonl").exists()
 
 

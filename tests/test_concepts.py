@@ -433,6 +433,38 @@ def test_vocabulary_inner_whitespace_round_trips(tmp_path):
     assert load_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb").names == names
 
 
+NON_FINITE = "embedding matrix contains non-finite values"
+
+
+@pytest.mark.parametrize(
+    "names, embeddings, fault",
+    [
+        (["a", "a"], None, "vocabulary names must be unique after whitespace trimming"),
+        (["a", "a\tb"], None, "concept 1 name 'a\\tb' holds a tab or a line break"),
+        (["a", "b", "c"], None, "vocabulary has 3 names but 2 embedding rows"),
+        (None, np.array([[1.0, 0.0], [np.nan, 1.0]]), NON_FINITE),
+        (None, np.array([[1e39, 0.0], [0.0, 1.0]]), NON_FINITE),  # inf as float32
+        (
+            ["a", "b\ud800"], None,
+            "'utf-8' codec can't encode character '\\ud800' in position 7: surrogates not allowed",
+        ),
+    ],
+)
+def test_vocabulary_save_refuses_an_edited_vocabulary_before_either_file(
+    tmp_path, names, embeddings, fault
+):
+    # The fields stay assignable after construction, so the writer runs the
+    # rules again (and the EMB1 checks on the float32 values) before writing.
+    vocab = ConceptVocabulary(names=["a", "b"], embeddings=np.eye(2, dtype=np.float32))
+    vocab.names[:] = names or vocab.names
+    if embeddings is not None:
+        vocab.embeddings = embeddings
+    with pytest.raises(ValueError) as e:
+        save_vocabulary(tmp_path / "v.tsv", tmp_path / "v.emb", vocab)
+    assert str(e.value) == fault
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vocabulary_rejects_size_mismatch():
     with pytest.raises(ValueError, match="names but"):
         ConceptVocabulary(names=["a", "b", "c"], embeddings=np.eye(2, dtype=np.float32))

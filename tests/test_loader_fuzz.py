@@ -14,12 +14,20 @@ import packing_oracle as oracle
 import pytest
 import test_canonical_lines as canonical
 
-from balancepack.manifest import SampleRecord, emit_manifest, load_pack_items
+from balancepack.manifest import (
+    SampleRecord,
+    emit_manifest,
+    estimate_tokens,
+    ingest_manifest,
+    load_pack_items,
+)
 from balancepack.packing import PackingConfig, PackItem, emit_plan, load_plan, pack_bucketed
 
 # Values a swap puts in place of a field: every JSON type, and integers
 # that break the range rules (0, negative) without leaving int64.
 SWAPS = [0, -1, 7, 336, 2.0, 1.5, "7", "", None, True, False, [], {}, [1], {"w": 336}]
+# Integers whose token length, alone or with an image, leaves int64.
+HUGE = [2**63 - 1, 2**63, 2**70]
 FLIPS = '0123456789",:{}[]aetn-. \\'
 # Reader faults that concern the whole file rather than one line.
 FILE_FAULTS = ("stats trailer", "partition violation", " is empty", " tokens > capacity")
@@ -86,7 +94,7 @@ def scalar_paths(value, path=()):
             yield from scalar_paths(inner, path + (i,))
 
 
-def swap_type(rng, line):
+def swap_type(rng, line, swaps=SWAPS):
     try:
         rec = json.loads(line)
     except ValueError:
@@ -98,11 +106,11 @@ def swap_type(rng, line):
     target = rec
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = SWAPS[int(rng.integers(len(SWAPS)))]
+    target[path[-1]] = swaps[int(rng.integers(len(swaps)))]
     return json.dumps(rec, separators=(",", ":") if rng.random() < 0.5 else None) + "\n"
 
 
-def mutate(rng, lines):
+def mutate(rng, lines, swaps=SWAPS):
     lines = list(lines)
     for _ in range(int(rng.integers(1, 4))):
         if not lines:
@@ -117,7 +125,7 @@ def mutate(rng, lines):
             pos = int(rng.integers(len(line)))
             lines[at] = line[:pos] + FLIPS[int(rng.integers(len(FLIPS)))] + line[pos + 1 :]
         elif kind == 2:
-            lines[at] = swap_type(rng, lines[at])
+            lines[at] = swap_type(rng, lines[at], swaps)
         elif kind == 3:
             lines.insert(int(rng.integers(len(lines) + 1)), lines[at])
         elif kind == 4:
@@ -175,6 +183,34 @@ def test_manifest_reader_matches_the_oracle_on_canonical_mutants(tmp_path, monke
     base = canonical_manifest(rng, tmp_path / "base.jsonl")
     paths = fuzz_manifest(tmp_path, monkeypatch, rng, base)
     assert paths.fast and paths.fallback, (paths.fast, paths.fallback)
+
+
+def pack_rows(load, path):
+    """(id, token length, source) of every record ``load`` reads from ``path``."""
+    rows = load(path)
+    if isinstance(rows, list):  # ingest_manifest's records
+        return [(r.id, estimate_tokens(r), r.source) for r in rows]
+    return [(it.sample_id, it.length, it.source) for it in rows]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_both_manifest_readers_accept_the_same_rich_records(tmp_path, seed):
+    # ingest_manifest and load_pack_items read one format: on rich records
+    # (no "length" key) they accept the same files and name the same fault,
+    # a token length beyond int64 included.
+    rng = np.random.default_rng([23, seed])
+    path = tmp_path / "m.jsonl"
+    base = [line for line in valid_manifest(rng) if '"length"' not in line]
+    base += canonical_manifest(rng, tmp_path / "base.jsonl")
+    outcomes = []
+    for _ in range(250):
+        path.write_text("".join(mutate(rng, base, SWAPS + HUGE * 3)), encoding="utf-8")
+        got = outcome(lambda p: pack_rows(load_pack_items, p), path)
+        assert got == outcome(lambda p: pack_rows(ingest_manifest, p), path)
+        outcomes.append(got)
+    errors = [text for kind, text in outcomes if kind == "error"]
+    assert any(text.endswith("beyond the int64 range") for text in errors)
+    assert 0 < len(errors) < len(outcomes)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -327,3 +327,31 @@ def test_loaders_report_missing_id(tmp_path):
     path.write_text('{"source":"web","length":4}\n')
     with pytest.raises(ValueError, match="line 1: missing field 'id'"):
         load_pack_items(path)
+
+
+@pytest.mark.parametrize(
+    "fields, line, length",
+    [
+        (dict(text_tokens=2**70), '"text_tokens":%d' % 2**70, 2**70),
+        (
+            dict(text_tokens=2**63 - 1, image=(14, 14)),
+            '"text_tokens":%d,"image":{"w":14,"h":14}' % (2**63 - 1),
+            2**63,
+        ),
+    ],
+)
+def test_every_manifest_reader_and_writer_refuses_a_length_beyond_int64(
+    tmp_path, fields, line, length
+):
+    # One rule for the format: a record that load_pack_items would refuse can
+    # be neither built (so neither emitted nor made a pack item) nor ingested.
+    fault = f"item 'a' has length {length}, beyond the int64 range"
+    with pytest.raises(ValueError) as e:
+        SampleRecord("a", "web", **fields)
+    assert str(e.value) == fault
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"id":"b","text_tokens":3}\n{"id":"a","source":"web",%s}\n' % line)
+    for load in (ingest_manifest, load_pack_items):
+        with pytest.raises(ValueError) as e:
+            load(path)
+        assert str(e.value) == f"{path}: line 2: {fault}"

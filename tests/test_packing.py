@@ -440,6 +440,7 @@ def test_plan_load_rejects_duplicate_sample(tmp_path):
         (10, [[PackItem("a", 4)], []], "pack 1 is empty"),
         (10, [[PackItem("a", 6), PackItem("b", 6)]], "pack 0 holds 12 tokens > capacity 10"),
         (0, [], "capacity must be >= 1"),
+        (2**70, [], f"capacity={2**70} is beyond the int64 range"),
     ],
 )
 def test_plan_load_names_the_file_for_a_fault_of_the_whole_plan(tmp_path, capacity, packs, fault):
