@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import balance, concepts, jsonl, manifest, packing
+from . import balance, concepts, jsonl, manifest, packing, parallel
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -208,9 +208,11 @@ def _sample(path: Path, weights: np.ndarray, n: int, seed: int, replacement: boo
     return indices
 
 
-def _pack(out: Path, items: packing.Items, config: packing.PackingConfig) -> packing.PackingStats:
-    """Pack ``items``; write plan.jsonl and stats.json."""
-    plan = packing.pack(items, config)
+def _pack(
+    out: Path, items: packing.Items, config: packing.PackingConfig, threads: int
+) -> packing.PackingStats:
+    """Pack ``items`` on up to ``threads`` processes; write plan.jsonl and stats.json."""
+    plan = packing.pack(items, config, threads=threads)
     stats = packing.emit_plan(plan, out / "plan.jsonl", config)
     _json_dump(out / "stats.json", {"stats": stats.to_dict(), "config": config.to_dict()})
     return stats
@@ -243,7 +245,8 @@ def cmd_sample(args: argparse.Namespace, out: Path) -> None:
 
 
 def cmd_pack(args: argparse.Namespace, out: Path) -> None:
-    stats = _pack(out, manifest.load_pack_items(args.input), _packing_config(args))
+    items = manifest.load_pack_items(args.input)
+    stats = _pack(out, items, _packing_config(args), args.threads)
     print(
         f"[pack] {stats.num_samples} samples -> {stats.num_packs} packs "
         f"({stats.overflow_count} overflow) -> {out / 'plan.jsonl'}"
@@ -303,7 +306,7 @@ def cmd_pipeline(args: argparse.Namespace, out: Path) -> None:
 
     with _stage("pack"):
         items = records.take(np.unique(balanced_idx))  # each drawn sample once
-        stats = _pack(out, items, pack_config)
+        stats = _pack(out, items, pack_config, args.threads)
         print(f"[pipeline/pack] {stats.num_packs} packs")
 
     with _stage("report"):
@@ -332,7 +335,10 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, threads: bool 
         p.add_argument("--seed", type=int, default=0, help="64-bit seed for all randomness")
     if threads:
         p.add_argument(
-            "--threads", type=int, default=1, help="assign's worker count (never affects bytes)"
+            "--threads",
+            type=int,
+            default=1,
+            help="assign's scoring threads and pack's shard processes, >= 1 (never affects bytes)",
         )
 
 
@@ -426,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if "threads" in args:
+            parallel.check_threads(args.threads)
         out = _outdir(args.output)
         # An echo left by an earlier run would mark this one complete if it failed.
         (out / "config.json").unlink(missing_ok=True)

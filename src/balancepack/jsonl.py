@@ -193,7 +193,13 @@ def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
         if default is _REQUIRED:
             raise ValueError(f"missing field {key!r}")
         return default
-    value = obj[key]
+    return json_value(key, obj[key], kind)
+
+
+def json_value(key: str, value, kind: type):
+    """``value`` of field ``key``, required to be exactly JSON type ``kind``,
+    with ``json_field``'s rule and text: a bool or a numpy integer is not an
+    integer."""
     if type(value) is not kind:
         raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
     return value

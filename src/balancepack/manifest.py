@@ -48,7 +48,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .concepts import Assignments
-from .jsonl import INT, TEXT, canonical, canonical_lines, json_field, json_lines, output, write_rows
+from .jsonl import (
+    INT,
+    TEXT,
+    canonical,
+    canonical_lines,
+    json_field,
+    json_lines,
+    json_value,
+    output,
+    write_rows,
+)
 from .packing import ItemColumns, Items, check_length, source_codes
 from .rng import STREAM_CONCEPTS, STREAM_LENGTHS, STREAM_SOURCES, philox
 
@@ -98,6 +108,8 @@ class SampleRecord:
     merge: int = DEFAULT_MERGE
 
     def __post_init__(self) -> None:
+        json_value("id", self.id, str)
+        json_value("source", self.source, str)
         _record_rules(self.id, self.text_tokens, self.image, self.patch, self.merge)
 
 
@@ -116,9 +128,13 @@ def _rule_breaks(text_tokens, has_image, w, h, patch, merge) -> tuple:
 def _record_rules(
     sample_id: str, text_tokens: int, image: tuple[int, int] | None, patch: int, merge: int
 ) -> int:
-    """Raise for the first rule of ``_rule_breaks`` that a record breaks, then
+    """Raise for a size that is not a JSON integer, with the readers' text,
+    then for the first rule of ``_rule_breaks`` that a record breaks, then
     for a token length beyond int64 (``check_length``); return that length."""
     w, h = (0, 0) if image is None else image
+    sides = () if image is None else (("w", w), ("h", h))
+    for key, value in (*sides, ("text_tokens", text_tokens), ("patch", patch), ("merge", merge)):
+        json_value(key, value, int)
     for broken, reason in _rule_breaks(text_tokens, image is not None, w, h, patch, merge):
         if broken:
             raise ValueError(f"record {sample_id!r}: " + reason.format(w=w, h=h, patch=patch))

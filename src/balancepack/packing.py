@@ -15,19 +15,21 @@ depends on input order), routes the items into geometric length buckets,
 first-fit packs every bucket under the per-pack sample/source caps, then
 runs one refill pass that jointly re-packs a shard's underfilled packs
 (kept only when it reduces the pack count). Only shards and buckets that
-hold items are visited. Shard outputs concatenate in shard order.
+hold items are visited. Shard outputs concatenate in shard order; with
+``threads`` > 1 the shards run on a fork pool of worker processes, with
+the same plan.
 Strategy "ffd" (``pack_ffd``, the baseline) is this engine with one
 bucket and one shard, which skips the refill pass (with one bucket it
 could not merge anything): plain first-fit decreasing.
 
 First fit (``_ffd``) is indexed under every cap by one kind of index, a
-dict-backed max-tree over remaining capacity: one tree over the packs
-that can take any source, and, under a source cap, one per source over
-the packs whose source slots are all used and that hold it. The leftmost
-hit of the two is the pack a left-to-right scan would pick, at
-O(log P) per item. Sorting, bucketing, fills and the assembly of the
-plan run as numpy operations over the columns; only the placement loop
-is per item.
+max-tree over remaining capacity: one list-backed tree over the packs
+that can take any source, and, under a source cap, one dict-backed tree
+per source over the packs whose source slots are all used and that hold
+it. The leftmost hit of the two is the pack a left-to-right scan would
+pick, at O(log P) per item. Sorting, bucketing, fills and the assembly
+of the plan run as numpy operations over the columns; only the placement
+loop is per item.
 
 Items longer than the capacity are never truncated; they divert to an
 overflow list. Every emitted pack represents exactly ``capacity`` tokens
@@ -47,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .jsonl import _REQUIRED, json_field, json_lines, output, refuse_unknown, write_rows
 from .rng import shards_of
 
@@ -401,38 +404,63 @@ def _ffd(
     """First fit of items in the given order, O(log P) per item: each
     item's pack index, and the number of packs opened.
 
-    Every index is a dict-backed max-tree over per-pack remaining capacity
-    (``_sparse_set``/``_sparse_find``) that answers "leftmost pack with
-    room"; a pack that reaches the sample cap is closed by setting its
-    leaf to -1. Leaf p of every tree sits at heap position ``base + p``,
-    with ``base`` the power of two >= the number of items, since no more
-    packs open than there are items. The trees answer from ``root``, the
-    node over leaves 0 to ``base // root - 1``, which climbs one level when
-    the open packs outgrow it; no node is ever re-keyed.
+    Every index is a max-tree over per-pack remaining capacity that
+    answers "leftmost pack with room"; a pack that reaches the sample cap
+    is closed, with room -1. Leaf p of every tree sits at heap position
+    ``base + p``, with ``base`` the power of two >= the number of items,
+    since no more packs open than there are items. The trees answer from
+    ``root``, the node over leaves 0 to ``base // root - 1``, which climbs
+    one level when the open packs outgrow it; no node is ever re-keyed.
+
+    The any-source tree ``tree`` is one list of ``2 * base`` entries,
+    allocated once, with its find and set inlined. After a climb, the new
+    pack's leaf is set in it up to the new root before the next find, so
+    the climb re-seeds only the dict trees.
 
     Under a source cap, a pack takes an item of source ``s`` when it has a
     free source slot or already holds ``s``. Packs with a free slot stay in
-    the any-source tree ``tree``. A pack that fills its last slot leaves
-    it and enters, for each source it holds, that source's tree in
-    ``full``. The first fit is the leftmost hit of the any-source tree and
-    the item's source tree, which is the pack a left-to-right scan picks.
-    Trees hold only their members' root paths, so memory is
-    O(P * max_sources * log P) however many sources there are.
+    ``tree``. A pack that fills its last slot leaves it and enters, for
+    each source it holds, that source's dict-backed tree in ``full``
+    (``_sparse_set``/``_sparse_find``). The first fit is the leftmost hit
+    of the any-source tree and the item's source tree, which is the pack a
+    left-to-right scan picks. The dict trees hold only their members' root
+    paths, so their memory is O(P * max_sources * log P) however many
+    sources there are.
+
+    A source tree is not set when an item lands in a pack already in it:
+    room only shrinks, so every node still bounds the room below it from
+    above. A find that lands on a pack with less room than the item needs
+    sets that leaf to the pack's room and looks again. Every pack left of
+    the hit sits under a node whose bound, so also whose room, is below
+    the need, so the hit is the leftmost pack with room. Each such set
+    follows a placement that left the leaf stale, so the cost stays
+    O(log P) per item and source slot.
     """
-    remaining: list[int] = []
+    remaining: list[int] = []  # room per pack, -1 once closed
     count: list[int] = []  # items per pack, kept under a sample cap
     held: list[set[int]] = []  # sources per pack, kept under a source cap
-    tree: dict[int, int] = {}
     full: dict[int, dict[int, int]] = {}
     base = root = 1 << max(len(lengths) - 1, 0).bit_length()
+    tree = [-1] * (2 * base)
     placed: list[int] = []
     find, put = _sparse_find, _sparse_set
     for need, source in zip(lengths, sources):
-        idx = find(tree, root, base, need)
+        idx = -1
+        if tree[root] >= need:
+            pos = root
+            while pos < base:
+                pos *= 2
+                if tree[pos] < need:
+                    pos += 1
+            idx = pos - base
         if max_sources is not None:
             sparse = full.get(source)
             if sparse is not None:
                 hit = find(sparse, root, base, need)
+                while hit != -1 and remaining[hit] < need:
+                    # A stale leaf: set it to the pack's room, and look again.
+                    put(sparse, root, base + hit, remaining[hit])
+                    hit = find(sparse, root, base, need)
                 if hit != -1 and (idx == -1 or hit < idx):
                     idx = hit
         if idx == -1:
@@ -440,36 +468,40 @@ def _ffd(
             if idx >= base // root:
                 # The new root's right subtree holds no open pack yet.
                 root >>= 1
-                for t in (tree, *full.values()):
-                    t[root] = t.get(2 * root, -1)
+                for sparse in full.values():
+                    sparse[root] = sparse.get(2 * root, -1)
             remaining.append(capacity)
             if max_samples is not None:
                 count.append(0)
             if max_sources is not None:
                 held.append(set())
         placed.append(idx)
-        value = remaining[idx] = remaining[idx] - need
+        value = remaining[idx] - need
         if max_samples is not None:
             count[idx] = n = count[idx] + 1
             if n >= max_samples:
                 value = -1
+        remaining[idx] = value
         pos = base + idx
-        if max_sources is None:
-            put(tree, root, pos, value)
-            continue
-        held_sources = held[idx]
-        was_full = len(held_sources) == max_sources
-        held_sources.add(source)
-        if len(held_sources) < max_sources:
-            put(tree, root, pos, value)
-            continue
-        if not was_full:
-            put(tree, root, pos, -1)
-        for src in held_sources:
-            sparse = full.get(src)
-            if sparse is None:
-                sparse = full[src] = {}
-            put(sparse, root, pos, value)
+        if max_sources is not None:
+            held_sources = held[idx]
+            if len(held_sources) == max_sources:
+                continue  # its source trees keep an upper bound of its room
+            held_sources.add(source)
+            if len(held_sources) == max_sources:
+                for src in held_sources:
+                    sparse = full.get(src)
+                    if sparse is None:
+                        sparse = full[src] = {}
+                    put(sparse, root, pos, value)
+                value = -1  # the pack leaves the any-source tree
+        tree[pos] = value
+        while pos > root:
+            sibling = tree[pos ^ 1]
+            if sibling > value:
+                value = sibling
+            pos >>= 1
+            tree[pos] = value
     return placed, len(remaining)
 
 
@@ -535,14 +567,18 @@ def _pack_shard(
     return np.argsort(pack_of, kind="stable"), np.bincount(pack_of, minlength=num_packs)
 
 
-def pack_bucketed(items: Iterable[PackItem] | Items, config: PackingConfig) -> PackPlan:
+def pack_bucketed(
+    items: Iterable[PackItem] | Items, config: PackingConfig, *, threads: int = 1
+) -> PackPlan:
     """Hash-sharded, length-bucketed packing with a residual refill pass.
 
     Shards are independent: each is bucketed, FFD-packed under the
     configured caps, and refilled; outputs concatenate in shard-index
-    order. The plan is a pure function of the item set and config. Shards
-    run one after another: packing is pure Python and holds the
-    interpreter lock, so worker threads gave no speedup.
+    order. The plan is a pure function of the item set and config, and
+    never depends on ``threads``. With ``threads`` > 1 the shards that hold
+    in-range items run on a fork pool of at most that many processes, one
+    per shard and core at most (``parallel.starmap``): packing is pure
+    Python and holds the interpreter lock, so threads would not speed it up.
     """
     items = Items.of(items)
     length, source = items.length, items.source
@@ -555,27 +591,30 @@ def pack_bucketed(items: Iterable[PackItem] | Items, config: PackingConfig) -> P
     order = np.lexsort((rank, -length, shard))
     too_long = length[order] > config.capacity
     in_range = order[~too_long]
-    emitted, sizes = [in_range[:0]], [np.zeros(0, np.int64)]  # empty if every item overflows
-    for lo, hi in _runs(shard[in_range]):
-        at = in_range[lo:hi]
-        shard_order, shard_sizes = _pack_shard(length[at], source[at], config)
-        emitted.append(at[shard_order])
-        sizes.append(shard_sizes)
+    runs = [in_range[lo:hi] for lo, hi in _runs(shard[in_range])]
+    tasks = ((length[at], source[at], config) for at in runs)
+    packed = parallel.starmap(_pack_shard, tasks, parallel.workers(threads, len(runs)))
+    # The empty heads keep the concatenations typed when every item overflows.
+    emitted = [in_range[:0]] + [at[shard_order] for at, (shard_order, _) in zip(runs, packed)]
+    sizes = [np.zeros(0, np.int64)] + [shard_sizes for _, shard_sizes in packed]
     bounds = np.concatenate(([0], np.cumsum(np.concatenate(sizes)))).astype(np.int64)
     return PackPlan(
         config.capacity, items.take(np.concatenate(emitted)), bounds, items.take(order[too_long])
     )
 
 
-def pack(items: Iterable[PackItem] | Items, config: PackingConfig) -> PackPlan:
-    """Pack under ``config``.
+def pack(
+    items: Iterable[PackItem] | Items, config: PackingConfig, *, threads: int = 1
+) -> PackPlan:
+    """Pack under ``config``; ``threads`` > 1 packs shards on worker
+    processes (``pack_bucketed``), with the same plan.
 
     Strategy "ffd" is the bucket path with one bucket and one shard, which
     skips the refill pass: that is plain first-fit decreasing.
     """
     if config.strategy == "ffd":
         config = replace(config, num_buckets=1, shards=1)
-    return pack_bucketed(items, config)
+    return pack_bucketed(items, config, threads=threads)
 
 
 def pack_ffd(

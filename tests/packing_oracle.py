@@ -11,9 +11,13 @@ sorted positions by a Python key; ``emit_plan``, ``load_pack_items`` and
 writer writes, "src" in every item, a ``success_rate`` in [0, 1] (null
 with no packs) and a capacity of at least 1.
 ``LinearFirstFitBins`` is older still: a segment tree without a source
-cap and a left-to-right scan with one. The columnar engine, writer and
-readers must agree with these on every input. ``pack_optimal_oracle``
-is the exhaustive optimum that first fit is measured against.
+cap and a left-to-right scan with one. ``dict_tree_ffd`` is the later
+``packing._ffd``, whose any-source tree was a dict like the per-source
+trees, and which set every source tree of a pack on each placement, with
+its ``_sparse_set`` and ``_sparse_find`` as ``_rooted_set`` and
+``_rooted_find``. The columnar engine, writer and readers must agree
+with these on every input. ``pack_optimal_oracle`` is the exhaustive
+optimum that first fit is measured against.
 """
 
 from __future__ import annotations
@@ -235,6 +239,119 @@ def ffd(
     for it in ordered:
         placer.place(it)
     return placer.packs
+
+
+def _rooted_set(tree: dict[int, int], root: int, pos: int, value: int) -> None:
+    """Set heap position ``pos`` of a dict-backed max-tree and its ancestors
+    up to ``root``.
+
+    Absent nodes read as -1, so the tree holds only the root paths of the
+    leaves ever set.
+    """
+    tree[pos] = value
+    get = tree.get
+    while pos > root:
+        sibling = get(pos ^ 1, -1)
+        if sibling > value:
+            value = sibling
+        pos >>= 1
+        tree[pos] = value
+
+
+def _rooted_find(tree: dict[int, int], root: int, base: int, need: int) -> int:
+    """Leftmost leaf under ``root`` of a dict-backed max-tree, whose leaves
+    start at heap position ``base``, with value >= need, or -1."""
+    get = tree.get
+    if get(root, -1) < need:
+        return -1
+    pos = root
+    while pos < base:
+        pos *= 2
+        if get(pos, -1) < need:
+            pos += 1
+    return pos - base
+
+
+def dict_tree_ffd(
+    lengths: list[int],
+    sources: list[int],
+    capacity: int,
+    max_samples: int | None,
+    max_sources: int | None,
+) -> tuple[list[int], int]:
+    """First fit of items in the given order, O(log P) per item: each
+    item's pack index, and the number of packs opened.
+
+    Every index is a dict-backed max-tree over per-pack remaining capacity
+    (``_rooted_set``/``_rooted_find``) that answers "leftmost pack with
+    room"; a pack that reaches the sample cap is closed by setting its
+    leaf to -1. Leaf p of every tree sits at heap position ``base + p``,
+    with ``base`` the power of two >= the number of items, since no more
+    packs open than there are items. The trees answer from ``root``, the
+    node over leaves 0 to ``base // root - 1``, which climbs one level when
+    the open packs outgrow it; no node is ever re-keyed.
+
+    Under a source cap, a pack takes an item of source ``s`` when it has a
+    free source slot or already holds ``s``. Packs with a free slot stay in
+    the any-source tree ``tree``. A pack that fills its last slot leaves
+    it and enters, for each source it holds, that source's tree in
+    ``full``. The first fit is the leftmost hit of the any-source tree and
+    the item's source tree, which is the pack a left-to-right scan picks.
+    Trees hold only their members' root paths, so memory is
+    O(P * max_sources * log P) however many sources there are.
+    """
+    remaining: list[int] = []
+    count: list[int] = []  # items per pack, kept under a sample cap
+    held: list[set[int]] = []  # sources per pack, kept under a source cap
+    tree: dict[int, int] = {}
+    full: dict[int, dict[int, int]] = {}
+    base = root = 1 << max(len(lengths) - 1, 0).bit_length()
+    placed: list[int] = []
+    find, put = _rooted_find, _rooted_set
+    for need, source in zip(lengths, sources):
+        idx = find(tree, root, base, need)
+        if max_sources is not None:
+            sparse = full.get(source)
+            if sparse is not None:
+                hit = find(sparse, root, base, need)
+                if hit != -1 and (idx == -1 or hit < idx):
+                    idx = hit
+        if idx == -1:
+            idx = len(remaining)
+            if idx >= base // root:
+                # The new root's right subtree holds no open pack yet.
+                root >>= 1
+                for t in (tree, *full.values()):
+                    t[root] = t.get(2 * root, -1)
+            remaining.append(capacity)
+            if max_samples is not None:
+                count.append(0)
+            if max_sources is not None:
+                held.append(set())
+        placed.append(idx)
+        value = remaining[idx] = remaining[idx] - need
+        if max_samples is not None:
+            count[idx] = n = count[idx] + 1
+            if n >= max_samples:
+                value = -1
+        pos = base + idx
+        if max_sources is None:
+            put(tree, root, pos, value)
+            continue
+        held_sources = held[idx]
+        was_full = len(held_sources) == max_sources
+        held_sources.add(source)
+        if len(held_sources) < max_sources:
+            put(tree, root, pos, value)
+            continue
+        if not was_full:
+            put(tree, root, pos, -1)
+        for src in held_sources:
+            sparse = full.get(src)
+            if sparse is None:
+                sparse = full[src] = {}
+            put(sparse, root, pos, value)
+    return placed, len(remaining)
 
 
 def pack_optimal_oracle(items: Sequence[PackItem], capacity: int) -> int:

@@ -620,6 +620,26 @@ def test_missing_input_is_structured_error(tmp_path, capsys):
     assert obj["command"] == "weigh"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["synth", "assign", "pack", "pipeline"])
+def test_threads_below_one_is_the_one_json_error(tmp_path, capsys, command, threads):
+    # Every other flag is valid or absent: no input is read before the refusal.
+    args = {
+        "synth": ["--n", "50"],
+        "assign": ["--input", "i.emb", "--vocab-names", "v.tsv", "--vocab-emb", "v.emb"],
+        "pack": ["--input", str(tmp_path / "manifest.jsonl")],
+        "pipeline": ["--n", "50"],
+    }[command]
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        [command, "--output", str(out), *args, f"--threads={threads}"], capsys
+    )
+    assert code == 1
+    assert json.loads(err) == {"error": f"threads must be >= 1, got {threads}", "command": command}
+    assert stdout == ""
+    assert not out.exists()
+
+
 def child_env():
     """Environment of a CLI child that imports the same balancepack sources
     as this test, also when pytest put them on sys.path itself rather than

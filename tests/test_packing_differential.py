@@ -1,9 +1,13 @@
 """Differential tests of the columnar packing engine against the object engine.
 
 ``packing_oracle`` keeps the engine as it was before items became
-columns: one ``PackItem`` per sample, packs as lists, the same
-dict-backed max-trees (``FirstFitBins``) and, older still, a linear scan
-under a source cap (``LinearFirstFitBins``). The columnar engine must
+columns: one ``PackItem`` per sample, packs as lists, dict-backed
+max-trees (``FirstFitBins``) and, older still, a linear scan under a
+source cap (``LinearFirstFitBins``). It also keeps the columnar ``_ffd``
+whose any-source tree was a dict and whose source trees were set on every
+placement (``dict_tree_ffd``): ``_ffd``, with a list-backed any-source
+tree and source trees that hold upper bounds, must place every item where
+that one did. The columnar engine must
 produce the same packs and overflow (``==``) as the oracle over either
 bins on any input, placement order and cap, both when ``_ffd`` is called
 directly and through ``pack_bucketed`` (bucket FFD plus the refill pass).
@@ -98,11 +102,12 @@ def capped_instance(rng, trial, tie_heavy=False):
 
 
 def columnar_ffd(ordered, capacity, max_samples, max_sources):
-    """``_ffd`` over the columns of ``ordered``, regrouped into pack lists."""
+    """``_ffd`` over the columns of ``ordered``, regrouped into pack lists;
+    its placements are those of the dict-tree ``_ffd`` it replaced."""
     items = Items.of(ordered)
-    placed, opened = _ffd(
-        items.length.tolist(), items.source.tolist(), capacity, max_samples, max_sources
-    )
+    columns = (items.length.tolist(), items.source.tolist(), capacity, max_samples, max_sources)
+    placed, opened = _ffd(*columns)
+    assert (placed, opened) == oracle.dict_tree_ffd(*columns)
     packs = [[] for _ in range(opened)]
     for it, p in zip(ordered, placed):
         packs[p].append(it)
@@ -112,7 +117,7 @@ def columnar_ffd(ordered, capacity, max_samples, max_sources):
 def assert_engines_agree(items, cfg, rng=None):
     """``_ffd`` on the sorted order (and, given rng, a shuffled one) and
     ``pack_bucketed``, against the oracle engine over both its tree bins
-    and its linear-scan bins."""
+    and its linear-scan bins, and ``_ffd`` against the dict-tree ``_ffd``."""
     in_range = [it for it in oracle.packing_order(items) if it.length <= cfg.capacity]
     orders = [in_range]
     if rng is not None:
@@ -210,6 +215,29 @@ def test_differential_source_capped(tie_heavy):
     for trial in range(300):
         items, cfg = capped_instance(rng, trial, tie_heavy)
         assert_engines_agree(items, cfg, rng)
+
+
+def test_list_tree_ffd_places_as_the_dict_tree_ffd_under_every_cap():
+    # Up to 2,000 items, so the root climbs many levels; few lengths give
+    # ties. The source trees' stale leaves are set when a find lands on
+    # them, so lengths come in random order as well as decreasing, and up
+    # to 60 sources leave many small source trees.
+    rng = np.random.default_rng(48)
+    for trial in range(60):
+        n = int(rng.integers(1, 2000))
+        cap = int(rng.integers(4, 120))
+        lengths = rng.integers(1, cap + 1, size=n)
+        if trial % 3 == 0:
+            lengths = rng.choice(lengths[:3], size=n)
+        elif trial % 3 == 1:
+            lengths = np.sort(lengths)[::-1]
+        lengths = lengths.tolist()
+        sources = rng.integers(0, int(rng.choice([1, 2, 3, 5, 8, 60])), size=n).tolist()
+        samples_caps = (None, int(rng.integers(1, 12)))
+        sources_caps = (None, int(rng.integers(1, 4)))
+        for max_samples, max_sources in itertools.product(samples_caps, sources_caps):
+            columns = (lengths, sources, cap, max_samples, max_sources)
+            assert _ffd(*columns) == oracle.dict_tree_ffd(*columns)
 
 
 def test_every_pack_entry_refuses_a_repeated_id():

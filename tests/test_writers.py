@@ -13,7 +13,13 @@ import pytest
 from balancepack import jsonl
 from balancepack.balance import load_weights, save_sampled_indices, save_weights
 from balancepack.concepts import Assignments, save_assignments
-from balancepack.manifest import SampleRecord, SynthRecords, emit_manifest, ingest_manifest
+from balancepack.manifest import (
+    SampleRecord,
+    SynthRecords,
+    emit_manifest,
+    ingest_manifest,
+    load_pack_items,
+)
 from balancepack.packing import (
     PackingConfig,
     PackItem,
@@ -170,6 +176,43 @@ def test_writers_refuse_what_their_readers_reject(tmp_path, value, files, messag
     write_unchecked(value, path)
     with pytest.raises(ValueError, match=re.escape(message)):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("a", "web", 3.5), "field 'text_tokens' must be a JSON integer, got 3.5"),
+        (("a", "web", True), "field 'text_tokens' must be a JSON integer, got True"),
+        (("a", "web", 3, (336.0, 336)), "field 'w' must be a JSON integer, got 336.0"),
+        (("a", "web", 3, (336, False)), "field 'h' must be a JSON integer, got False"),
+        (("a", "web", 3, None, 14.0), "field 'patch' must be a JSON integer, got 14.0"),
+        (("a", "web", 3, None, 14, True), "field 'merge' must be a JSON integer, got True"),
+        ((5, "web", 3), "field 'id' must be a JSON string, got 5"),
+        (("a", None, 3), "field 'source' must be a JSON string, got None"),
+    ],
+    ids=["float-tokens", "bool-tokens", "float-width", "bool-height", "float-patch",
+         "bool-merge", "int-id", "null-source"],
+)
+def test_a_record_of_a_type_its_readers_reject_is_refused(tmp_path, fields, message):
+    path = tmp_path / "manifest.jsonl"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        emit_manifest(path, (SampleRecord(*f) for f in [("ok", "web", 1), fields]))
+    assert list(tmp_path.iterdir()) == []
+
+    # Written as emit_manifest would write the record, the readers reject it with the same text.
+    names = ("id", "source", "text_tokens", "image", "patch", "merge")
+    obj = dict(zip(names, fields))
+    if "image" in obj:
+        obj["image"] = None if obj["image"] is None else dict(zip("wh", obj["image"]))
+    path.write_text(json.dumps({k: v for k, v in obj.items() if v is not None or k == "source"}))
+    for read in (ingest_manifest, load_pack_items):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 1: {message}')}$"):
+            read(path)
+
+
+def test_a_numpy_integer_is_not_a_json_integer():
+    with pytest.raises(ValueError, match=r"^field 'text_tokens' must be a JSON integer, got "):
+        SampleRecord("a", "web", np.int64(3))
 
 
 def rows_then_fail(count):
