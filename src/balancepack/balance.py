@@ -25,13 +25,11 @@ from .jsonl import (
     FLOAT,
     INT,
     canonical,
-    canonical_lines,
     float_reprs,
-    json_field,
     output,
-    refuse_unknown,
     text_input,
     write_rows,
+    writer_lines,
 )
 from .rng import STREAM_SAMPLING, philox
 
@@ -230,36 +228,28 @@ def save_weights(path: str | Path, weights: np.ndarray) -> None:
 
 
 def load_weights(path: str | Path) -> np.ndarray:
-    """Read what save_weights writes: record i is {"i": i, "w": float} and
-    nothing else, each weight finite and non-negative (the first bad line is
-    named), and the whole vector passes ``_check_weights``."""
+    """Read what save_weights writes, through ``writer_lines``: each weight
+    finite and non-negative (the first bad line is named), and the whole
+    vector passes ``_check_weights``."""
     weights = array("d")
-    with canonical_lines(path, _WEIGHT_LINES, partial(_weights_block, weights=weights)) as records:
-        row = len(weights)
-        for rec in records:
-            index = json_field(rec, "i", int)
-            if index != row:
-                raise ValueError(f"record index {index}, expected {row}")
-            w = json_field(rec, "w", float)
-            if _unfit(w):
-                raise ValueError(f"weight {index} is {w!r}, not finite and non-negative")
-            refuse_unknown(rec, ("i", "w"))
-            weights.append(w)
-            row += 1
+    with writer_lines(path, _WEIGHT_LINES, partial(_weights_block, weights=weights), "save_weights"):
         return _check_weights(weights)
 
 
 def _weights_block(text: str, row: int, weights: array) -> None:
     """Append the weights of a block of save_weights lines whose first is
-    record ``row`` to ``weights``; a line the loop of ``load_weights`` would
-    refuse raises, with nothing appended."""
+    record ``row`` to ``weights``, or refuse the first line whose index is
+    out of order or whose weight is unfit, with nothing appended."""
     # Drop the first '{"i":' and the last '}\n'; then index and weight alternate.
     flat = text[5:-2].replace('}\n{"i":', ",").replace(',"w":', ",").split(",")
-    if flat[0::2] != list(map(str, range(row, row + len(flat) // 2))):
-        raise ValueError("record index out of order")
-    w = np.fromiter(map(float, flat[1::2]), np.float64, len(flat) // 2)
-    if np.any(_unfit(w)):
-        raise ValueError("a weight that is not finite and non-negative")
+    index, n = flat[0::2], len(flat) // 2
+    w = np.fromiter(map(float, flat[1::2]), np.float64, n)
+    if index != list(map(str, range(row, row + n))) or np.any(_unfit(w)):
+        for i, (at, x) in enumerate(zip(index, w.tolist()), start=row):
+            if at != str(i):
+                raise ValueError(f"line {i + 1}: record index {at}, expected {i}")
+            if _unfit(x):
+                raise ValueError(f"line {i + 1}: weight {i} is {x!r}, not finite and non-negative")
     weights.frombytes(w.tobytes())
 
 
@@ -292,7 +282,7 @@ def load_sampled_indices(path: str | Path) -> np.ndarray:
     with text_input(path) as (f, numbered):
         header = _SAMPLED_HEADER.fullmatch(f.readline())
         if header is None:
-            raise ValueError("expected the header '# seed=S n=N replacement=B'")
+            raise ValueError("line 1: expected the header '# seed=S n=N replacement=B'")
         for line in numbered(f, 1):
             try:
                 value = int(line)

@@ -87,10 +87,10 @@ class StageError(ValueError):
 
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
-    """Tag a ValueError or OSError raised inside the block with the pipeline stage ``name``."""
+    """Tag a ValueError, OSError or MemoryError raised in the block with the stage ``name``."""
     try:
         yield
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         raise StageError(name, e) from None
 
 
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p, threads=True)
+    _add_common(p)
     _add_synth_flags(p)
     p.set_defaults(func=cmd_synth)
 
@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         (out / "config.json").unlink(missing_ok=True)
         args.func(args, out)
         _write_echo(out, args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         _fail(args.command, e)
         return 1
     return 0

@@ -51,13 +51,11 @@ from .jsonl import (
     FLOAT,
     INT,
     canonical,
-    canonical_lines,
     float_reprs,
-    json_field,
     output,
-    refuse_unknown,
     text_input,
     write_rows,
+    writer_lines,
 )
 
 EMB_MAGIC = b"EMB1"
@@ -595,9 +593,14 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 
     If every row is k wide, each concept and similarity is a field of its own;
     otherwise a row's concepts are joined into one field, and so are its sims.
+    A concept index of more than 18 digits, which load_assignments does not
+    read, is refused before the file is opened.
     """
     a = Assignments.of(assignments)
     o, cs = a.offsets, a.concepts
+    wide = cs[(cs >= 10**18) | (cs <= -(10**18))]
+    if wide.size:
+        raise ValueError(f"concept index {int(wide[0])} has more than 18 digits")
     k = int(o[1]) if len(a) else 1
     if np.all(np.diff(o) == k):
         line = '{"i":%%d,"c":[%s],"s":[%s]}\n' % ((",".join(["%s"] * k),) * 2)
@@ -619,29 +622,12 @@ def save_assignments(path: str | Path, assignments: Sequence[ConceptAssignment])
 
 
 def load_assignments(path: str | Path) -> Assignments:
-    """Read what save_assignments writes: record i is {"i": i, "c": [int], "s": [float]}
-    and nothing else, with one similarity per concept and every row rule of ``Assignments``."""
+    """Read what save_assignments writes, through ``writer_lines``: one
+    similarity per concept, and every row rule of ``Assignments``, which run once
+    every line is read, so a line off the form names itself before a row above it."""
     offsets, concepts, sims = array("q", [0]), array("q"), array("d")
     convert = partial(_assignments_block, columns=(offsets, concepts, sims))
-    with canonical_lines(path, _ASSIGNMENT_LINES, convert) as records:
-        row = len(offsets) - 1
-        for rec in records:
-            index = json_field(rec, "i", int)
-            if index != row:
-                raise ValueError(f"record index {index}, expected {row}")
-            c = json_field(rec, "c", list)
-            s = json_field(rec, "s", list)
-            if not all(type(x) is int and -(2**63) <= x < 2**63 for x in c):
-                raise ValueError(f"field 'c' must hold JSON integers within int64, got {c!r}")
-            if not all(type(x) is float for x in s):
-                raise ValueError(f"field 's' must hold JSON floats, got {s!r}")
-            if len(c) != len(s):
-                raise ValueError(f"{len(c)} concepts in 'c' but {len(s)} similarities in 's'")
-            refuse_unknown(rec, ("i", "c", "s"))
-            concepts.extend(c)
-            sims.extend(s)
-            offsets.append(len(concepts))
-            row += 1
+    with writer_lines(path, _ASSIGNMENT_LINES, convert, "save_assignments"):
         o, c = (np.frombuffer(column, np.int64) for column in (offsets, concepts))
         try:
             return Assignments(o, c, np.frombuffer(sims, np.float64))
@@ -650,19 +636,22 @@ def load_assignments(path: str | Path) -> Assignments:
 
 
 def _assignments_block(text: str, row: int, columns: tuple[array, array, array]) -> None:
-    """Append a block of save_assignments lines whose first is record ``row``
-    to the offsets, concepts and similarities ``columns``; a line the loop
-    of ``load_assignments`` would refuse raises, with nothing appended."""
+    """Append a block of save_assignments lines whose first is record ``row`` to
+    the offsets, concepts and similarities ``columns``, or refuse its first line
+    with an index out of order or unequal concept and similarity counts."""
     # Split at the quotes, each line '{"i":N,"c":[C],"s":[S]}\n' gives six
     # pieces: from the third on, every sixth is ':N,', from the fifth
     # ':[C],' and from the seventh ':[S]}\n{' (the '{' added for the last).
     pieces = (text + "{").split('"')
     index, c, s = pieces[2::6], pieces[4::6], pieces[6::6]
-    if index != [f":{i}," for i in range(row, row + len(index))]:
-        raise ValueError("record index out of order")
     widths = list(map(str.count, c, repeat(",")))  # one comma after each concept
-    if widths != [n + 1 for n in map(str.count, s, repeat(","))]:
-        raise ValueError("concepts and similarities differ in number")
+    sim_widths = [n + 1 for n in map(str.count, s, repeat(","))]
+    if index != [f":{i}," for i in range(row, row + len(index))] or widths != sim_widths:
+        for i, (at, k, m) in enumerate(zip(index, widths, sim_widths), start=row):
+            if at != f":{i},":
+                raise ValueError(f"line {i + 1}: record index {at[1:-1]}, expected {i}")
+            if k != m:
+                raise ValueError(f"line {i + 1}: {k} concepts in 'c' but {m} similarities in 's'")
     # The grammar holds the integers to 18 digits, which numpy parses exactly;
     # floats go through float(), as json parses them.
     concepts = np.fromstring(",".join(c)[2:-2].replace("],,:[", ","), dtype=np.int64, sep=",")

@@ -3,23 +3,22 @@
 Every text file the toolkit reads is opened by ``text_input``, which numbers
 its lines. Lines end at "\\n" only: a lone "\\r" is JSON whitespace inside
 a line. In its ``with`` block a ValueError reads ``{path}: line N: ...``
-while line N is the last line read, and ``{path}: ...`` once every line
-has been read, so checks of the whole file name the file too. A
+while line N is the last line read, and ``{path}: ...`` otherwise (checks
+of the whole file, readers that name their own lines). A
 ``UnicodeDecodeError`` passes through: the file decodes in bulk.
 ``json_lines`` parses each line once: a blank line (skipped in manifests)
 is ``blank line``, broken or too deeply nested JSON ``malformed JSON``.
 Every file the toolkit writes is opened by ``output``, and every block of
 rows is formatted by ``write_rows``, its floats by ``float_reprs``.
 
-Each writer emits one fixed line form. ``canonical_lines`` reads a file in
-blocks of WRITE_BLOCK lines and parses a block with no ``json.loads`` if
-every line of it has exactly the writer's form: the keys in the writer's
-order, no spaces, integers of at most 18 digits, floats with a fraction or
-an exponent, strings without escapes. A loader's converter appends such a
-block to its columns, or refuses it whole. From the first block that is
-not, or that is refused, the rest of the file goes through ``json_lines``'
-per-line parse into the same columns, under the same rules, so the accepted
-files and every error text are those of ``json_lines``.
+Each writer emits one fixed line form: the keys in the writer's order, no
+spaces, integers of at most 18 digits, floats with a fraction or an
+exponent, strings without escapes. Such files are read in blocks of
+WRITE_BLOCK lines, each checked by one regular expression and appended to
+the loader's columns by a converter, with no ``json.loads``. In the files
+only the toolkit writes, ``writer_lines`` refuses a line off the form. A
+manifest comes from outside it: ``canonical_lines`` hands it, from its first
+block off the form or refused, to ``json_lines``' per-line parse.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ def float_reprs(values: np.ndarray) -> np.ndarray:
 @contextmanager
 def text_input(path: str | Path) -> Iterator[tuple[IO, Callable]]:
     """``path`` open for reading, and ``numbered(lines, row=0)``, which yields
-    ``lines`` as lines row + 1 on; a ValueError in the block names the file and,
-    until ``numbered`` runs out, the last line read (line 1 before any)."""
-    lineno = 1  # 0 once every line has been read
+    ``lines`` as lines row + 1 on; a ValueError in the block names the file
+    and, while ``numbered`` runs, the last line read."""
+    lineno = 0  # no line while ``numbered`` is not running
 
     def numbered(lines: Iterable[str], row: int = 0) -> Iterator[str]:
         nonlocal lineno
@@ -120,11 +119,11 @@ def json_lines(path: str | Path, skip_blank: bool = False) -> Iterator[Iterator]
 
 
 # The tokens of a writer's canonical lines, as regular expressions: an
-# integer of at most 18 digits (so within int64), a JSON number with a
-# fraction or an exponent (a float to ``json``, converted with ``float``
-# as ``json`` does), and the characters of a string without escapes, so
-# that the raw text is the decoded value.
-INT = r"-?(?:0|[1-9][0-9]{0,17})"
+# integer as ``%d`` writes it, of at most 18 digits (so within int64), a
+# JSON number with a fraction or an exponent (a float to ``json``,
+# converted with ``float`` as ``json`` does), and the characters of a
+# string without escapes, so that the raw text is the decoded value.
+INT = r"(?:0|-?[1-9][0-9]{0,17})"
 FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 TEXT = r'[^"\\\x00-\x1f]*'
 
@@ -138,34 +137,55 @@ def canonical(line: str) -> re.Pattern:
     return re.compile(f"(?:{line})*+")
 
 
-@contextmanager
-def canonical_lines(
-    path: str | Path, block: re.Pattern, convert: Callable, skip_blank: bool = False
-) -> Iterator[Iterator]:
-    """The parsed lines of ``path`` that follow its leading blocks of writer lines.
+def _blocks(f: IO, block: re.Pattern) -> Iterator[tuple[int, list[str], str, int]]:
+    """Each block of WRITE_BLOCK lines of ``f``: the 0-based row of its first
+    line, its lines, their text, and the end of ``block``'s match in it."""
+    row = 0
+    while lines := list(islice(f, WRITE_BLOCK)):
+        text = "".join(lines)
+        yield row, lines, text, block.match(text).end()
+        row += len(lines)
+        del lines, text  # the next block is read without this one alive
 
-    The file is opened as ``json_lines`` opens it and read WRITE_BLOCK lines
-    at a time. While a block matches ``block`` (a ``canonical`` check) to
-    its end, ``convert(text, row)`` gets its text and the 0-based row of
-    its first line, and appends the block's rows to the caller's columns,
-    or raises a ValueError before appending any. From the first block that
-    does not match, or that ``convert`` refuses, the iterator yields the
-    parsed lines as ``json_lines`` does, numbered from that block's first
-    line, so the file is read once.
-    """
+
+@contextmanager
+def writer_lines(path: str | Path, block: re.Pattern, convert: Callable, writer: str) -> Iterator:
+    """Read ``path``, which only ``writer`` writes, in the line form ``block`` (a
+    ``canonical`` check): ``convert(text, row)`` appends each block up to its first
+    line off the form, from 0-based row ``row`` on, or names its lowest faulty line;
+    then that line is refused. The ``with`` block runs once every line is read."""
+    with text_input(path) as (f, _):
+        for row, lines, text, end in _blocks(f, block):
+            if end:
+                convert(text[:end], row)  # a lower line's fault comes first
+            if end != len(text):
+                line = row + text.count("\n", 0, end) + 1
+                raise ValueError(f"line {line}: not a line {writer} writes")
+            del lines, text
+        yield
+
+
+@contextmanager
+def canonical_lines(path: str | Path, block: re.Pattern, convert: Callable) -> Iterator[Iterator]:
+    """The parsed lines of ``path`` after its leading blocks in the line form
+    ``block`` (a ``canonical`` check). ``convert(text, row)`` appends a block
+    that matches to its end, from 0-based row ``row`` on, or refuses it whole
+    with a ValueError. From the first block that does not match or is
+    refused, the iterator yields the parsed lines as ``json_lines`` does with
+    blank lines skipped, numbered from that block on, so the file is read once."""
     with text_input(path) as (f, numbered):
         row = 0
-        while lines := list(islice(f, WRITE_BLOCK)):
-            text = "".join(lines)
+        for row, lines, text, end in _blocks(f, block):
             try:
-                if block.match(text).end() != len(text):
+                if end != len(text):
                     break
                 convert(text, row)
             except ValueError:
                 break
-            row += len(lines)
-            del lines, text  # the next block is read without this one alive
-        yield _records(numbered(chain(lines, f), row), skip_blank)  # from the block that broke off
+            del lines, text
+        else:
+            lines = []
+        yield _records(numbered(chain(lines, f), row), True)  # from the block that broke off
 
 
 class _Missing:

@@ -173,7 +173,7 @@ class SynthConfig:
             raise ValueError("vocab_size must be >= 1")
         if not 1 <= self.k <= self.vocab_size:
             raise ValueError(f"k={self.k} out of range [1, {self.vocab_size}]")
-        if self.zipf_exponent < 0:
+        if not self.zipf_exponent >= 0:  # NaN too
             raise ValueError("zipf_exponent must be >= 0")
         if not (math.isfinite(self.length_mu) and math.isfinite(self.length_sigma)):
             raise ValueError("length_mu and length_sigma must be finite")
@@ -457,7 +457,7 @@ def load_pack_items(path: str | Path) -> Items:
     seen: set[str] = set()
     columns = ItemColumns()
     convert = partial(_record_block, seen=seen, columns=columns)
-    with canonical_lines(path, _RECORD_LINES, convert, skip_blank=True) as records:
+    with canonical_lines(path, _RECORD_LINES, convert) as records:
         for fields in _parse_lines(records, _pack_fields, seen):
             columns.append(*fields)
     return columns.items()

@@ -224,8 +224,8 @@ def test_criterion_4_determinism_echo_and_threads(tmp_path):
             mismatches.append(name)
 
     # thread-count independence on the subcommands that parallelize
-    for name, argv in (("synth", first_runs["synth"]), ("assign", first_runs["assign"]),
-                       ("pack", chains["pack"]), ("pipeline", first_runs["pipeline"])):
+    for name, argv in (("assign", first_runs["assign"]), ("pack", chains["pack"]),
+                       ("pipeline", first_runs["pipeline"])):
         t1 = tmp_path / f"{name}-t1"
         t8 = tmp_path / f"{name}-t8"
         argv1 = list(argv)

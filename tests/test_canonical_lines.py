@@ -1,13 +1,16 @@
-"""The canonical-line fast path of the JSON Lines loaders.
+"""The canonical-line fast path of the manifest loader.
 
-``load_assignments``, ``load_weights`` and ``load_pack_items`` parse a
-block of a file by their writer's line grammar when every line of it has
-the writer's exact form, and read the file from the first block that does
-not with ``json_lines``' per-line parse. These tests check that writer
-output loads without ``json.loads``, that a file leaving the grammar in its
-second block reads exactly as ``json_lines`` reads it, and only its lines
-from that block on, and that edge values load bit for bit as ``json.loads``
-reads them, or fail with its text.
+``load_pack_items`` parses a block of a manifest by ``emit_manifest``'s
+line grammar when every line of it has the writer's exact form, and reads
+the file from the first block that does not with ``json_lines``' per-line
+parse, since manifests come from outside the toolkit. These tests check
+that writer output loads without ``json.loads``, that a file leaving the
+grammar in its second block reads exactly as ``json_lines`` reads it, and
+only its lines from that block on, and that edge values load bit for bit
+as ``json.loads`` reads them, or fail with its text. The weights and
+assignments loaders share the block check, but read nothing off their
+grammar (``tests/test_writer_lines.py``); the last test here covers the
+block check of all three.
 """
 
 import json
@@ -24,7 +27,7 @@ from balancepack.jsonl import WRITE_BLOCK
 from balancepack.manifest import SampleRecord, emit_manifest, load_pack_items
 
 # The module whose ``canonical_lines`` each loader calls.
-FAST = {load_assignments: concepts, load_weights: balance, load_pack_items: manifest}
+FAST = {load_pack_items: manifest}
 
 # A block check that no text passes, so that every line is parsed by json.loads.
 NEVER = re.compile("")
@@ -140,7 +143,7 @@ WRITERS = {
 }
 
 
-@pytest.mark.parametrize("load", WRITERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("load", FAST, ids=lambda f: f.__name__)
 def test_writer_output_loads_without_json_loads(tmp_path, monkeypatch, load):
     path = tmp_path / "f.jsonl"
     WRITERS[load](path)
@@ -156,22 +159,9 @@ def test_writer_output_loads_without_json_loads(tmp_path, monkeypatch, load):
     assert fast == json_path(monkeypatch, load, path)
 
 
-def repeat_first_concept(line):
-    head, rest = line.split('"c":[', 1)
-    first, _, tail = rest.split(",", 2)
-    return f'{head}"c":[{first},{first},{tail}'
-
-
-# A fault ``edit`` makes in line 9000 of each file (in the second block), its
-# error, and whether the fast path hands that block to the per-line parse
-# (a duplicate concept breaks a rule of ``Assignments``, which both parts share).
+# A fault ``edit`` makes in line 9000 of the file (in the second block), its
+# error, and whether the fast path hands that block to the per-line parse.
 FAULTS = {
-    load_assignments: (repeat_first_concept, "line 9000: duplicate concept index", False),
-    load_weights: (
-        lambda line: line.replace('"i":8999', '"i":9'),
-        "line 9000: record index 9, expected 8999",
-        True,
-    ),
     load_pack_items: (
         lambda line: line.replace('"id":"m8999"', '"id":"m0"'),
         "line 9000: duplicate id 'm0'",
@@ -206,7 +196,7 @@ def test_a_second_block_off_the_fast_path_reads_as_json_lines(
         assert want == clean
 
 
-@pytest.mark.parametrize("load", WRITERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("load", FAST, ids=lambda f: f.__name__)
 def test_a_file_is_parsed_by_json_loads_only_from_the_block_that_leaves_the_grammar(
     tmp_path, monkeypatch, load
 ):
@@ -228,18 +218,6 @@ def test_a_file_is_parsed_by_json_loads_only_from_the_block_that_leaves_the_gram
     assert parsed == lines[WRITE_BLOCK:]
 
 
-def weights_text(value):
-    return f'{{"i":0,"w":{value}}}\n{{"i":1,"w":1.0}}\n'
-
-
-def assignments_text(value):
-    return f'{{"i":0,"c":[{value},7],"s":[0.5,-0.5]}}\n'
-
-
-def sims_text(value):
-    return f'{{"i":0,"c":[3,1],"s":[{value},-1.0]}}\n'
-
-
 def manifest_text(sample_id="a", text_tokens=5, image=""):
     second = '{"id":"b","source":"web","text_tokens":1}\n'
     return f'{{"id":"{sample_id}","source":"web","text_tokens":{text_tokens}{image}}}\n' + second
@@ -252,24 +230,6 @@ def image_text(side, patch=1, merge=1, text_tokens=5):
 
 # (loader, file text, whether the fast path takes its one block)
 EDGES = {
-    "w=-0.0": (load_weights, weights_text("-0.0"), True),
-    "w=5e-324": (load_weights, weights_text("5e-324"), True),
-    "w=1e-300": (load_weights, weights_text("1e-300"), True),
-    "w=0.1": (load_weights, '{"i":0,"w":0.1}\n{"i":1,"w":0.9}\n', True),
-    "w=max": (load_weights, weights_text("1.7976931348623157e308"), True),
-    "w=1e999": (load_weights, weights_text("1e999"), False),
-    "s=-0.0": (load_assignments, sims_text("-0.0"), True),
-    "s=5e-324": (load_assignments, sims_text("5e-324"), True),
-    "s=1e-300": (load_assignments, sims_text("1e-300"), True),
-    "s=0.1": (load_assignments, sims_text("0.1"), True),
-    "s=max": (load_assignments, sims_text("1.7976931348623157e308"), True),
-    "s=1e999": (load_assignments, sims_text("1e999"), True),
-    "c and s counts differ": (
-        load_assignments, '{"i":0,"c":[1,2],"s":[0.5]}\n{"i":1,"c":[3],"s":[0.5,0.25]}\n', False
-    ),
-    "c=18 digits": (load_assignments, assignments_text("-999999999999999999"), True),
-    "c=19 digits": (load_assignments, assignments_text("9223372036854775807"), False),
-    "c=beyond int64": (load_assignments, assignments_text("9223372036854775808"), False),
     "text=18 digits": (load_pack_items, manifest_text(text_tokens="999999999999999999"), True),
     "text=19 digits": (load_pack_items, manifest_text(text_tokens="1000000000000000000"), False),
     "side=2**31-1": (load_pack_items, image_text(2**31 - 1), True),
@@ -295,10 +255,6 @@ def test_edge_values_load_bit_for_bit_as_json_loads_reads_them(tmp_path, monkeyp
     paths = PathCount(monkeypatch, load)
     assert outcome(load, path) == want
     assert paths.fast == fast
-    if name == "w=1e999":
-        assert want == ("error", f"{path}: line 1: weight 0 is inf, not finite and non-negative")
-    if name == "s=1e999":
-        assert want == ("error", f"{path}: line 1: similarity inf outside [-1, 1]")
     if name == "side=int64 overflow":
         assert want[0] == "error" and want[1].endswith("beyond the int64 range")
     if name == "id=escape":

@@ -394,7 +394,7 @@ def test_config_echo_params_of_every_subcommand(tmp_path, capsys):
          ("synth", "assign", "weigh", "sample", "pack", "stats", "coverage", "pipeline")}
     runs = {
         "synth": (
-            ["--n", "200", "--vocab-size", "30", "--k", "3", "--seed", "4", "--threads", "2"],
+            ["--n", "200", "--vocab-size", "30", "--k", "3", "--seed", "4"],
             synth_params,
         ),
         "assign": (
@@ -621,11 +621,10 @@ def test_missing_input_is_structured_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("command", ["synth", "assign", "pack", "pipeline"])
+@pytest.mark.parametrize("command", ["assign", "pack", "pipeline"])
 def test_threads_below_one_is_the_one_json_error(tmp_path, capsys, command, threads):
     # Every other flag is valid or absent: no input is read before the refusal.
     args = {
-        "synth": ["--n", "50"],
         "assign": ["--input", "i.emb", "--vocab-names", "v.tsv", "--vocab-emb", "v.emb"],
         "pack": ["--input", str(tmp_path / "manifest.jsonl")],
         "pipeline": ["--n", "50"],
@@ -638,6 +637,58 @@ def test_threads_below_one_is_the_one_json_error(tmp_path, capsys, command, thre
     assert json.loads(err) == {"error": f"threads must be >= 1, got {threads}", "command": command}
     assert stdout == ""
     assert not out.exists()
+
+
+def test_synth_refuses_threads_as_argparse_does_an_unknown_flag(tmp_path, capsys):
+    # synth runs on one thread; it takes no --threads to ignore.
+    out = tmp_path / "synth"
+    code, stdout, err = run_cli(
+        ["synth", "--output", str(out), "--n", "5", "--threads", "2"], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "unrecognized arguments: --threads 2"
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_a_nan_zipf_exponent_is_the_one_json_error_before_any_draw(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        [command, "--output", str(out), "--n", "20", "--zipf", "nan"], capsys
+    )
+    assert code == 1
+    want = {"error": "zipf_exponent must be >= 0", "command": command}
+    assert json.loads(err) == (want if command == "synth" else {**want, "stage": "config"})
+    assert stdout == ""
+    assert list(out.iterdir()) == []
+
+
+def test_an_infinite_zipf_exponent_still_runs_at_k_one(tmp_path, capsys):
+    out = tmp_path / "synth"
+    code, _, err = run_cli(
+        ["synth", "--output", str(out), "--n", "20", "--zipf", "inf", "--k", "1"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["weigh", "synth"])
+def test_an_allocation_numpy_refuses_is_the_one_json_error(tmp_path, capsys, synth_dir, command):
+    # 10**15 concepts need 7.11 PiB, which numpy refuses before touching any memory.
+    args = {
+        "weigh": ["--input", str(synth_dir / "assignments.jsonl")],
+        "synth": ["--n", "10", "--k", "1"],
+    }[command]
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        [command, "--output", str(out), *args, "--vocab-size", "1000000000000000"], capsys
+    )
+    assert code == 1
+    assert err.count("\n") == 1
+    obj = json.loads(err)
+    assert obj["command"] == command and obj["error"].startswith("Unable to allocate 7.11 PiB")
+    assert not (out / "config.json").exists()
 
 
 def child_env():

@@ -492,18 +492,27 @@ def test_assignments_jsonl_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "second, message",
     [
-        ('{"i":"1","c":[1,2],"s":[0.5,0.25]}', "field 'i' must be a JSON integer"),
-        ('{"i":1.0,"c":[1,2],"s":[0.5,0.25]}', "field 'i' must be a JSON integer"),
-        ('{"i":1,"c":[1.0,2],"s":[0.5,0.25]}', "field 'c' must hold JSON integers"),
-        ('{"i":1,"c":[1,true],"s":[0.5,0.25]}', "field 'c' must hold JSON integers"),
-        ('{"i":1,"c":[1,2],"s":["0.5",0.25]}', "field 's' must hold JSON floats"),
-        ('{"i":1,"c":[1,2],"s":[1,0.25]}', "field 's' must hold JSON floats"),
-        ('{"i":1,"c":"12","s":[0.5,0.25]}', "field 'c' must be a JSON array"),
+        ('{"i":"1","c":[1,2],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1.0,"c":[1,2],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1.0,2],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,true],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":["0.5",0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":[1,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":"12","s":[0.5,0.25]}', "not a line save_assignments writes"),
         ('{"i":0,"c":[1,2],"s":[0.5,0.25]}', "record index 0, expected 1"),
-        ('{"i":1,"c":[1,2]}', "missing field 's'"),
-        ('{"i":1,"c":[1,2],"s":[0.5,0.25],"extra":true}', "unknown field 'extra'"),
-        ("", "blank line"),
-        (" \t", "blank line"),
+        ('{"i":1,"c":[1,2]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":[0.5,0.25],"extra":true}', "not a line save_assignments writes"),
+        ("", "not a line save_assignments writes"),
+        (" \t", "not a line save_assignments writes"),
+        ('{"i":true,"c":[1,2],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":[0.5,NaN]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":[Infinity,0.25]}', "not a line save_assignments writes"),
+        ('{"i": 1, "c": [1, 2], "s": [0.5, 0.25]}', "not a line save_assignments writes"),
+        ('{"s":[0.5,0.25],"c":[1,2],"i":1}', "not a line save_assignments writes"),
+        ('{"\\u0069":1,"c":[1,2],"s":[0.5,0.25]}', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1,2],"s":[0.5,0.25]}\r', "not a line save_assignments writes"),
+        ('{"i":1,"c":[1],"s":[0.5]}\r{"i":2,"c":[2],"s":[0.5]}',
+         "not a line save_assignments writes"),
     ],
 )
 def test_assignments_load_rejects_what_save_never_writes(tmp_path, second, message):

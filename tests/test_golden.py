@@ -88,7 +88,7 @@ def test_pipeline_bytes(tmp_path, monkeypatch, capsys):
 def test_staged_chain_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run(["synth", "--output", "synth", "--n", "5000", "--k", "7", "--zipf", "2.0",
-         "--seed", "9", "--threads", "2"], capsys)
+         "--seed", "9"], capsys)
     run(["weigh", "--output", "weigh", "--input", "synth/assignments.jsonl",
          "--vocab-size", "1000", "--mode", "sum"], capsys)
     run(["sample", "--output", "sample", "--input", "weigh/weights.jsonl", "--n", "3000",

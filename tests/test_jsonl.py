@@ -1,21 +1,27 @@
 """The JSON Lines contract of every loader, and seeded fuzz tests of the
 assignments, weights and manifest readers.
 
-Every loader reads through ``jsonl.json_lines``: a fault in a line reads
-``{path}: line N: ...``, broken JSON says ``malformed JSON``, blank lines
-are rejected except in manifests, and a decoding error passes through as
-``UnicodeDecodeError``. The fuzz tests mutate valid files as
-``test_loader_fuzz`` does and compare each loader with an independent
-per-line reference parse: the loader raises for the line the reference
-rejects first, names the file for a fault of the whole file, or loads
-exactly what the reference reads. Each reader is fuzzed from two bases,
-the second in its writer's canonical layout (fixed-k assignments, weights,
-compact manifest records), and a loader with a canonical fast path must
-load each mutant bit for bit as it does with the fast path turned off.
+A fault in a line reads ``{path}: line N: ...`` in every loader, and a
+decoding error passes through as ``UnicodeDecodeError``. The loaders of
+files from outside the toolkit or read line by line (manifests, plans)
+read through ``jsonl.json_lines``: broken JSON says ``malformed JSON``,
+and blank lines are rejected except in manifests. The weights and
+assignments loaders read only their writer's line grammar: a line off it,
+blank or broken lines included, says ``not a line {writer} writes``. The
+fuzz tests mutate valid files as ``test_loader_fuzz`` does and compare
+each loader with an independent per-line reference parse, a hand-written
+regular expression of the writer's line for weights and assignments: the
+loader raises for the line the reference rejects first, names the file
+for a fault of the whole file, or loads exactly what the reference reads.
+Each reader is fuzzed from two bases, the second in its writer's
+canonical layout (fixed-k assignments, weights, compact manifest
+records), and the manifest loader must load each mutant bit for bit as it
+does with its canonical fast path turned off.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import packing_oracle as oracle
@@ -45,22 +51,25 @@ def plan_lines(tmp_path):
 
 
 # loader, valid lines (or a builder of them), line 2 with a wrongly typed
-# field, the message of that field, and whether blank lines are skipped.
+# field, the message of that field, whether blank lines are skipped, and
+# the writer whose grammar alone the loader reads (None for json_lines).
 LOADERS = {
     "weights": (
         load_weights,
         ['{"i":0,"w":0.25}\n', '{"i":1,"w":0.25}\n', '{"i":2,"w":0.5}\n'],
         '{"i":1,"w":1}\n',
-        "field 'w' must be a JSON float, got 1",
+        "not a line save_weights writes",
         False,
+        "save_weights",
     ),
     "assignments": (
         load_assignments,
         ['{"i":0,"c":[1],"s":[0.5]}\n', '{"i":1,"c":[2,0],"s":[0.5,0.25]}\n',
          '{"i":2,"c":[3],"s":[1.0]}\n'],
         '{"i":1,"c":"2","s":[0.5]}\n',
-        "field 'c' must be a JSON array, got '2'",
+        "not a line save_assignments writes",
         False,
+        "save_assignments",
     ),
     "plan": (
         load_plan,
@@ -68,6 +77,7 @@ LOADERS = {
         '{"pack":"1","capacity":10,"items":[],"pad":10}\n',
         "field 'pack' must be a JSON integer, got '1'",
         False,
+        None,
     ),
     "pack-items": (
         load_pack_items,
@@ -75,6 +85,7 @@ LOADERS = {
         '{"id":"b","length":"4"}\n',
         "field 'length' must be a JSON integer, got '4'",
         True,
+        None,
     ),
     "manifest": (
         ingest_manifest,
@@ -83,14 +94,16 @@ LOADERS = {
         '{"id":"b","text_tokens":4.0}\n',
         "field 'text_tokens' must be a JSON integer, got 4.0",
         True,
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("name", LOADERS)
 def test_every_loader_keeps_the_line_contract(tmp_path, name):
-    load, lines, wrong, message, skips_blank = LOADERS[name]
+    load, lines, wrong, message, skips_blank, writer = LOADERS[name]
     lines = lines(tmp_path) if callable(lines) else lines
+    broken = f"not a line {writer} writes" if writer else "malformed JSON: "
     path = tmp_path / "f.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
     want = load(path)
@@ -102,23 +115,26 @@ def test_every_loader_keeps_the_line_contract(tmp_path, name):
             load(path)
         return str(e.value)
 
-    assert fault("{not json\n").startswith(f"{path}: line 2: malformed JSON: ")
-    assert fault("[" * 200_000 + "\n").startswith(f"{path}: line 2: malformed JSON: ")
+    assert fault("{not json\n").startswith(f"{path}: line 2: {broken}")
+    assert fault("[" * 200_000 + "\n").startswith(f"{path}: line 2: {broken}")
     assert fault(wrong) == f"{path}: line 2: {message}"
     for blank in ("\n", " \t\n"):
         if skips_blank:
             path.write_text("".join(lines[:1] + [blank] + lines[1:]), encoding="utf-8")
             assert list(load(path)) == list(want)
         else:
-            assert fault(blank, insert=True) == f"{path}: line 2: blank line"
+            blank_text = broken if writer else "blank line"
+            assert fault(blank, insert=True) == f"{path}: line 2: {blank_text}"
     path.write_bytes("".join(lines).replace("\n", "\xff\n", 2).encode("latin-1"))
     with pytest.raises(UnicodeDecodeError):
         load(path)
 
 
-@pytest.mark.parametrize("name", LOADERS)
+# Lines end at "\n" in the weights and assignments loaders too, where a "\r"
+# is off the grammar (tests/test_writer_lines.py).
+@pytest.mark.parametrize("name", [name for name in LOADERS if LOADERS[name][5] is None])
 def test_every_loader_ends_lines_at_newline_only(tmp_path, name):
-    load, lines, wrong, message, _ = LOADERS[name]
+    load, lines, wrong, message, _, _ = LOADERS[name]
     lines = lines(tmp_path) if callable(lines) else lines
     path = tmp_path / "f.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
@@ -151,7 +167,7 @@ def test_sample_reports_a_deeply_nested_line_as_one_json_error(tmp_path, capsys)
     assert err.count("\n") == 1
     obj = json.loads(err)
     assert obj["command"] == "sample"
-    assert obj["error"].startswith(f"{weights}: line 2: malformed JSON: ")
+    assert obj["error"] == f"{weights}: line 2: not a line save_weights writes"
     assert not (tmp_path / "out" / "config.json").exists()
 
 
@@ -174,28 +190,24 @@ def reference_lines(path):
         return list(enumerate(f, 1))
 
 
-def parse(line):
-    """A parsed JSON object, or None for a line that is not one (blank lines included)."""
-    try:
-        rec = json.loads(line)
-    except ValueError:
-        return None
-    return rec if type(rec) is dict else None
+# The lines save_weights and save_assignments write, written out here
+# rather than taken from the loaders: an integer as "%d" writes it, of at
+# most 18 digits, and a JSON number with a fraction or an exponent.
+INT = "(?:0|-?[1-9][0-9]{0,17})"
+FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+WEIGHT_LINE = re.compile(rf'\{{"i":({INT}),"w":({FLOAT})\}}\n')
+ASSIGNMENT_LINE = re.compile(
+    rf'\{{"i":({INT}),"c":\[({INT}(?:,{INT})*)\],"s":\[({FLOAT}(?:,{FLOAT})*)\]\}}\n'
+)
 
 
 def reference_weights(path):
     weights = []
     for n, line in reference_lines(path):
-        rec = parse(line)
-        if (
-            rec is None
-            or type(rec.get("i")) is not int
-            or rec["i"] != n - 1
-            or type(rec.get("w")) is not float
-            or not 0.0 <= rec["w"] < math.inf
-        ):
+        rec = WEIGHT_LINE.fullmatch(line)
+        if rec is None or rec[1] != str(n - 1) or not 0.0 <= float(rec[2]) < math.inf:
             return "error", n
-        weights.append(rec["w"])
+        weights.append(float(rec[2]))
     if not weights or abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
         return "file", None
     return "loaded", weights
@@ -204,24 +216,17 @@ def reference_weights(path):
 def reference_assignments(path):
     rows = []
     for n, line in reference_lines(path):
-        rec = parse(line)
-        if rec is None or type(rec.get("i")) is not int or rec["i"] != n - 1:
+        rec = ASSIGNMENT_LINE.fullmatch(line)
+        if rec is None or rec[1] != str(n - 1):
             return "error", n
-        c, s = rec.get("c"), rec.get("s")
-        if (
-            type(c) is not list
-            or type(s) is not list
-            or len(c) != len(s)
-            or not all(type(x) is int and -(2**63) <= x < 2**63 for x in c)
-            or not all(type(x) is float for x in s)
-        ):
+        c, s = [int(x) for x in rec[2].split(",")], [float(x) for x in rec[3].split(",")]
+        if len(c) != len(s):
             return "error", n
         rows.append(list(zip(c, s)))
     for n, row in enumerate(rows, 1):
         sims = [s for _, s in row]
         if (
-            not row
-            or len({c for c, _ in row}) != len(row)
+            len({c for c, _ in row}) != len(row)
             or not all(-1.0 - 1e-6 <= s <= 1.0 + 1e-6 for s in sims)
             or any(a < b for a, b in zip(sims, sims[1:]))
         ):
